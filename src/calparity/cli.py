@@ -9,8 +9,9 @@ infeasible instance.
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -18,16 +19,7 @@ import numpy as np
 
 from . import eo as eo_mod
 from .cost import CostPair, CostSpec, cost, trivial_cost, weighted_cost_spec
-from .dataset import (
-    CSV_HEADER,
-    CsvFormatError,
-    GroupData,
-    SynthSpec,
-    load_csv,
-    synth_calibrated,
-    synth_miscalibrated,
-    write_csv,
-)
+from .dataset import CsvFormatError, GroupData, SynthSpec, load_csv, synth, write_csv
 from .impossibility import approximate_bound, build_matrix, exact_impossibility_check
 from .metrics import analytic_rates, calibration_gap, linearity_residual, rate_point
 from .parity import (
@@ -59,24 +51,48 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _rounded(obj):
+def _rounded(obj, key: str = "report"):
+    """Round floats to 12 significant digits, editing dicts and lists in place.
+
+    Raises ValueError on NaN or infinity, which JSON cannot carry, before
+    any byte of the report is written.
+    """
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"{key} is not finite ({obj})")
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
-        return {k: _rounded(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_rounded(v) for v in obj]
+        for k, v in obj.items():
+            obj[k] = _rounded(v, k)
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            obj[i] = _rounded(v, key)
+    elif isinstance(obj, tuple):
+        return [_rounded(v, key) for v in obj]
     return obj
 
 
-def _emit(report: dict) -> None:
-    json.dump(_rounded(report), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _emit(report: dict, path: str | None = None) -> None:
+    """Stream the rounded report as indented JSON to ``path``, or to stdout."""
+    _rounded(report)
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
 
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_floats(text: str, count: int, flag: str) -> list[float]:
@@ -123,29 +139,8 @@ def _resolve_specs(args, g1: GroupData, g2: GroupData) -> dict[str, CostSpec]:
     }
 
 
-def _gap_report(g: GroupData, binning: str, bins: int) -> dict:
-    report = calibration_gap(g, binning, bins) if bins else calibration_gap(g, binning)
-    return report.to_json_dict()
-
-
 def _rates_dict(p) -> dict:
     return {"fp": p.c_fp, "fn": p.c_fn}
-
-
-def _write_rows(path: str | Path, rows: list[list], header: tuple[str, ...]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _score_rows(groups: list[GroupData], scores_by_id: dict[str, np.ndarray]) -> list[list]:
-    rows = []
-    for g in groups:
-        scores = scores_by_id.get(g.group_id, g.scores)
-        for s, y in zip(scores, g.labels):
-            rows.append([g.group_id, repr(float(s)), int(y)])
-    return rows
 
 
 def cmd_stats(args) -> int:
@@ -153,16 +148,14 @@ def cmd_stats(args) -> int:
     binning, bins = _parse_binning(args.binning)
     report = {"groups": []}
     for g in groups:
-        p = rate_point(g)
-        a = analytic_rates(g)
         report["groups"].append(
             {
                 "group": g.group_id,
                 "n": len(g),
                 "base_rate": g.base_rate,
-                "rates": _rates_dict(p),
-                "analytic_rates": _rates_dict(a),
-                "calibration": _gap_report(g, binning, bins),
+                "rates": _rates_dict(rate_point(g)),
+                "analytic_rates": _rates_dict(analytic_rates(g)),
+                "calibration": calibration_gap(g, binning, bins).to_json_dict(),
                 "linearity_residual": linearity_residual(g),
             }
         )
@@ -179,17 +172,15 @@ def cmd_postprocess_calibrated(args) -> int:
     if mode == MODE_MONTE_CARLO and args.seed is None:
         raise ValueError("--mode mc requires --seed")
 
-    def group_cost(g: GroupData) -> float:
-        return cost(rate_point(g), specs[g.group_id])
+    def verdict_for(g1: GroupData, g2: GroupData):
+        g1_cost, g2_cost = (cost(rate_point(g), specs[g.group_id]) for g in (g1, g2))
+        return feasibility(g1_cost, g2_cost, trivial_cost(g2.base_rate, specs[g2.group_id]))
 
-    verdict = feasibility(group_cost(g1), group_cost(g2), trivial_cost(g2.base_rate, specs[g2.group_id]))
-    swapped = False
-    if verdict.reason == REASON_COST_ORDER:
+    verdict = verdict_for(g1, g2)
+    swapped = verdict.reason == REASON_COST_ORDER
+    if swapped:
         g1, g2 = g2, g1
-        swapped = True
-        verdict = feasibility(
-            group_cost(g1), group_cost(g2), trivial_cost(g2.base_rate, specs[g2.group_id])
-        )
+        verdict = verdict_for(g1, g2)
 
     report = {
         "group1": g1.group_id,
@@ -200,8 +191,8 @@ def cmd_postprocess_calibrated(args) -> int:
         "pre": {
             "g1_cost": verdict.g1_cost,
             "g2_cost": verdict.g2_cost,
-            "g1_gap": _gap_report(g1, binning, bins)["gap"],
-            "g2_gap": _gap_report(g2, binning, bins)["gap"],
+            "g1_gap": calibration_gap(g1, binning, bins).gap,
+            "g2_gap": calibration_gap(g2, binning, bins).gap,
         },
     }
 
@@ -210,49 +201,37 @@ def cmd_postprocess_calibrated(args) -> int:
         _emit(report)
         return EXIT_INFEASIBLE
 
+    # Unless Monte Carlo mode realizes the plan, scores pass through: the
+    # analytic plan in the report is the deliverable.
+    out_groups, withheld = groups, None
     try:
         alpha = compute_alpha(verdict.g1_cost, verdict.g2_cost, verdict.trivial2_cost)
     except AlreadyTrivialError:
         report["status"] = "already_trivial"
         report["alpha"] = None
-        if args.output:
-            _write_rows(args.output, _score_rows(groups, {}), CSV_HEADER)
-        _emit(report)
-        return EXIT_OK
-
-    plan = InterpolationPlan(alpha, g2.base_rate, mode, args.seed)
-    post_point = mixture_rate_point(g2, plan)
-    report["status"] = "ok"
-    report["alpha"] = alpha
-    report["plan"] = plan.to_json_dict()
-    report["post"] = {
-        "g1_cost": verdict.g1_cost,
-        "g2_cost": mixture_cost(g2, plan, specs[g2.group_id]),
-        "g2_gap": mixture_calibration_gap(g2, plan),
-        "g2_rates": _rates_dict(post_point),
-    }
-
-    if mode == MODE_MONTE_CARLO:
-        mixture = realize_mixture(g2, plan)
-        realized = mixture.realized
-        report["realized"] = {
-            "g2_cost": cost(rate_point(realized), specs[g2.group_id]),
-            "g2_gap": _gap_report(realized, binning, bins)["gap"],
-            "withheld_fraction": float(mixture.withheld.mean()),
+    else:
+        plan = InterpolationPlan(alpha, g2.base_rate, mode, args.seed)
+        report["status"] = "ok"
+        report["alpha"] = alpha
+        report["plan"] = plan.to_json_dict()
+        report["post"] = {
+            "g1_cost": verdict.g1_cost,
+            "g2_cost": mixture_cost(g2, plan, specs[g2.group_id]),
+            "g2_gap": mixture_calibration_gap(g2, plan),
+            "g2_rates": _rates_dict(mixture_rate_point(g2, plan)),
         }
-        if args.output:
+        if mode == MODE_MONTE_CARLO:
+            mixture = realize_mixture(g2, plan)
+            realized = mixture.realized
+            report["realized"] = {
+                "g2_cost": cost(rate_point(realized), specs[g2.group_id]),
+                "g2_gap": calibration_gap(realized, binning, bins).gap,
+                "withheld_fraction": float(mixture.withheld.mean()),
+            }
+            out_groups = [realized if g is g2 else g for g in groups]
             withheld = {g2.group_id: mixture.withheld}
-            rows = []
-            for g in groups:
-                scores = realized.scores if g.group_id == g2.group_id else g.scores
-                mask = withheld.get(g.group_id, np.zeros(len(g), dtype=bool))
-                for s, y, w in zip(scores, g.labels, mask):
-                    rows.append([g.group_id, repr(float(s)), int(y), int(w)])
-            _write_rows(args.output, rows, CSV_HEADER + ("withheld",))
-    elif args.output:
-        # Deterministic mode ships the analytic plan; scores pass through.
-        _write_rows(args.output, _score_rows(groups, {}), CSV_HEADER)
-
+    if args.output:
+        write_csv(out_groups, args.output, withheld)
     _emit(report)
     return EXIT_OK
 
@@ -271,13 +250,12 @@ def cmd_postprocess_eo(args) -> int:
         g.group_id: eo_mod.eo_calibration_damage(g, plan) for g in (g1, g2)
     }
     if args.output:
-        flipped = {
-            g.group_id: eo_mod.flipped_scores(
-                g, plan.for_group(g.group_id).q_n2p, plan.for_group(g.group_id).q_p2n
-            )
-            for g in groups
-        }
-        _write_rows(args.output, _score_rows(groups, flipped), CSV_HEADER)
+        flipped = []
+        for g in groups:
+            pair = plan.for_group(g.group_id)
+            scores = eo_mod.flipped_scores(g, pair.q_n2p, pair.q_p2n)
+            flipped.append(GroupData(g.group_id, scores, g.labels))
+        write_csv(flipped, args.output)
     _emit(report)
     return EXIT_OK
 
@@ -314,14 +292,21 @@ def cmd_plot_data(args) -> int:
     groups = load_csv(args.input)
     g1, g2 = _two_groups(groups, args.group1)
     specs = _resolve_specs(args, g1, g2)
-    scene = build_scene([g1, g2], specs)
-    payload = _rounded(scene.to_json_dict())
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(build_scene([g1, g2], specs).to_json_dict(), args.output)
     return EXIT_OK
+
+
+def _spec_field(entry: dict, i: int, key: str, convert, default=None):
+    """``convert(entry[key])``, or ``default``; errors name the spec field."""
+    where = f"synth spec groups[{i}].{key}"
+    if key not in entry:
+        if default is None:
+            raise ValueError(f"{where} is missing")
+        return default
+    try:
+        return convert(entry[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} has invalid value {entry[key]!r}") from None
 
 
 def cmd_synth(args) -> int:
@@ -329,32 +314,33 @@ def cmd_synth(args) -> int:
     if text.startswith("@"):
         text = Path(text[1:]).read_text(encoding="utf-8")
     doc = json.loads(text)
-    entries = doc["groups"]
+    entries = doc.get("groups") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError("synth spec must be an object with a 'groups' list")
     if not entries:
         raise ValueError("synth spec needs at least one group entry")
     derived = np.random.SeedSequence(args.seed).generate_state(len(entries), dtype=np.uint64)
-    groups = []
-    seeds = []
+    specs = []
     for i, entry in enumerate(entries):
-        seed = int(entry.get("seed", derived[i]))
+        if not isinstance(entry, dict):
+            raise ValueError(f"synth spec groups[{i}] must be an object, got {entry!r}")
         spec = SynthSpec(
-            n=int(entry["n"]),
-            family=entry["family"],
-            params=tuple(float(v) for v in entry["params"]),
-            miscalibration_shift=float(entry.get("shift", 0.0)),
-            seed=seed,
-            group_id=entry["id"],
+            n=_spec_field(entry, i, "n", int),
+            family=_spec_field(entry, i, "family", str),
+            params=_spec_field(entry, i, "params", lambda v: tuple(float(x) for x in v)),
+            miscalibration_shift=_spec_field(entry, i, "shift", float, 0.0),
+            seed=_spec_field(entry, i, "seed", int, int(derived[i])),
+            group_id=_spec_field(entry, i, "id", str),
         )
-        generator = synth_calibrated if spec.miscalibration_shift == 0.0 else synth_miscalibrated
-        groups.append(generator(spec))
-        seeds.append(seed)
+        specs.append(spec)
+    groups = [synth(spec) for spec in specs]
     write_csv(groups, args.output)
     _emit(
         {
             "written": str(args.output),
             "groups": [
-                {"id": g.group_id, "n": len(g), "seed": seed, "base_rate": g.base_rate}
-                for g, seed in zip(groups, seeds)
+                {"id": g.group_id, "n": len(g), "seed": spec.seed, "base_rate": g.base_rate}
+                for g, spec in zip(groups, specs)
             ],
         }
     )
@@ -393,10 +379,10 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--cost", required=True, help="a1,b1,a2,b2 first cost constraint")
     p.add_argument("--cost2", required=True, help="a1,b1,a2,b2 second cost constraint")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--delta-cal", type=float, required=True)
-    p.add_argument("--delta-cost", type=float, required=True)
-    p.add_argument("--matrix-max", type=float, required=True, help="asserted max entry magnitude M")
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
+    p.add_argument("--delta-cal", type=_finite_float, required=True)
+    p.add_argument("--delta-cost", type=_finite_float, required=True)
+    p.add_argument("--matrix-max", type=_finite_float, required=True, help="asserted max entry magnitude M")
     p.add_argument("--denominator", type=int, required=True, help="asserted common denominator D")
     p.set_defaults(handler=cmd_diagnose)
 

@@ -9,6 +9,7 @@ the origin to (mu, 1 - mu).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .metrics import RatePoint
@@ -24,6 +25,8 @@ class CostSpec:
     b: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"cost weights must be finite, got ({self.a}, {self.b})")
         if self.a < 0.0 or self.b < 0.0:
             raise ValueError("cost weights must be non-negative")
         if self.a + self.b <= 0.0:
@@ -80,9 +83,14 @@ def weighted_cost_spec(r_fp: float, r_fn: float, mu: float) -> CostSpec:
 
 
 def _snap(v: float) -> float:
-    if abs(v) < _EPS:
+    """Pull float noise just outside [0, 1] onto the boundary.
+
+    Values inside stay put: moving them would take the endpoint off its
+    level set by up to the cost weight times _EPS.
+    """
+    if -_EPS < v < 0.0:
         return 0.0
-    if abs(v - 1.0) < _EPS:
+    if 1.0 < v < 1.0 + _EPS:
         return 1.0
     return v
 

@@ -1,4 +1,4 @@
-"""Grouped score/label data: CSV ingestion and seeded synthetic generators.
+"""Grouped score/label data: CSV ingestion and a seeded synthetic generator.
 
 The data model is intentionally small: a group is an ordered collection of
 (score, label) samples where the score is a probabilistic classifier output
@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,11 +24,6 @@ FAMILIES = ("point_mass", "grid", "beta_grid")
 
 class CsvFormatError(ValueError):
     """Input CSV does not match the ``group,score,label`` schema."""
-
-
-class Sample(NamedTuple):
-    score: float
-    label: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,10 +65,21 @@ class GroupData:
     def __len__(self) -> int:
         return int(self.scores.size)
 
-    @property
-    def samples(self) -> list[Sample]:
-        """Samples in their original order."""
-        return [Sample(float(s), int(y)) for s, y in zip(self.scores, self.labels)]
+    @cached_property
+    def atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Atom table ``(values, negatives, positives)``, built on first use.
+
+        ``values`` are the distinct scores in ascending order; ``negatives``
+        and ``positives`` count the samples of each class at each value, as
+        floats. Every group statistic depends on the samples only through
+        this table. Caching is safe because the arrays are frozen.
+        """
+        values, inverse = np.unique(self.scores, return_inverse=True)
+        positives = np.bincount(inverse, weights=self.labels, minlength=values.size)
+        negatives = np.bincount(inverse, minlength=values.size) - positives
+        for a in (values, negatives, positives):
+            a.setflags(write=False)
+        return values, negatives, positives
 
 
 def load_csv(path: str | Path) -> list[GroupData]:
@@ -118,18 +126,26 @@ def load_csv(path: str | Path) -> list[GroupData]:
     return groups
 
 
-def write_csv(groups: Sequence[GroupData], path: str | Path) -> None:
+def write_csv(
+    groups: Sequence[GroupData], path: str | Path, withheld: Mapping[str, np.ndarray] | None = None
+) -> None:
     """Write groups back to the CSV schema, round-tripping values exactly.
 
     Scores are emitted with ``repr``, which is the shortest string that
-    parses back to the identical float.
+    parses back to the identical float. With ``withheld`` a fourth column
+    holds each group's Monte Carlo withholding mask as 0/1; groups missing
+    from the mapping were not post-processed and read 0. Rows are streamed,
+    never collected.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
+        writer.writerow(CSV_HEADER if withheld is None else CSV_HEADER + ("withheld",))
         for g in groups:
-            for s, y in zip(g.scores, g.labels):
-                writer.writerow([g.group_id, repr(float(s)), int(y)])
+            columns = [repeat(g.group_id), map(repr, g.scores.tolist()), g.labels.tolist()]
+            if withheld is not None:
+                mask = withheld.get(g.group_id)
+                columns.append(repeat(0) if mask is None else mask.astype(np.int64).tolist())
+            writer.writerows(zip(*columns))
 
 
 @dataclass(frozen=True)
@@ -186,7 +202,14 @@ def _draw_scores(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     return (idx + 0.5) / bins
 
 
-def _generate(spec: SynthSpec) -> GroupData:
+def synth(spec: SynthSpec) -> GroupData:
+    """Generate a group with labels drawn at clamp(score + shift).
+
+    With shift 0 the labels are Bernoulli draws at the score itself, so the
+    population calibration gap is zero; otherwise it equals |shift|
+    wherever no clamping occurs. Deterministic for a fixed spec (numpy
+    PCG64 under the given seed).
+    """
     rng = np.random.default_rng(spec.seed)
     scores = _draw_scores(spec, rng)
     probs = np.clip(scores + spec.miscalibration_shift, 0.0, 1.0)
@@ -197,23 +220,3 @@ def _generate(spec: SynthSpec) -> GroupData:
         )
     labels = (rng.random(spec.n) < probs).astype(np.int64)
     return GroupData(spec.group_id, scores, labels)
-
-
-def synth_calibrated(spec: SynthSpec) -> GroupData:
-    """Generate a group whose labels are Bernoulli draws at the score itself.
-
-    The population calibration gap is zero by construction. Deterministic
-    for a fixed spec (numpy PCG64 under the given seed).
-    """
-    if spec.miscalibration_shift != 0.0:
-        raise ValueError("synth_calibrated requires miscalibration_shift == 0")
-    return _generate(spec)
-
-
-def synth_miscalibrated(spec: SynthSpec) -> GroupData:
-    """Generate a group with labels drawn at clamp(score + shift).
-
-    The population calibration gap equals |shift| wherever no clamping
-    occurs. With shift 0 this coincides with synth_calibrated.
-    """
-    return _generate(spec)

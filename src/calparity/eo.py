@@ -12,6 +12,7 @@ equality constraints), which is trivially auditable against a grid search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Mapping
@@ -19,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .dataset import GroupData
-from .metrics import RatePoint
+from .metrics import RatePoint, _pooled_gap
 
 RATE_MATCH_TOL = 1e-9
 
@@ -96,83 +97,73 @@ def flipped_scores(g: GroupData, q_n2p: float, q_p2n: float) -> np.ndarray:
     Scores at exactly 0.5 count as positive predictions; their complement
     is again 0.5, so flipping never changes them.
     """
-    positive_side = g.scores >= 0.5
-    q = np.where(positive_side, q_p2n, q_n2p)
+    q = np.where(g.scores >= 0.5, q_p2n, q_n2p)
     return np.clip(g.scores + q * (1.0 - 2.0 * g.scores), 0.0, 1.0)
 
 
 def derived_rates(g: GroupData, q_n2p: float, q_p2n: float) -> RatePoint:
-    """Expected generalized rates of the flipped classifier."""
+    """Expected generalized rates of the flipped classifier, per sample.
+
+    Sums are exact before the division, as in ``metrics.rate_point``, so
+    zero flips give bit-for-bit the rates of the group itself.
+    """
     GroupFlip(q_n2p, q_p2n)
     t = flipped_scores(g, q_n2p, q_p2n)
-    c_fp = float(t[g.labels == 0].mean())
-    c_fn = float((1.0 - t[g.labels == 1]).mean())
+    negatives = t[g.labels == 0]
+    positives = 1.0 - t[g.labels == 1]
+    c_fp = math.fsum(negatives.tolist()) / negatives.size
+    c_fn = math.fsum(positives.tolist()) / positives.size
     return RatePoint(c_fp, c_fn)
 
 
 def eo_calibration_damage(g: GroupData, plan: FlipPlan) -> float:
     """Exact-unique calibration gap of the flipped-output distribution.
 
-    Each sample splits its mass between the kept score and the reflected
-    score 1 - s, so flipping a calibrated group mixes samples with
-    different conditional positive rates into shared score atoms.
+    Each atom v splits its mass between the kept score v, weight 1 - q,
+    and the reflected score 1 - v, weight q, so flipping a calibrated group
+    mixes atoms with different conditional positive rates into shared
+    score values.
     """
     pair = plan.for_group(g.group_id)
-    positive_side = g.scores >= 0.5
-    q = np.where(positive_side, pair.q_p2n, pair.q_n2p)
-    values = np.concatenate([g.scores, 1.0 - g.scores])
-    weights = np.concatenate([1.0 - q, q]) / len(g)
-    labels = np.concatenate([g.labels, g.labels]).astype(float)
-    occupied = weights > 0.0
-    uniq, inverse = np.unique(values[occupied], return_inverse=True)
-    w = np.bincount(inverse, weights=weights[occupied], minlength=uniq.size)
-    positive_mass = np.bincount(
-        inverse, weights=weights[occupied] * labels[occupied], minlength=uniq.size
+    values, negatives, positives = g.atoms
+    q = np.where(values >= 0.5, pair.q_p2n, pair.q_n2p)
+    split = np.concatenate([1.0 - q, q]) / len(g)
+    return _pooled_gap(
+        np.concatenate([values, 1.0 - values]),
+        split * np.tile(negatives + positives, 2),
+        split * np.tile(positives, 2),
     )
-    return float(np.sum(np.abs(positive_mass - uniq * w)))
 
 
-def _affine_rates(g: GroupData) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """FP and FN of the flipped classifier as affine functions of (q_n2p, q_p2n)."""
-    s = g.scores
-    swing = 1.0 - 2.0 * s
-    negative_side = (s < 0.5).astype(float)
-    positive_side = 1.0 - negative_side
-    neg = g.labels == 0
-    pos = g.labels == 1
-    fp0 = float(s[neg].mean())
-    fp_coef = np.array(
-        [float((swing * negative_side)[neg].mean()), float((swing * positive_side)[neg].mean())]
-    )
-    fn0 = float((1.0 - s[pos]).mean())
-    fn_coef = -np.array(
-        [float((swing * negative_side)[pos].mean()), float((swing * positive_side)[pos].mean())]
-    )
-    return fp0, fp_coef, fn0, fn_coef
+def _affine(g: GroupData) -> tuple[np.ndarray, np.ndarray]:
+    """FP, FN and thresholded 0/1 loss of the flipped classifier, affine in the flips.
 
-
-def _affine_loss(g: GroupData) -> tuple[float, np.ndarray]:
-    """Thresholded 0/1 loss of the flipped classifier, affine in the flip pair.
-
-    Per sample the expected positive indicator is b + q * (f - b) where b
-    thresholds the original score and f thresholds its complement.
+    Returns ``(constant, coef)``: ``constant`` holds (fp, fn, loss) at zero
+    flips and column j of the 3x2 ``coef`` their slopes in (q_n2p, q_p2n)[j].
+    Per atom v the expected score is v + q * (1 - 2v), and the expected
+    positive indicator is b + q * (f - b) where b thresholds v and f
+    thresholds its complement.
     """
-    s = g.scores
-    b = (s >= 0.5).astype(float)
-    f = (s <= 0.5).astype(float)
-    shift = f - b
-    negative_side = (s < 0.5).astype(float)
-    positive_side = 1.0 - negative_side
-    neg = g.labels == 0
-    pos = g.labels == 1
-    base = float(b[neg].mean()) + float((1.0 - b)[pos].mean())
-    coef = np.array(
+    values, negatives, positives = g.atoms
+    neg = negatives / negatives.sum()
+    pos = positives / positives.sum()
+    b = (values >= 0.5).astype(float)
+    swing = 1.0 - 2.0 * values
+    shift = (values <= 0.5) - b
+    constant = np.array(
         [
-            float((shift * negative_side)[neg].mean()) - float((shift * negative_side)[pos].mean()),
-            float((shift * positive_side)[neg].mean()) - float((shift * positive_side)[pos].mean()),
+            (values * neg).sum(),
+            ((1.0 - values) * pos).sum(),
+            (b * neg).sum() + ((1.0 - b) * pos).sum(),
         ]
     )
-    return base, coef
+    coef = np.array(
+        [
+            [(side * swing * neg).sum(), -(side * swing * pos).sum(), (side * shift * (neg - pos)).sum()]
+            for side in (1.0 - b, b)
+        ]
+    ).T
+    return constant, coef
 
 
 def _independent_rows(
@@ -237,33 +228,20 @@ def solve_eo(g1: GroupData, g2: GroupData) -> EOSolution:
     """
     if g1.group_id == g2.group_id:
         raise ValueError("the two groups must have distinct ids")
-    fp0_1, fp_c1, fn0_1, fn_c1 = _affine_rates(g1)
-    fp0_2, fp_c2, fn0_2, fn_c2 = _affine_rates(g2)
-    A = np.array(
-        [
-            np.concatenate([fp_c1, -fp_c2]),
-            np.concatenate([fn_c1, -fn_c2]),
-        ]
-    )
-    b = np.array([fp0_2 - fp0_1, fn0_2 - fn0_1])
-    base1, coef1 = _affine_loss(g1)
-    base2, coef2 = _affine_loss(g2)
-    c = np.concatenate([coef1, coef2])
-    c0 = base1 + base2
+    const1, coef1 = _affine(g1)
+    const2, coef2 = _affine(g2)
+    # Rows 0 and 1 equalize FP and FN; row 2 is the summed loss.
+    A = np.hstack([coef1[:2], -coef2[:2]])
+    b = const2[:2] - const1[:2]
+    c = np.concatenate([coef1[2], coef2[2]])
+    c0 = const1[2] + const2[2]
 
     vertices = _enumerate_vertices(A, b)
     if not vertices:
         return EOSolution(STATUS_INFEASIBLE, None, None, None)
     best = min(vertices, key=lambda q: (float(c @ q), tuple(q)))
     objective = c0 + float(c @ best)
-    plan = FlipPlan(
-        {
-            g1.group_id: GroupFlip(float(best[0]), float(best[1])),
-            g2.group_id: GroupFlip(float(best[2]), float(best[3])),
-        }
-    )
-    rates = {
-        g1.group_id: derived_rates(g1, float(best[0]), float(best[1])),
-        g2.group_id: derived_rates(g2, float(best[2]), float(best[3])),
-    }
+    flips = {g.group_id: (float(best[2 * i]), float(best[2 * i + 1])) for i, g in enumerate((g1, g2))}
+    plan = FlipPlan({gid: GroupFlip(*q) for gid, q in flips.items()})
+    rates = {g.group_id: derived_rates(g, *flips[g.group_id]) for g in (g1, g2)}
     return EOSolution(STATUS_OPTIMAL, plan, rates, objective)

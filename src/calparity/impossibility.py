@@ -10,7 +10,7 @@ denominator of the (caller-asserted rational) constraint-matrix entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,14 +69,7 @@ class ImpossibilityBound:
             raise ValueError("L must equal 16 * M^3 * D^4 exactly")
 
     def to_json_dict(self) -> dict:
-        return {
-            "M": self.M,
-            "D": self.D,
-            "L": self.L,
-            "delta_cal": self.delta_cal,
-            "delta_cost": self.delta_cost,
-            "rate_bound": self.rate_bound,
-        }
+        return asdict(self)
 
 
 def build_matrix(mu1: float, mu2: float, pair: CostPair, pair_prime: CostPair) -> ConstraintMatrix:

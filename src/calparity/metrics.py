@@ -8,6 +8,7 @@ the usual confusion-matrix rates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,6 +19,8 @@ from .dataset import GroupData
 BINNING_MODES = ("exact-unique", "fixed-width")
 
 _COORD_SLACK = 1e-9
+
+_SPLITTER = 134217729.0  # 2**27 + 1: splits a double into two halves of at most 26 bits
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,6 @@ class CalibrationReport:
     """Score-weighted deviation between predicted and observed positives."""
 
     gap: float
-    bin_edges: tuple[float, ...]
     per_bin: tuple[BinStat, ...]
 
     def to_json_dict(self) -> dict:
@@ -64,20 +66,51 @@ class CalibrationReport:
         }
 
 
+def _pooled_gap(values: np.ndarray, mass: np.ndarray, positive_mass: np.ndarray) -> float:
+    """Calibration gap of a score distribution given as weighted atoms.
+
+    Atoms with equal values are merged first; the gap is then the sum over
+    distinct values v of |positive mass at v - v * mass at v|, which is the
+    weighted |positive fraction - v| with the division cancelled.
+    """
+    merged, inverse = np.unique(values, return_inverse=True)
+    mass = np.bincount(inverse, weights=mass, minlength=merged.size)
+    positive_mass = np.bincount(inverse, weights=positive_mass, minlength=merged.size)
+    return float(np.abs(positive_mass - merged * mass).sum())
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    scaled = _SPLITTER * a
+    high = scaled - (scaled - a)
+    return high, a - high
+
+
+def _exact_mean(values: np.ndarray, counts: np.ndarray) -> float:
+    """Mean of ``values`` repeated ``counts`` times, with the sum correctly rounded.
+
+    Each product is paired with its exact rounding error (Dekker's
+    two-product) and ``math.fsum`` adds them all exactly, so the result is
+    the same float as ``math.fsum`` over the samples divided by their
+    count, whatever the sample order.
+    """
+    product = values * counts
+    (v_high, v_low), (c_high, c_low) = _split(values), _split(counts)
+    error = ((v_high * c_high - product) + v_high * c_low + v_low * c_high) + v_low * c_low
+    terms = np.concatenate([product, error])
+    # Zero terms (empty classes, exact products) change no sum; fsum is the cost.
+    return math.fsum(terms[terms != 0.0].tolist()) / float(counts.sum())
+
+
 def generalized_fp(g: GroupData) -> float:
     """Mean score among true negatives."""
-    negatives = g.scores[g.labels == 0]
-    if negatives.size == 0:
-        raise ValueError(f"group {g.group_id!r} has no negative samples")
-    return float(negatives.mean())
+    values, negatives, _ = g.atoms
+    return _exact_mean(values, negatives)
 
 
 def generalized_fn(g: GroupData) -> float:
     """Mean complement of the score among true positives."""
-    positives = g.scores[g.labels == 1]
-    if positives.size == 0:
-        raise ValueError(f"group {g.group_id!r} has no positive samples")
-    return float((1.0 - positives).mean())
+    values, _, positives = g.atoms
+    return _exact_mean(1.0 - values, positives)
 
 
 def rate_point(g: GroupData) -> RatePoint:
@@ -90,18 +123,21 @@ def analytic_rates(g: GroupData) -> RatePoint:
     The prediction is exact in population for perfectly calibrated scores;
     on miscalibrated data it is just the moment formula, not a rate.
     """
+    values, negatives, positives = g.atoms
+    weighted = values * (negatives + positives) / len(g)
     mu = g.base_rate
-    m1 = float(g.scores.mean())
-    m2 = float((g.scores**2).mean())
-    spread = m1 - m2
+    spread = float(weighted.sum()) - float((weighted * values).sum())
     return RatePoint(spread / (1.0 - mu), spread / mu)
 
 
 def linearity_residual(g: GroupData) -> float:
-    """|mu * c_fn - (1 - mu) * c_fp|, at most twice the calibration gap."""
-    p = rate_point(g)
-    mu = g.base_rate
-    return abs(mu * p.c_fn - (1.0 - mu) * p.c_fp)
+    """|mu * c_fn - (1 - mu) * c_fp|, at most twice the calibration gap.
+
+    On the atom table this is |sum(positives - v * count)| / n: the signed
+    per-score calibration deviations, summed.
+    """
+    values, negatives, positives = g.atoms
+    return abs(float((positives - values * (negatives + positives)).sum())) / len(g)
 
 
 def calibration_gap(g: GroupData, binning: str = "exact-unique", bins: int = 10) -> CalibrationReport:
@@ -111,37 +147,26 @@ def calibration_gap(g: GroupData, binning: str = "exact-unique", bins: int = 10)
     makes the gap definition exact for discrete score distributions.
     ``fixed-width`` pools scores into ``bins`` equal-width bins over [0, 1]
     (last bin right-closed) and compares each bin's mean score with its
-    positive fraction.
+    positive fraction. Both work on the atom table: a bin holds whole atoms.
     """
     if binning not in BINNING_MODES:
         raise ValueError(f"unknown binning {binning!r}; expected one of {BINNING_MODES}")
-    if binning == "exact-unique":
-        values, inverse = np.unique(g.scores, return_inverse=True)
-        counts = np.bincount(inverse, minlength=values.size)
-        pos = np.bincount(inverse, weights=g.labels, minlength=values.size)
-        weights = counts / len(g)
-        fractions = pos / counts
-        gap = float(np.sum(np.abs(fractions - values) * weights))
-        per_bin = tuple(
-            BinStat(float(v), float(f), float(w))
-            for v, f, w in zip(values, fractions, weights)
+    values, negatives, positives = g.atoms
+    counts = negatives + positives
+    if binning == "fixed-width":
+        if bins < 1:
+            raise ValueError("fixed-width binning needs bins >= 1")
+        idx = np.minimum((values * bins).astype(int), bins - 1)
+        occupied = np.bincount(idx, minlength=bins) > 0
+        score_sums, counts, positives = (
+            np.bincount(idx, weights=w, minlength=bins)[occupied] for w in (values * counts, counts, positives)
         )
-        return CalibrationReport(gap, tuple(float(v) for v in values), per_bin)
-
-    if bins < 1:
-        raise ValueError("fixed-width binning needs bins >= 1")
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    idx = np.minimum((g.scores * bins).astype(int), bins - 1)
-    counts = np.bincount(idx, minlength=bins)
-    pos = np.bincount(idx, weights=g.labels, minlength=bins)
-    score_sums = np.bincount(idx, weights=g.scores, minlength=bins)
-    occupied = counts > 0
-    weights = counts[occupied] / len(g)
-    fractions = pos[occupied] / counts[occupied]
-    means = score_sums[occupied] / counts[occupied]
-    gap = float(np.sum(np.abs(fractions - means) * weights))
+        values = score_sums / counts
+    weights = counts / len(g)
+    fractions = positives / counts
+    gap = _pooled_gap(values, weights, positives / len(g))
     per_bin = tuple(
         BinStat(float(m), float(f), float(w))
-        for m, f, w in zip(means, fractions, weights)
+        for m, f, w in zip(values, fractions, weights)
     )
-    return CalibrationReport(gap, tuple(float(e) for e in edges), per_bin)
+    return CalibrationReport(gap, per_bin)

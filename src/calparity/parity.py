@@ -13,13 +13,13 @@ calibration gap: the mixture's gap is (1 - alpha) times the original.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .cost import CostSpec, cost
 from .dataset import GroupData
-from .metrics import RatePoint, rate_point
+from .metrics import RatePoint, _pooled_gap, rate_point
 
 REASON_OK = "ok"
 REASON_COST_ORDER = "cost_order_violated"
@@ -50,13 +50,7 @@ class FeasibilityVerdict:
     reason: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "g1_cost": self.g1_cost,
-            "g2_cost": self.g2_cost,
-            "trivial2_cost": self.trivial2_cost,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -85,12 +79,7 @@ class InterpolationPlan:
             raise ValueError("monte_carlo mode requires a seed")
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "trivial_output": self.trivial_output,
-            "mode": self.mode,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,11 +141,6 @@ def realize_mixture(g: GroupData, plan: InterpolationPlan) -> MixtureGroup:
     return MixtureGroup(g, plan, realized, withheld)
 
 
-def apply_monte_carlo(g: GroupData, plan: InterpolationPlan) -> GroupData:
-    """Per-sample realization: keep the score w.p. 1-alpha, else emit mu2."""
-    return realize_mixture(g, plan).realized
-
-
 def mixture_rate_point(g: GroupData, plan: InterpolationPlan) -> RatePoint:
     """Exact expected rates of the mixture, no sampling involved."""
     base = rate_point(g)
@@ -176,34 +160,21 @@ def mixture_cost(g: GroupData, plan: InterpolationPlan, spec: CostSpec) -> float
 def mixture_calibration_gap(g: GroupData, plan: InterpolationPlan) -> float:
     """Exact-unique calibration gap of the mixture distribution.
 
-    Scores different from the trivial output keep their per-score
-    conditional statistics at weight scaled by (1 - alpha). The atom at the
-    trivial output pools the surviving original mass there with the
-    withheld mass, whose positive fraction is the group's label mean. When
-    the trivial output is the group's base rate the pooled atom contributes
-    a (1 - alpha)-scaled term as well, so the whole gap contracts by
-    exactly (1 - alpha).
+    Every atom of the group keeps its conditional statistics at weight
+    scaled by (1 - alpha). The withheld mass alpha sits at the trivial
+    output with positive fraction equal to the group's label mean, pooled
+    with any original atom there. When the trivial output is the group's
+    base rate the pooled atom contributes a (1 - alpha)-scaled term as
+    well, so the whole gap contracts by exactly (1 - alpha).
     """
     a = plan.alpha
-    m = plan.trivial_output
-    values, inverse = np.unique(g.scores, return_inverse=True)
-    counts = np.bincount(inverse, minlength=values.size)
-    pos = np.bincount(inverse, weights=g.labels, minlength=values.size)
-    weights = counts / len(g)
-    fractions = pos / counts
-
-    keep = values != m
-    gap = float(np.sum(np.abs(fractions[keep] - values[keep]) * weights[keep] * (1.0 - a)))
-
-    at_m = ~keep
-    w_orig = float(weights[at_m].sum())
-    f_orig = float(fractions[at_m][0]) if w_orig > 0.0 else 0.0
-    pooled_weight = (1.0 - a) * w_orig + a
-    if pooled_weight > 0.0:
-        # |pooled fraction - m| * pooled weight, with the division cancelled.
-        pooled_positive_mass = (1.0 - a) * w_orig * f_orig + a * g.base_rate
-        gap += abs(pooled_positive_mass - m * pooled_weight)
-    return gap
+    values, negatives, positives = g.atoms
+    keep = (1.0 - a) / len(g)
+    return _pooled_gap(
+        np.append(values, plan.trivial_output),
+        np.append((negatives + positives) * keep, a),
+        np.append(positives * keep, a * g.base_rate),
+    )
 
 
 @dataclass(frozen=True)
@@ -215,7 +186,7 @@ class AuditVerdict:
     fn_floor: float
 
     def to_json_dict(self) -> dict:
-        return {"flagged": self.flagged, "fp_floor": self.fp_floor, "fn_floor": self.fn_floor}
+        return asdict(self)
 
 
 def optimality_audit(

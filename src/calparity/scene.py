@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .cost import CostSpec, Segment, calibrated_line, cost, level_curve
@@ -29,24 +29,12 @@ class PlaneScene:
 
     def to_json_dict(self) -> dict:
         return {
-            "points": [
-                {"label": p.label, "group": p.group, "fp": p.fp, "fn": p.fn}
-                for p in self.points
-            ],
-            "lines": [
-                {"group": gid, "x0": s.x0, "y0": s.y0, "x1": s.x1, "y1": s.y1}
-                for gid, s in self.calibrated_lines
-            ],
+            "points": [asdict(p) for p in self.points],
+            "lines": [{"group": gid, **asdict(s)} for gid, s in self.calibrated_lines],
             "level_curves": [
-                {"a": spec.a, "b": spec.b, "c": c, "x0": s.x0, "y0": s.y0, "x1": s.x1, "y1": s.y1}
-                for spec, c, s in self.level_curves
+                {"a": spec.a, "b": spec.b, "c": c, **asdict(s)} for spec, c, s in self.level_curves
             ],
-            "diagonal": {
-                "x0": self.diagonal.x0,
-                "y0": self.diagonal.y0,
-                "x1": self.diagonal.x1,
-                "y1": self.diagonal.y1,
-            },
+            "diagonal": asdict(self.diagonal),
         }
 
 

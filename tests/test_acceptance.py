@@ -16,7 +16,7 @@ import numpy as np
 
 from calparity.cli import main
 from calparity.cost import CostPair, CostSpec, cost, trivial_cost
-from calparity.dataset import GroupData, SynthSpec, synth_calibrated, write_csv
+from calparity.dataset import GroupData, SynthSpec, synth, write_csv
 from calparity.eo import solve_eo
 from calparity.impossibility import approximate_bound, build_matrix
 from calparity.metrics import (
@@ -153,7 +153,7 @@ def test_exact_rate_formulas():
     tol = 4.0 / np.sqrt(n)
     for seed in range(50):
         family = ("grid", (0.1, 0.9, 9)) if seed % 2 == 0 else ("beta_grid", (2.0, 3.0, 25))
-        g = synth_calibrated(SynthSpec(n, family[0], family[1], seed=seed))
+        g = synth(SynthSpec(n, family[0], family[1], seed=seed))
         empirical = rate_point(g)
         predicted = analytic_rates(g)
         assert abs(empirical.c_fp - predicted.c_fp) <= tol
@@ -268,7 +268,7 @@ def test_approximate_impossibility():
 def test_monte_carlo_consistency():
     n = 100_000
     tol = 4.0 / np.sqrt(n)
-    g = synth_calibrated(SynthSpec(n, "grid", (0.1, 0.9, 9), seed=1000))
+    g = synth(SynthSpec(n, "grid", (0.1, 0.9, 9), seed=1000))
     for seed in range(20):
         alpha = 0.05 + 0.045 * seed
         plan = InterpolationPlan(alpha, g.base_rate, MODE_MONTE_CARLO, seed=seed)

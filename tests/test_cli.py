@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from calparity.cli import main
+from calparity.cli import _rounded, main
 from calparity.dataset import load_csv, write_csv
 from conftest import make_group
 
@@ -390,12 +390,12 @@ class TestSynth:
         assert first.read_bytes() == second.read_bytes()
 
     def test_explicit_seed_matches_library(self, tmp_path, capsys):
-        from calparity.dataset import SynthSpec, synth_calibrated
+        from calparity.dataset import SynthSpec, synth
 
         out_csv = tmp_path / "synth.csv"
         run(capsys, "synth", "--spec", self.SPEC, "--seed", "3", "--output", str(out_csv))
         b = next(g for g in load_csv(out_csv) if g.group_id == "B")
-        direct = synth_calibrated(SynthSpec(400, "point_mass", (0.4,), seed=5, group_id="B"))
+        direct = synth(SynthSpec(400, "point_mass", (0.4,), seed=5, group_id="B"))
         assert np.array_equal(b.labels, direct.labels)
 
     def test_spec_from_file(self, tmp_path, capsys):
@@ -406,6 +406,61 @@ class TestSynth:
             capsys, "synth", "--spec", f"@{spec_path}", "--output", str(out_csv)
         )
         assert code == 0 and out_csv.exists()
+
+
+class TestRejections:
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ("[1]", "'groups'"),
+            ('{"groups": [{"id": "A", "n": 10, "family": "grid", "params": 5}]}', "groups[0].params"),
+            ('{"groups": [{"id": "A", "family": "grid", "params": [0.1, 0.9, 3]}]}', "groups[0].n"),
+        ],
+    )
+    def test_bad_synth_spec_names_the_field(self, tmp_path, capsys, spec, field):
+        code, out, err = run(capsys, "synth", "--spec", spec, "--output", str(tmp_path / "s.csv"))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and field in err
+
+    def test_non_finite_cost_weight(self, tmp_path, capsys):
+        path = write_fixture(tmp_path, feasible_pair())
+        code, out, err = run(
+            capsys, "postprocess-calibrated", "--input", str(path), "--cost", "1,1,nan,1"
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "finite" in err
+
+    @pytest.mark.parametrize("flag", ["--tol", "--delta-cal", "--delta-cost", "--matrix-max"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_diagnose_rejects_non_finite(self, tmp_path, capsys, flag, value):
+        path = write_fixture(tmp_path, feasible_pair())
+        flags = {"--tol": "1e-9", "--delta-cal": "0.05", "--delta-cost": "0.05", "--matrix-max": "2"}
+        flags[flag] = value
+        argv = ["diagnose", "--input", str(path), "--cost", "1,0,1,0", "--cost2", "0,1,0,1",
+                "--denominator", "12"]
+        for k, v in flags.items():
+            argv += [k, v]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert f"argument {flag}: expected a finite number" in err
+
+    def test_infinite_report_value_is_an_error(self, tmp_path, capsys):
+        # 16 * M^3 * D^4 overflows to inf, which JSON cannot carry.
+        path = write_fixture(tmp_path, feasible_pair())
+        code, out, err = run(
+            capsys, "diagnose", "--input", str(path), "--cost", "1,0,1,0", "--cost2", "0,1,0,1",
+            "--delta-cal", "0.05", "--delta-cost", "0.05", "--matrix-max", "5e102",
+            "--denominator", "12",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: L is not finite (inf)\n"
+
+    def test_rounding_is_in_place_and_rejects_nan(self):
+        report = {"a": [0.12345678901234567, {"b": 2}], "c": "x"}
+        assert _rounded(report) is report
+        assert report == {"a": [0.123456789012, {"b": 2}], "c": "x"}
+        with pytest.raises(ValueError, match="b is not finite"):
+            _rounded({"a": [{"b": float("nan")}]})
 
 
 class TestExitCodes:

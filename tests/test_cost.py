@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from calparity.cost import (
@@ -33,6 +33,11 @@ class TestCost:
 
     def test_pure_fp_cost(self):
         assert cost(RatePoint(0.3, 0.7), CostSpec(1.0, 0.0)) == 0.3
+
+    @pytest.mark.parametrize("a, b", [(float("nan"), 1.0), (1.0, float("inf")), (float("-inf"), 1.0)])
+    def test_rejects_non_finite_weights(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            CostSpec(a, b)
 
     def test_rejects_degenerate_spec(self):
         with pytest.raises(ValueError):
@@ -113,6 +118,7 @@ class TestLevelCurve:
             level_curve(CostSpec(1.0, 1.0), -0.1)
 
     @given(specs, st.floats(0.0, 20.0, allow_nan=False))
+    @example(CostSpec(1e-12, 1.0), 1.0)  # once snapped 1 - 1e-12 to 1, off the level set
     def test_endpoints_lie_on_the_level_set(self, spec, c):
         for x, y in level_curve(spec, c):
             assert 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0

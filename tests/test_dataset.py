@@ -1,18 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from calparity.dataset import (
-    CsvFormatError,
-    GroupData,
-    Sample,
-    SynthSpec,
-    load_csv,
-    synth_calibrated,
-    synth_miscalibrated,
-    write_csv,
-)
+from calparity.dataset import CsvFormatError, GroupData, SynthSpec, load_csv, synth, write_csv
 from calparity.metrics import calibration_gap
 
 
@@ -88,6 +81,17 @@ class TestLoadCsv:
         write_csv([loaded], second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_withheld_column(self, tmp_path):
+        a = GroupData("A", np.array([0.25, 0.5]), np.array([0, 1]))
+        b = GroupData("B, west", np.array([0.125, 1.0]), np.array([1, 0]))
+        path = tmp_path / "out.csv"
+        write_csv([a, b], path, {"B, west": np.array([True, False])})
+        assert path.read_bytes() == (
+            b"group,score,label,withheld\r\n"
+            b"A,0.25,0,0\r\nA,0.5,1,0\r\n"
+            b'"B, west",0.125,1,1\r\n"B, west",1.0,0,0\r\n'
+        )
+
 
 class TestGroupData:
     @pytest.mark.parametrize(
@@ -113,6 +117,16 @@ class TestGroupData:
         with pytest.raises(ValueError, match="single class"):
             GroupData("g", np.array([0.2, 0.5]), np.array([1, 1]))
 
+    def test_atom_table(self):
+        g = GroupData("g", np.array([0.5, 0.1, 0.5, 0.5, 0.1]), np.array([1, 0, 0, 1, 1]))
+        values, negatives, positives = g.atoms
+        assert values.tolist() == [0.1, 0.5]
+        assert negatives.tolist() == [1.0, 1.0]
+        assert positives.tolist() == [1.0, 2.0]
+        assert g.atoms is g.atoms
+        with pytest.raises(ValueError):
+            values[0] = 0.2
+
     def test_immutable_arrays(self):
         g = GroupData("g", np.array([0.2, 0.5]), np.array([0, 1]))
         with pytest.raises(ValueError):
@@ -120,7 +134,8 @@ class TestGroupData:
 
     def test_samples_preserve_order(self):
         g = GroupData("g", np.array([0.9, 0.1, 0.5]), np.array([1, 0, 1]))
-        assert g.samples == [Sample(0.9, 1), Sample(0.1, 0), Sample(0.5, 1)]
+        assert g.scores.tolist() == [0.9, 0.1, 0.5]
+        assert g.labels.tolist() == [1, 0, 1]
 
     @given(st.lists(st.integers(0, 1), min_size=2, max_size=40).filter(lambda ls: 0 < sum(ls) < len(ls)))
     def test_base_rate_is_exact_label_mean(self, labels):
@@ -130,58 +145,57 @@ class TestGroupData:
 
 class TestSynthCalibrated:
     def test_point_mass_concentration(self):
-        g = synth_calibrated(SynthSpec(10_000, "point_mass", (0.5,), seed=7))
+        g = synth(SynthSpec(10_000, "point_mass", (0.5,), seed=7))
         assert abs(g.base_rate - 0.5) <= 0.02
         assert np.all(g.scores == 0.5)
 
     def test_base_rate_tracks_score_mean(self):
         # Grid over {0.1, 0.2, ..., 0.5} has mean label probability 0.3.
         n = 10_000
-        g = synth_calibrated(SynthSpec(n, "grid", (0.1, 0.5, 5), seed=3))
+        g = synth(SynthSpec(n, "grid", (0.1, 0.5, 5), seed=3))
         assert abs(g.base_rate - 0.3) <= 3 / np.sqrt(n)
 
     def test_grid_gap_shrinks(self):
         n = 10_000
-        g = synth_calibrated(SynthSpec(n, "grid", (0.1, 0.9, 9), seed=11))
+        g = synth(SynthSpec(n, "grid", (0.1, 0.9, 9), seed=11))
         assert calibration_gap(g).gap <= 4 * np.sqrt(9 / n)
 
     def test_beta_grid_support_and_gap(self):
         n = 10_000
         bins = 20
-        g = synth_calibrated(SynthSpec(n, "beta_grid", (2.0, 5.0, bins), seed=5))
+        g = synth(SynthSpec(n, "beta_grid", (2.0, 5.0, bins), seed=5))
         midpoints = (np.arange(bins) + 0.5) / bins
         assert set(np.unique(g.scores)) <= set(midpoints)
         assert calibration_gap(g).gap <= 4 * np.sqrt(bins / n)
 
     def test_deterministic(self):
         spec = SynthSpec(500, "grid", (0.1, 0.9, 9), seed=42)
-        a = synth_calibrated(spec)
-        b = synth_calibrated(spec)
+        a = synth(spec)
+        b = synth(spec)
         assert np.array_equal(a.scores, b.scores)
         assert np.array_equal(a.labels, b.labels)
 
-    def test_requires_zero_shift(self):
-        with pytest.raises(ValueError, match="shift"):
-            synth_calibrated(SynthSpec(10, "point_mass", (0.5,), miscalibration_shift=0.1))
-
     def test_degenerate_point_mass(self):
         with pytest.raises(ValueError, match="degenerate"):
-            synth_calibrated(SynthSpec(10, "point_mass", (0.0,)))
+            synth(SynthSpec(10, "point_mass", (0.0,)))
 
 
 class TestSynthMiscalibrated:
     def test_gap_approaches_shift(self):
         n = 100_000
         spec = SynthSpec(n, "point_mass", (0.5,), miscalibration_shift=0.2, seed=1)
-        g = synth_miscalibrated(spec)
+        g = synth(spec)
         assert abs(calibration_gap(g).gap - 0.2) <= 4 / np.sqrt(n)
 
     def test_zero_shift_matches_calibrated(self):
+        # One seed fixes the scores and the uniform stream, so a shift moves
+        # only the label threshold: the zero-shift (calibrated) labels are the
+        # shifted ones minus the extra positives.
         spec = SynthSpec(200, "grid", (0.2, 0.8, 4), seed=9)
-        a = synth_miscalibrated(spec)
-        b = synth_calibrated(spec)
+        a = synth(spec)
+        b = synth(dataclasses.replace(spec, miscalibration_shift=0.1))
         assert np.array_equal(a.scores, b.scores)
-        assert np.array_equal(a.labels, b.labels)
+        assert np.all(a.labels <= b.labels) and b.labels.sum() > a.labels.sum()
 
     def test_clamped_atom_gap(self):
         # Scores 0.5 and 0.9 with shift +0.2: label probabilities become
@@ -189,12 +203,12 @@ class TestSynthMiscalibrated:
         # 0.2 and 0.1 and the overall gap is their weight average, 0.15.
         n = 100_000
         spec = SynthSpec(n, "grid", (0.5, 0.9, 2), miscalibration_shift=0.2, seed=13)
-        g = synth_miscalibrated(spec)
+        g = synth(spec)
         assert abs(calibration_gap(g).gap - 0.15) <= 4 / np.sqrt(n)
 
     def test_fully_clamped_distribution_is_degenerate(self):
         with pytest.raises(ValueError, match="degenerate"):
-            synth_miscalibrated(
+            synth(
                 SynthSpec(100, "point_mass", (0.9,), miscalibration_shift=0.2, seed=2)
             )
 

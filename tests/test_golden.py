@@ -1,0 +1,164 @@
+"""Golden-corpus replay: every subcommand against recorded reports and files.
+
+``tests/golden/inputs`` holds the input CSVs (500 rows or fewer each) and
+``tests/golden/expected`` the stdout, output file, exit code and stderr that
+each case in ``CASES`` produced when the corpus was recorded. Replays run
+``calparity.cli.main`` in-process from a temporary directory, so paths in the
+reports are the relative names below.
+
+Exit codes, keys, strings, ints and every CSV column except ``score`` must
+match exactly. Floats, scores included, must agree to 12 significant
+digits: the flip LP's affine coefficients may move in their last bits when
+the summation order changes, and with them the non-vertex flip
+probabilities and the ``repr`` of flipped scores.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import json
+import math
+import shutil
+from pathlib import Path
+
+import pytest
+
+from calparity.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+EXPECTED = GOLDEN / "expected"
+
+REL_TOL = 1e-11
+ABS_TOL = 1e-12
+
+SYNTH_SPEC = json.dumps(
+    {
+        "groups": [
+            {"id": "A", "n": 120, "family": "beta_grid", "params": [2, 5, 12], "shift": 0.1},
+            {"id": "B", "n": 80, "family": "point_mass", "params": [0.3]},
+            {"id": "C", "n": 100, "family": "grid", "params": [0.0, 1.0, 5], "seed": 9},
+        ]
+    }
+)
+
+DIAGNOSE_FLAGS = (
+    "--delta-cal", "0.05", "--delta-cost", "0.05", "--matrix-max", "2", "--denominator", "12",
+)
+
+# name -> (argv, output file written by the command or None)
+CASES = {
+    "stats_exact": (["stats", "--input", "mixed.csv"], None),
+    "stats_fixed": (["stats", "--input", "mixed.csv", "--binning", "fixed:7"], None),
+    "stats_edges_exact": (["stats", "--input", "edges.csv"], None),
+    "stats_edges_fixed": (["stats", "--input", "edges.csv", "--binning", "fixed:4"], None),
+    "stats_bad_row": (["stats", "--input", "bad.csv"], None),
+    "calibrated_ok": (
+        ["postprocess-calibrated", "--input", "mixed.csv", "--weighted-cost", "1,3",
+         "--output", "calibrated_ok.csv"],
+        "calibrated_ok.csv",
+    ),
+    "calibrated_fixed": (
+        ["postprocess-calibrated", "--input", "mixed.csv", "--cost", "1,2,1,2",
+         "--binning", "fixed:5"],
+        None,
+    ),
+    "calibrated_swapped": (
+        ["postprocess-calibrated", "--input", "mixed.csv", "--weighted-cost", "1,3",
+         "--group1", "B"],
+        None,
+    ),
+    "calibrated_infeasible": (
+        ["postprocess-calibrated", "--input", "infeasible.csv", "--cost", "1,0,1,0"],
+        None,
+    ),
+    "calibrated_trivial": (
+        ["postprocess-calibrated", "--input", "trivial.csv", "--cost", "1,0,1,0",
+         "--output", "calibrated_trivial.csv"],
+        "calibrated_trivial.csv",
+    ),
+    "calibrated_mc": (
+        ["postprocess-calibrated", "--input", "mixed.csv", "--weighted-cost", "1,3",
+         "--mode", "mc", "--seed", "4", "--output", "calibrated_mc.csv"],
+        "calibrated_mc.csv",
+    ),
+    "calibrated_mc_fixed": (
+        ["postprocess-calibrated", "--input", "edges.csv", "--cost", "1,1,1,1",
+         "--mode", "mc", "--seed", "8", "--binning", "fixed:3"],
+        None,
+    ),
+    "eo_mixed": (["postprocess-eo", "--input", "mixed.csv", "--output", "eo_mixed.csv"], "eo_mixed.csv"),
+    "eo_edges": (["postprocess-eo", "--input", "edges.csv", "--output", "eo_edges.csv"], "eo_edges.csv"),
+    "diagnose": (
+        ["diagnose", "--input", "mixed.csv", "--cost", "1,0,1,0", "--cost2", "0,1,0,1", *DIAGNOSE_FLAGS],
+        None,
+    ),
+    "plot_stdout": (["plot-data", "--input", "mixed.csv", "--weighted-cost", "1,3"], None),
+    "plot_output": (
+        ["plot-data", "--input", "edges.csv", "--cost", "1,1,2,1", "--output", "plot_output.json"],
+        "plot_output.json",
+    ),
+    "synth": (["synth", "--spec", SYNTH_SPEC, "--seed", "7", "--output", "synth.csv"], "synth.csv"),
+}
+
+
+def run_case(argv: list[str]) -> tuple[int, str, str]:
+    """Run the CLI in-process from the current directory; (exit, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_close(got, want, where="$"):
+    if isinstance(want, float):
+        assert isinstance(got, float), f"{where}: {got!r} is not a float"
+        assert math.isclose(got, want, rel_tol=REL_TOL, abs_tol=ABS_TOL), f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), f"{where}: keys {list(got)} != {list(want)}"
+        for key in want:
+            assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), f"{where}: length differs"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+def assert_csv_close(got_text: str, want_text: str):
+    got = list(csv.reader(io.StringIO(got_text, newline="")))
+    want = list(csv.reader(io.StringIO(want_text, newline="")))
+    assert got[0] == want[0] and len(got) == len(want)
+    score = want[0].index("score")
+    for lineno, (g, w) in enumerate(zip(got[1:], want[1:]), start=2):
+        assert g[:score] + g[score + 1:] == w[:score] + w[score + 1:], f"row {lineno}"
+        assert math.isclose(float(g[score]), float(w[score]), rel_tol=REL_TOL, abs_tol=ABS_TOL), f"row {lineno}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_replay_matches_corpus(name, tmp_path, monkeypatch):
+    argv, output = CASES[name]
+    for path in INPUTS.iterdir():
+        shutil.copy(path, tmp_path / path.name)
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run_case(argv)
+
+    recorded = json.loads((EXPECTED / "exits.json").read_text(encoding="utf-8"))[name]
+    assert code == recorded["exit"]
+    assert stderr == recorded["stderr"]
+    want_stdout = (EXPECTED / f"{name}.stdout").read_text(encoding="utf-8")
+    if want_stdout:
+        assert_close(json.loads(stdout), json.loads(want_stdout))
+    else:
+        assert stdout == ""
+    if output is not None:
+        got = (tmp_path / output).read_bytes().decode("utf-8")
+        want = (EXPECTED / output).read_bytes().decode("utf-8")
+        if output.endswith(".json"):
+            assert_close(json.loads(got), json.loads(want))
+        else:
+            assert "\r\n" in got and got.count("\r\n") == want.count("\r\n")
+            assert_csv_close(got, want)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from calparity.dataset import GroupData, SynthSpec, synth_calibrated
+from calparity.dataset import GroupData, SynthSpec, synth
 from calparity.metrics import (
     RatePoint,
     analytic_rates,
@@ -66,7 +66,7 @@ class TestAnalyticRates:
 
     def test_matches_empirical_rates_on_calibrated_data(self):
         n = 100_000
-        g = synth_calibrated(SynthSpec(n, "grid", (0.1, 0.9, 9), seed=17))
+        g = synth(SynthSpec(n, "grid", (0.1, 0.9, 9), seed=17))
         empirical = rate_point(g)
         predicted = analytic_rates(g)
         assert abs(empirical.c_fp - predicted.c_fp) <= 4 / np.sqrt(n)
@@ -91,7 +91,7 @@ class TestCalibrationGap:
     def test_exact_unique_report_structure(self):
         g = make_group([0.2, 0.2, 0.8, 0.8], [0, 0, 1, 1])
         report = calibration_gap(g)
-        assert report.bin_edges == (0.2, 0.8)
+        assert [b.mean_score for b in report.per_bin] == [0.2, 0.8]
         assert [b.weight for b in report.per_bin] == [0.5, 0.5]
         assert sum(b.weight for b in report.per_bin) == pytest.approx(1.0, abs=EXACT)
         doc = report.to_json_dict()
@@ -101,10 +101,10 @@ class TestCalibrationGap:
     def test_fixed_width_binning(self):
         g = make_group([0.05, 0.149, 0.95, 1.0], [0, 0, 1, 1])
         report = calibration_gap(g, "fixed-width", bins=10)
-        assert len(report.bin_edges) == 11
         # 0.05 and 0.149 pool into [0, 0.1) and [0.1, 0.2); 0.95 and 1.0
         # both land in the right-closed last bin.
         assert [b.weight for b in report.per_bin] == [0.25, 0.25, 0.5]
+        assert [b.mean_score for b in report.per_bin] == [0.05, 0.149, 0.975]
         assert sum(b.weight for b in report.per_bin) == pytest.approx(1.0, abs=EXACT)
 
     def test_fixed_width_needs_bins(self):
@@ -135,7 +135,7 @@ class TestLinearityResidual:
             assert linearity_residual(g) <= 2.0 * gap + EXACT
 
     def test_calibrated_synthetic_residual(self):
-        g = synth_calibrated(SynthSpec(20_000, "grid", (0.2, 0.8, 7), seed=23))
+        g = synth(SynthSpec(20_000, "grid", (0.2, 0.8, 7), seed=23))
         assert linearity_residual(g) <= 2.0 * calibration_gap(g).gap + EXACT
 
 

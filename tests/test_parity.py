@@ -11,7 +11,6 @@ from calparity.parity import (
     AlreadyTrivialError,
     InfeasibleError,
     InterpolationPlan,
-    apply_monte_carlo,
     compute_alpha,
     feasibility,
     mixture_calibration_gap,
@@ -100,13 +99,13 @@ class TestMonteCarloApplication:
 
     def test_alpha_zero_is_identity(self):
         g = self.base_group()
-        out = apply_monte_carlo(g, InterpolationPlan(0.0, 0.4, MODE_MONTE_CARLO, seed=1))
+        out = realize_mixture(g, InterpolationPlan(0.0, 0.4, MODE_MONTE_CARLO, seed=1)).realized
         assert np.array_equal(out.scores, g.scores)
         assert np.array_equal(out.labels, g.labels)
 
     def test_alpha_one_withholds_everything(self):
         g = self.base_group()
-        out = apply_monte_carlo(g, InterpolationPlan(1.0, 0.4, MODE_MONTE_CARLO, seed=1))
+        out = realize_mixture(g, InterpolationPlan(1.0, 0.4, MODE_MONTE_CARLO, seed=1)).realized
         assert np.all(out.scores == 0.4)
 
     def test_withheld_fraction_concentrates(self):
@@ -140,7 +139,7 @@ class TestMonteCarloApplication:
     def test_requires_monte_carlo_mode(self):
         g = self.base_group()
         with pytest.raises(ValueError, match="monte_carlo"):
-            apply_monte_carlo(g, InterpolationPlan(0.5, 0.4))
+            realize_mixture(g, InterpolationPlan(0.5, 0.4)).realized
 
 
 def materialize_mixture(g: GroupData, alpha_num: int, alpha_den: int, trivial: float) -> GroupData:
@@ -222,7 +221,7 @@ class TestMixtureAnalytics:
         labels = (rng.random(n) < scores).astype(int)
         g = GroupData("g", scores, labels)
         plan = InterpolationPlan(0.4, g.base_rate, MODE_MONTE_CARLO, seed=8)
-        realized = apply_monte_carlo(g, plan)
+        realized = realize_mixture(g, plan).realized
         expected = mixture_rate_point(g, plan)
         got = rate_point(realized)
         assert abs(got.c_fp - expected.c_fp) <= 4 / np.sqrt(n)
