@@ -8,12 +8,16 @@ present in every group so the base rate stays strictly inside (0, 1).
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
+import os
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import BinaryIO, Mapping, Sequence
 
 import numpy as np
 
@@ -85,11 +89,109 @@ class GroupData:
 def load_csv(path: str | Path) -> list[GroupData]:
     """Read a ``group,score,label`` CSV into one GroupData per group.
 
-    Sample order is preserved within each group. Raises CsvFormatError with
-    the offending row number for schema violations, out-of-range scores,
-    non-binary labels, and single-class groups.
+    Sample order is preserved within each group. A leading UTF-8 byte order
+    mark is skipped. Raises CsvFormatError with the offending row number for
+    schema violations, out-of-range scores, non-binary labels, and
+    single-class groups.
+
+    Clean input is parsed column-wise in one numpy pass; anything the fast
+    path does not read exactly as the row parser would goes to
+    ``_load_reference``, which also produces every error.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    groups = _load_columnar(path)
+    return _load_reference(path) if groups is None else groups
+
+
+_CHUNK = 1 << 20
+
+# Group ids are coded to dense ints through a converter, not read as a
+# fixed-width string column, which would truncate long ids silently and
+# cost more memory. ``S2`` labels keep ``10`` from passing as ``1``.
+_ROW = np.dtype([("group", "i4"), ("score", "f8"), ("label", "S2")])
+
+
+class _Codes(dict):
+    """Maps each group id to a dense int in first-seen order."""
+
+    def __missing__(self, key: str) -> int:
+        code = self[key] = len(self)
+        return code
+
+
+def _clean_bytes(raw: BinaryIO) -> bool:
+    """True when the bytes hold nothing numpy reads differently from ``csv``.
+
+    Rejects non-ASCII bytes, quotes (which ``csv`` strips and numpy keeps),
+    NUL (which numpy strips from byte strings) and any line longer than
+    ``csv.field_size_limit()``, on which the reference parser raises. Reads
+    the file in chunks, never holding a second copy of it.
+    """
+    limit = csv.field_size_limit()
+    run = 0  # length of the line that runs into the current chunk
+    chunk = raw.read(_CHUNK).removeprefix(codecs.BOM_UTF8)
+    while chunk:
+        if not chunk.isascii() or b'"' in chunk or b"\0" in chunk:
+            return False
+        start, end = -run, len(chunk)  # start of the current line, maybe in an earlier chunk
+        while end - start > limit:
+            newline = chunk.rfind(b"\n", max(start, 0), start + limit + 1)
+            if newline < 0:
+                return False
+            start = newline + 1
+        run = end - start
+        chunk = raw.read(_CHUNK)
+    return True
+
+
+def _load_columnar(path: str | Path) -> list[GroupData] | None:
+    """Parse clean input in one ``np.loadtxt`` pass, or return None.
+
+    None means the reference parser must decide: the input is not a regular
+    file of clean bytes, the header or a row does not parse as plain
+    ``id,float,0|1``, an id carries surrounding whitespace, a score lies
+    outside [0, 1], or a group holds one class. Whatever this accepts, the
+    reference parser reads to the same groups, in the same order, with the
+    same bits. ``comments=None`` because ``csv`` gives ``#`` no meaning.
+    """
+    if not os.path.isfile(path):  # a pipe can be read only once
+        return None
+    with open(path, "rb") as raw:
+        if not _clean_bytes(raw):
+            return None
+        raw.seek(0)
+        with io.TextIOWrapper(raw, encoding="utf-8-sig") as fh:
+            if tuple(h.strip() for h in fh.readline().split(",")) != CSV_HEADER:
+                return None
+            codes = _Codes()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    table = np.loadtxt(
+                        fh, delimiter=",", dtype=_ROW, converters={0: codes.__getitem__},
+                        comments=None, ndmin=1,
+                    )
+            except (ValueError, Warning):
+                return None
+    scores, labels = table["score"], table["label"] == b"1"
+    if not (
+        all(gid == gid.strip() for gid in codes)
+        and np.all((scores >= 0.0) & (scores <= 1.0))
+        and np.all(labels | (table["label"] == b"0"))
+    ):
+        return None
+    order = np.argsort(table["group"], kind="stable")
+    bounds = np.cumsum(np.bincount(table["group"]))[:-1]
+    groups = []
+    for gid, s, y in zip(codes, np.split(scores[order], bounds), np.split(labels[order], bounds)):
+        if y.all() or not y.any():
+            return None
+        groups.append(GroupData(gid, s, y))
+    return groups
+
+
+def _load_reference(path: str | Path) -> list[GroupData]:
+    """Row-by-row ``csv`` parser: the reference for what ``load_csv`` accepts."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != CSV_HEADER:

@@ -10,6 +10,7 @@ denominator of the (caller-asserted rational) constraint-matrix entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -136,7 +137,12 @@ def approximate_bound(
     if M <= 0.0:
         raise ValueError("M must be positive")
     D = int(D)
-    L = 16.0 * M**3 * D**4
+    try:
+        L = 16.0 * M**3 * D**4
+    except OverflowError:  # float ** and int-to-float raise where float * gives inf
+        L = math.inf
+    if not math.isfinite(L):
+        raise ValueError(f"L is not finite ({L})")
     slack = max(
         2.0 * delta_cal / (1.0 - matrix.mu1),
         2.0 * delta_cal / (1.0 - matrix.mu2),

@@ -34,9 +34,20 @@ class RatePoint:
         for name, v in (("c_fp", self.c_fp), ("c_fn", self.c_fn)):
             if not -_COORD_SLACK <= v <= 1.0 + _COORD_SLACK:
                 raise ValueError(f"{name}={v} outside [0, 1]")
-        # Snap float noise from affine combinations back onto the unit square.
-        object.__setattr__(self, "c_fp", min(max(float(self.c_fp), 0.0), 1.0))
-        object.__setattr__(self, "c_fn", min(max(float(self.c_fn), 0.0), 1.0))
+        object.__setattr__(self, "c_fp", _snap(float(self.c_fp)))
+        object.__setattr__(self, "c_fn", _snap(float(self.c_fn)))
+
+
+class MomentRates(NamedTuple):
+    """Rates the moment formula predicts; off the unit square on miscalibrated data."""
+
+    c_fp: float
+    c_fn: float
+
+
+def _snap(v: float) -> float:
+    """Move float noise within _COORD_SLACK of [0, 1] onto it; leave other values as they are."""
+    return min(max(v, 0.0), 1.0) if -_COORD_SLACK <= v <= 1.0 + _COORD_SLACK else v
 
 
 class BinStat(NamedTuple):
@@ -117,17 +128,19 @@ def rate_point(g: GroupData) -> RatePoint:
     return RatePoint(generalized_fp(g), generalized_fn(g))
 
 
-def analytic_rates(g: GroupData) -> RatePoint:
+def analytic_rates(g: GroupData) -> MomentRates:
     """Rates predicted from raw moments: (E[h] - E[h^2]) / (1 - mu) and / mu.
 
     The prediction is exact in population for perfectly calibrated scores;
-    on miscalibrated data it is just the moment formula, not a rate.
+    on miscalibrated data it is just the moment formula, not a rate, and
+    may exceed 1. Float noise at the edges of [0, 1] is snapped as for
+    RatePoint; other values are reported as computed.
     """
     values, negatives, positives = g.atoms
     weighted = values * (negatives + positives) / len(g)
     mu = g.base_rate
     spread = float(weighted.sum()) - float((weighted * values).sum())
-    return RatePoint(spread / (1.0 - mu), spread / mu)
+    return MomentRates(_snap(spread / (1.0 - mu)), _snap(spread / mu))
 
 
 def linearity_residual(g: GroupData) -> float:

@@ -21,6 +21,7 @@ from calparity.metrics import analytic_rates, calibration_gap, linearity_residua
 from calparity.parity import InterpolationPlan, mixture_calibration_gap
 
 TOL = 1e-12
+SNAP = 1e-9  # RatePoint's slack at the edges of the unit square
 
 scores = st.one_of(
     st.sampled_from([0.0, 0.5, 1.0, 0.1, 0.25, 0.7]),
@@ -36,6 +37,10 @@ def group(rows) -> GroupData:
     labels = [y for _, y in rows]
     assume(0 < sum(labels) < len(labels))
     return GroupData("g", np.array([s for s, _ in rows]), np.array(labels))
+
+
+def snap(v: float) -> float:
+    return min(max(v, 0.0), 1.0) if -SNAP <= v <= 1.0 + SNAP else v
 
 
 def loop_gap(weighted) -> float:
@@ -82,13 +87,10 @@ def test_rates_moments_and_residual(rows):
     mu = len(pos) / len(s)
     assert linearity_residual(g) == pytest.approx(abs(mu * c_fn - (1.0 - mu) * c_fp), abs=TOL)
     spread = sum(s) / len(s) - sum(v * v for v in s) / len(s)
-    want = (spread / (1.0 - mu), spread / mu)
-    if max(want) > 1.0 + 1e-6:
-        # Off the unit square on miscalibrated data; RatePoint refuses it.
-        with pytest.raises(ValueError, match="outside"):
-            analytic_rates(g)
-    elif max(want) <= 1.0:
-        assert tuple(vars(analytic_rates(g)).values()) == pytest.approx(want, abs=TOL)
+    # Reported as computed, also off the unit square on miscalibrated data;
+    # only values within the snap band around [0, 1] move onto it.
+    want = [snap(spread / (1.0 - mu)), snap(spread / mu)]
+    assert list(analytic_rates(g)) == pytest.approx(want, abs=TOL)
 
 
 @given(samples, st.integers(1, 12))

@@ -422,6 +422,14 @@ class TestRejections:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and field in err
 
+    def test_moment_rates_off_the_unit_square(self, tmp_path, capsys):
+        # Miscalibrated: every score 0.5 but one positive in five.
+        g = make_group([0.5] * 5, [1, 0, 0, 0, 0], gid="A")
+        path = write_fixture(tmp_path, [g])
+        code, out, _ = run(capsys, "stats", "--input", str(path))
+        assert code == 0
+        assert json.loads(out)["groups"][0]["analytic_rates"] == {"fp": 0.3125, "fn": 1.25}
+
     def test_non_finite_cost_weight(self, tmp_path, capsys):
         path = write_fixture(tmp_path, feasible_pair())
         code, out, err = run(
@@ -451,6 +459,18 @@ class TestRejections:
             capsys, "diagnose", "--input", str(path), "--cost", "1,0,1,0", "--cost2", "0,1,0,1",
             "--delta-cal", "0.05", "--delta-cost", "0.05", "--matrix-max", "5e102",
             "--denominator", "12",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: L is not finite (inf)\n"
+
+    @pytest.mark.parametrize("matrix_max,denominator", [("1e103", "12"), ("2", str(10**80))])
+    def test_overflowing_bound_is_an_error(self, tmp_path, capsys, matrix_max, denominator):
+        # Float ** raises OverflowError here instead of giving inf.
+        path = write_fixture(tmp_path, feasible_pair())
+        code, out, err = run(
+            capsys, "diagnose", "--input", str(path), "--cost", "1,0,1,0", "--cost2", "0,1,0,1",
+            "--delta-cal", "0.05", "--delta-cost", "0.05", "--matrix-max", matrix_max,
+            "--denominator", denominator,
         )
         assert code == 1 and out == ""
         assert err == "error: L is not finite (inf)\n"

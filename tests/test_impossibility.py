@@ -133,6 +133,9 @@ class TestApproximateBound:
             approximate_bound(matrix, -0.1, 0.0, M=1.0, D=2)
         with pytest.raises(ValueError):
             approximate_bound(matrix, 0.0, 0.0, M=0.0, D=2)
+        for M, D in ((5e102, 12), (1e103, 12), (2.0, 10**80)):
+            with pytest.raises(ValueError, match="not finite"):
+                approximate_bound(matrix, 0.0, 0.0, M=M, D=D)
         non_distinct = build_matrix(1 / 3, 0.5, FP_PAIR, FP_PAIR)
         with pytest.raises(ValueError, match="distinct"):
             approximate_bound(non_distinct, 0.0, 0.0, M=1.0, D=2)

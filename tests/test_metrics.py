@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from calparity.dataset import GroupData, SynthSpec, synth
 from calparity.metrics import (
+    MomentRates,
     RatePoint,
     analytic_rates,
     calibration_gap,
@@ -62,7 +63,7 @@ class TestAnalyticRates:
 
     def test_perfect_classifier_moments(self):
         g = make_group([0.0, 1.0, 1.0], [0, 1, 1])
-        assert analytic_rates(g) == RatePoint(0.0, 0.0)
+        assert analytic_rates(g) == MomentRates(0.0, 0.0)
 
     def test_matches_empirical_rates_on_calibrated_data(self):
         n = 100_000
