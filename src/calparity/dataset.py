@@ -123,8 +123,9 @@ def _clean_bytes(raw: BinaryIO) -> bool:
 
     Rejects non-ASCII bytes, quotes (which ``csv`` strips and numpy keeps),
     NUL (which numpy strips from byte strings) and any line longer than
-    ``csv.field_size_limit()``, on which the reference parser raises. Reads
-    the file in chunks, never holding a second copy of it.
+    ``csv.field_size_limit()``, on which the reference parser raises. A line
+    feed and a bare carriage return both end a line, as they do for ``csv``.
+    Reads the file in chunks, never holding a second copy of it.
     """
     limit = csv.field_size_limit()
     run = 0  # length of the line that runs into the current chunk
@@ -134,7 +135,8 @@ def _clean_bytes(raw: BinaryIO) -> bool:
             return False
         start, end = -run, len(chunk)  # start of the current line, maybe in an earlier chunk
         while end - start > limit:
-            newline = chunk.rfind(b"\n", max(start, 0), start + limit + 1)
+            span = max(start, 0), start + limit + 1
+            newline = max(chunk.rfind(b"\n", *span), chunk.rfind(b"\r", *span))
             if newline < 0:
                 return False
             start = newline + 1
@@ -151,7 +153,9 @@ def _load_columnar(path: str | Path) -> list[GroupData] | None:
     ``id,float,0|1``, an id carries surrounding whitespace, a score lies
     outside [0, 1], or a group holds one class. Whatever this accepts, the
     reference parser reads to the same groups, in the same order, with the
-    same bits. ``comments=None`` because ``csv`` gives ``#`` no meaning.
+    same bits. ``comments=None`` because ``csv`` gives ``#`` no meaning;
+    ``encoding=None`` so that numpy before 2.0 hands the id converter ``str``,
+    not ``bytes``.
     """
     if not os.path.isfile(path):  # a pipe can be read only once
         return None
@@ -168,7 +172,7 @@ def _load_columnar(path: str | Path) -> list[GroupData] | None:
                     warnings.simplefilter("error")
                     table = np.loadtxt(
                         fh, delimiter=",", dtype=_ROW, converters={0: codes.__getitem__},
-                        comments=None, ndmin=1,
+                        comments=None, encoding=None, ndmin=1,
                     )
             except (ValueError, Warning):
                 return None

@@ -154,10 +154,18 @@ def test_fast_path_serves_clean_input(tmp_path, monkeypatch):
     write_csv([a, b], written)
     bom = tmp_path / "bom.csv"
     bom.write_bytes(codecs.BOM_UTF8 + written.read_bytes())
-    expected = {path: dataset._load_reference(path) for path in (GOLDEN_MIXED, written, bom)}
+    # Longer than the csv field limit, so every line end must be seen as one.
+    big = synth(SynthSpec(20_000, "beta_grid", (2, 4, 50), seed=7, group_id="C"))
+    write_csv([big], tmp_path / "crlf.csv")
+    cr = tmp_path / "cr.csv"
+    cr.write_bytes((tmp_path / "crlf.csv").read_bytes().replace(b"\r\n", b"\r"))
+    assert cr.stat().st_size > csv.field_size_limit()
+    paths = (GOLDEN_MIXED, written, bom, cr)
+    expected = {path: dataset._load_reference(path) for path in paths}
     monkeypatch.setattr(dataset, "_load_reference", _refuse)
     for path, want in expected.items():
         got = load_csv(path)
+        assert all(type(g.group_id) is str for g in got)
         assert [g.group_id for g in got] == [g.group_id for g in want]
         for g, w in zip(got, want):
             assert g.scores.tobytes() == w.scores.tobytes()
