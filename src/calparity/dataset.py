@@ -15,9 +15,8 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from pathlib import Path
-from typing import BinaryIO, Mapping, Sequence
+from typing import BinaryIO, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -196,14 +195,14 @@ def _load_columnar(path: str | Path) -> list[GroupData] | None:
 def _load_reference(path: str | Path) -> list[GroupData]:
     """Row-by-row ``csv`` parser: the reference for what ``load_csv`` accepts."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _numbered_rows(fh)
+        _, header = next(rows, (1, None))
         if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
             raise CsvFormatError(
                 f"expected header {','.join(CSV_HEADER)!r}, got {header!r}"
             )
         by_group: dict[str, tuple[list[float], list[int]]] = {}
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows:
             if not row:
                 continue
             if len(row) != 3:
@@ -232,6 +231,26 @@ def _load_reference(path: str | Path) -> list[GroupData]:
     return groups
 
 
+def _numbered_rows(fh: TextIO) -> Iterator[tuple[int, list[str]]]:
+    """``csv`` records numbered from 1; what ``csv`` rejects raises CsvFormatError."""
+    reader = csv.reader(fh)
+    lineno = 1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:  # a field longer than csv.field_size_limit()
+            raise CsvFormatError(f"row {lineno}: {exc}") from None
+        yield lineno, row
+        lineno += 1
+
+
+# Rows per chunk: large enough that numpy calls dominate the per-chunk
+# overhead, small enough that the chunk's strings never set the peak memory.
+_WRITE_CHUNK = 1 << 16
+
+
 def write_csv(
     groups: Sequence[GroupData], path: str | Path, withheld: Mapping[str, np.ndarray] | None = None
 ) -> None:
@@ -240,18 +259,55 @@ def write_csv(
     Scores are emitted with ``repr``, which is the shortest string that
     parses back to the identical float. With ``withheld`` a fourth column
     holds each group's Monte Carlo withholding mask as 0/1; groups missing
-    from the mapping were not post-processed and read 0. Rows are streamed,
-    never collected.
+    from the mapping were not post-processed and read 0. A mask whose
+    length differs from its group's, or that holds a value other than 0 or
+    1, raises ValueError before the file is opened.
+
+    Each group is streamed in chunks of ``_WRITE_CHUNK`` rows, and each chunk
+    formats each distinct score once: ``np.unique`` over the score bits (so
+    ``-0.0`` and ``0.0`` keep their own text), one ``repr`` per distinct
+    value, and a table of whole lines per (score, line ending) that the rows
+    index. The bytes are those ``csv.writer`` writes with one ``repr`` per
+    row; the id field comes from ``csv.writer`` itself, so ids are quoted as
+    it quotes them.
     """
+    masks = [None if withheld is None else _withheld_mask(g, withheld) for g in groups]
+    suffixes = ("",) if withheld is None else (",0", ",1")
+    ends = np.array([f",{label}{w}\r\n" for label in "01" for w in suffixes], dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER if withheld is None else CSV_HEADER + ("withheld",))
-        for g in groups:
-            columns = [repeat(g.group_id), map(repr, g.scores.tolist()), g.labels.tolist()]
-            if withheld is not None:
-                mask = withheld.get(g.group_id)
-                columns.append(repeat(0) if mask is None else mask.astype(np.int64).tolist())
-            writer.writerows(zip(*columns))
+        csv.writer(fh).writerow(CSV_HEADER if withheld is None else CSV_HEADER + ("withheld",))
+        for g, mask in zip(groups, masks):
+            prefix = _row_prefix(g.group_id)
+            bits = g.scores.view(np.uint64)
+            for lo in range(0, len(g), _WRITE_CHUNK):
+                chunk = slice(lo, lo + _WRITE_CHUNK)
+                keys, inverse = np.unique(bits[chunk], return_inverse=True)
+                text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+                code = g.labels[chunk] * len(suffixes)  # index into ends
+                if mask is not None:
+                    code += mask[chunk]
+                lines = np.add.outer(text, ends)  # each line after the id field
+                fh.write(prefix)
+                fh.write(prefix.join(lines[inverse, code].tolist()))
+
+
+def _withheld_mask(g: GroupData, withheld: Mapping[str, np.ndarray]) -> np.ndarray | None:
+    mask = withheld.get(g.group_id)
+    if mask is None:
+        return None
+    mask = np.asarray(mask).astype(np.int64)
+    if mask.shape != g.scores.shape or not np.all((mask == 0) | (mask == 1)):
+        raise ValueError(
+            f"withheld mask for group {g.group_id!r} must hold {len(g)} values of 0 or 1"
+        )
+    return mask
+
+
+def _row_prefix(group_id: str) -> str:
+    """The id field and its comma, quoted exactly as ``csv.writer`` quotes it."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((group_id, ""))
+    return buf.getvalue()[: -len("\r\n")]
 
 
 @dataclass(frozen=True)

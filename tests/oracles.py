@@ -1,17 +1,34 @@
-"""Independent oracles for the flip LP, built only from black-box evaluations.
+"""Independent oracles for the flip LP and the CSV writer.
 
-The solver under test enumerates vertices of the constrained box. These
-helpers never touch its internals: expected losses come from a scalar
+The flip LP solver under test enumerates vertices of the constrained box.
+These helpers never touch its internals: expected losses come from a scalar
 per-sample loop, and affine coefficients are recovered by probing the
-public rate/loss evaluations at corner points.
+public rate/loss evaluations at corner points. ``write_csv_rows`` is the
+row-by-row writer that ``dataset.write_csv`` must match byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
+from itertools import repeat
+
 import numpy as np
 
-from calparity.dataset import GroupData
+from calparity.dataset import CSV_HEADER, GroupData
 from calparity.eo import derived_rates
+
+
+def write_csv_rows(groups, path, withheld=None) -> None:
+    """One ``csv.writer`` row and one ``repr`` per sample."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER if withheld is None else CSV_HEADER + ("withheld",))
+        for g in groups:
+            columns = [repeat(g.group_id), map(repr, g.scores.tolist()), g.labels.tolist()]
+            if withheld is not None:
+                mask = withheld.get(g.group_id)
+                columns.append(repeat(0) if mask is None else mask.astype(np.int64).tolist())
+            writer.writerows(zip(*columns))
 
 
 def expected_loss(g: GroupData, q_n2p: float, q_p2n: float) -> float:

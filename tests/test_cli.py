@@ -79,6 +79,13 @@ class TestStats:
         code, _, err = run(capsys, "stats", "--input", str(path))
         assert code == 1 and "row 3" in err
 
+    def test_field_over_csv_limit_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text(f"group,score,label\nA,0.2,0\n{'B' * 140_000},0.5,1\n", encoding="ascii")
+        code, out, err = run(capsys, "stats", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: row 3: field larger than field limit ({csv.field_size_limit()})\n"
+
 
 class TestPostprocessCalibrated:
     def test_equalizes_costs(self, tmp_path, capsys):

@@ -16,7 +16,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from calparity import dataset
-from calparity.dataset import SynthSpec, load_csv, synth, write_csv
+from calparity.dataset import CsvFormatError, SynthSpec, load_csv, synth, write_csv
 
 GOLDEN_MIXED = "tests/golden/inputs/mixed.csv"
 
@@ -131,15 +131,20 @@ def test_long_lines_across_chunks(csv_path, spare):
     """Lines near the csv field limit, straddling a chunk boundary, read alike.
 
     The fast path takes lines up to the limit and leaves longer ones to the
-    reference, which raises once a single field passes the limit.
+    reference, which raises CsvFormatError naming the row once a single
+    field passes the limit.
     """
     limit = csv.field_size_limit()
     gid = "B" * (limit - 6 + spare)
     head = "group,score,label\n" + "A,0.5,1\nA,0.25,0\n" * 40_000
-    pad = "A,0.5,1\n" * ((dataset._CHUNK - len(head) - limit // 2) // 8)
-    csv_path.write_text(head + pad + f"{gid},0.5,1\n{gid},0.5,0\n", encoding="ascii")
+    pads = (dataset._CHUNK - len(head) - limit // 2) // 8
+    csv_path.write_text(head + "A,0.5,1\n" * pads + f"{gid},0.5,1\n{gid},0.5,0\n", encoding="ascii")
     assert (dataset._load_columnar(csv_path) is None) == (spare > 0)
-    assert _outcome(load_csv, csv_path) == _outcome(dataset._load_reference, csv_path)
+    outcome = _outcome(load_csv, csv_path)
+    assert outcome == _outcome(dataset._load_reference, csv_path)
+    if len(gid) > limit:
+        row = 1 + 80_000 + pads + 1
+        assert outcome == (CsvFormatError, f"row {row}: field larger than field limit ({limit})")
 
 
 def _refuse(path):
