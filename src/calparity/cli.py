@@ -31,7 +31,6 @@ from .parity import (
     compute_alpha,
     feasibility,
     mixture_calibration_gap,
-    mixture_cost,
     mixture_rate_point,
     realize_mixture,
 )
@@ -172,9 +171,11 @@ def cmd_postprocess_calibrated(args) -> int:
     if mode == MODE_MONTE_CARLO and args.seed is None:
         raise ValueError("--mode mc requires --seed")
 
+    costs = {g.group_id: cost(rate_point(g), specs[g.group_id]) for g in (g1, g2)}
+
     def verdict_for(g1: GroupData, g2: GroupData):
-        g1_cost, g2_cost = (cost(rate_point(g), specs[g.group_id]) for g in (g1, g2))
-        return feasibility(g1_cost, g2_cost, trivial_cost(g2.base_rate, specs[g2.group_id]))
+        trivial2 = trivial_cost(g2.base_rate, specs[g2.group_id])
+        return feasibility(costs[g1.group_id], costs[g2.group_id], trivial2)
 
     verdict = verdict_for(g1, g2)
     swapped = verdict.reason == REASON_COST_ORDER
@@ -214,11 +215,12 @@ def cmd_postprocess_calibrated(args) -> int:
         report["status"] = "ok"
         report["alpha"] = alpha
         report["plan"] = plan.to_json_dict()
+        post_rates = mixture_rate_point(g2, plan)
         report["post"] = {
             "g1_cost": verdict.g1_cost,
-            "g2_cost": mixture_cost(g2, plan, specs[g2.group_id]),
+            "g2_cost": cost(post_rates, specs[g2.group_id]),
             "g2_gap": mixture_calibration_gap(g2, plan),
-            "g2_rates": _rates_dict(mixture_rate_point(g2, plan)),
+            "g2_rates": _rates_dict(post_rates),
         }
         if mode == MODE_MONTE_CARLO:
             mixture = realize_mixture(g2, plan)
@@ -320,19 +322,28 @@ def cmd_synth(args) -> int:
     if not entries:
         raise ValueError("synth spec needs at least one group entry")
     derived = np.random.SeedSequence(args.seed).generate_state(len(entries), dtype=np.uint64)
-    specs = []
+    specs, first_index = [], {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError(f"synth spec groups[{i}] must be an object, got {entry!r}")
-        spec = SynthSpec(
+        # load_csv strips ids and merges equal ones, so those would not read back.
+        gid = _spec_field(entry, i, "id", str)
+        if gid != gid.strip():
+            raise ValueError(f"synth spec groups[{i}].id {gid!r} has surrounding whitespace")
+        if gid in first_index:
+            raise ValueError(f"synth spec groups[{i}].id {gid!r} repeats groups[{first_index[gid]}].id")
+        first_index[gid] = i
+        fields = dict(
             n=_spec_field(entry, i, "n", int),
             family=_spec_field(entry, i, "family", str),
             params=_spec_field(entry, i, "params", lambda v: tuple(float(x) for x in v)),
             miscalibration_shift=_spec_field(entry, i, "shift", float, 0.0),
             seed=_spec_field(entry, i, "seed", int, int(derived[i])),
-            group_id=_spec_field(entry, i, "id", str),
         )
-        specs.append(spec)
+        try:
+            specs.append(SynthSpec(group_id=gid, **fields))
+        except ValueError as exc:
+            raise ValueError(f"synth spec groups[{i}]: {exc}") from None
     groups = [synth(spec) for spec in specs]
     write_csv(groups, args.output)
     _emit(

@@ -320,10 +320,11 @@ class SynthSpec:
         evenly spaced values in [lo, hi].
       * ``beta_grid``: params ``(a, b, bins)``, Beta(a, b) draws snapped to
         the midpoints of ``bins`` equal-width bins, keeping the support
-        finite.
+        finite. ``bins`` may be at most 2**53, the largest count whose bin
+        indices are exact in float.
 
-    ``miscalibration_shift`` offsets the label probability at each score;
-    the emitted score itself is never shifted.
+    ``miscalibration_shift`` offsets the label probability at each score
+    and must be finite; the emitted score itself is never shifted.
     """
 
     n: int
@@ -336,6 +337,8 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if not np.isfinite(self.miscalibration_shift):
+            raise ValueError(f"miscalibration_shift must be finite, got {self.miscalibration_shift}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         p = self.params
@@ -346,8 +349,8 @@ class SynthSpec:
             if len(p) != 3 or not (0.0 <= p[0] <= p[1] <= 1.0) or int(p[2]) < 1:
                 raise ValueError("grid takes (lo, hi, k) with 0 <= lo <= hi <= 1, k >= 1")
         else:
-            if len(p) != 3 or p[0] <= 0.0 or p[1] <= 0.0 or int(p[2]) < 1:
-                raise ValueError("beta_grid takes (a, b, bins) with a, b > 0, bins >= 1")
+            if len(p) != 3 or not (p[0] > 0.0 and p[1] > 0.0 and 1 <= p[2] <= 2**53):
+                raise ValueError("beta_grid takes (a, b, bins) with a, b > 0, 1 <= bins <= 2**53")
 
 
 def _draw_scores(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:

@@ -12,7 +12,6 @@ equality constraints), which is trivially auditable against a grid search.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Mapping
@@ -20,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .dataset import GroupData
-from .metrics import RatePoint, _pooled_gap
+from .metrics import RatePoint, _exact_mean, _pooled_gap
 
 RATE_MATCH_TOL = 1e-9
 
@@ -91,29 +90,32 @@ class EOSolution:
         }
 
 
-def flipped_scores(g: GroupData, q_n2p: float, q_p2n: float) -> np.ndarray:
-    """Expected score of the flipped classifier, per sample.
+def _flipped(scores: np.ndarray, q_n2p: float, q_p2n: float) -> np.ndarray:
+    """Expected score of the flipped classifier at each score.
 
     Scores at exactly 0.5 count as positive predictions; their complement
     is again 0.5, so flipping never changes them.
     """
-    q = np.where(g.scores >= 0.5, q_p2n, q_n2p)
-    return np.clip(g.scores + q * (1.0 - 2.0 * g.scores), 0.0, 1.0)
+    q = np.where(scores >= 0.5, q_p2n, q_n2p)
+    return np.clip(scores + q * (1.0 - 2.0 * scores), 0.0, 1.0)
+
+
+def flipped_scores(g: GroupData, q_n2p: float, q_p2n: float) -> np.ndarray:
+    """Expected score of the flipped classifier, per sample."""
+    return _flipped(g.scores, q_n2p, q_p2n)
 
 
 def derived_rates(g: GroupData, q_n2p: float, q_p2n: float) -> RatePoint:
-    """Expected generalized rates of the flipped classifier, per sample.
+    """Expected generalized rates of the flipped classifier, from the atom table.
 
-    Sums are exact before the division, as in ``metrics.rate_point``, so
-    zero flips give bit-for-bit the rates of the group itself.
+    Each atom's flipped score is summed exactly with its class counts, as
+    in ``metrics.rate_point``, so the rates are bit for bit the per-sample
+    means and zero flips give the rates of the group itself.
     """
     GroupFlip(q_n2p, q_p2n)
-    t = flipped_scores(g, q_n2p, q_p2n)
-    negatives = t[g.labels == 0]
-    positives = 1.0 - t[g.labels == 1]
-    c_fp = math.fsum(negatives.tolist()) / negatives.size
-    c_fn = math.fsum(positives.tolist()) / positives.size
-    return RatePoint(c_fp, c_fn)
+    values, negatives, positives = g.atoms
+    t = _flipped(values, q_n2p, q_p2n)
+    return RatePoint(_exact_mean(t, negatives), _exact_mean(1.0 - t, positives))
 
 
 def eo_calibration_damage(g: GroupData, plan: FlipPlan) -> float:

@@ -50,29 +50,24 @@ def _snap(v: float) -> float:
     return min(max(v, 0.0), 1.0) if -_COORD_SLACK <= v <= 1.0 + _COORD_SLACK else v
 
 
-class BinStat(NamedTuple):
-    mean_score: float
-    positive_fraction: float
-    weight: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationReport:
-    """Score-weighted deviation between predicted and observed positives."""
+    """Score-weighted deviation between predicted and observed positives.
+
+    ``per_bin`` is a read-only numpy record array, one row per occupied bin
+    in ascending score order, with fields ``mean_score``,
+    ``positive_fraction`` and ``weight``.
+    """
 
     gap: float
-    per_bin: tuple[BinStat, ...]
+    per_bin: np.recarray
 
     def to_json_dict(self) -> dict:
         return {
             "gap": self.gap,
             "bins": [
-                {
-                    "score": b.mean_score,
-                    "positive_fraction": b.positive_fraction,
-                    "weight": b.weight,
-                }
-                for b in self.per_bin
+                {"score": m, "positive_fraction": f, "weight": w}
+                for m, f, w in self.per_bin.tolist()
             ],
         }
 
@@ -160,26 +155,23 @@ def calibration_gap(g: GroupData, binning: str = "exact-unique", bins: int = 10)
     makes the gap definition exact for discrete score distributions.
     ``fixed-width`` pools scores into ``bins`` equal-width bins over [0, 1]
     (last bin right-closed) and compares each bin's mean score with its
-    positive fraction. Both work on the atom table: a bin holds whole atoms.
+    positive fraction; only occupied bins are reported. Both work on the
+    atom table: a bin holds whole atoms, so the cost grows with the number
+    of distinct scores and not with ``bins``. ``bins`` may be at most
+    2**53, beyond which float bin indices are no longer exact.
     """
     if binning not in BINNING_MODES:
         raise ValueError(f"unknown binning {binning!r}; expected one of {BINNING_MODES}")
     values, negatives, positives = g.atoms
     counts = negatives + positives
     if binning == "fixed-width":
-        if bins < 1:
-            raise ValueError("fixed-width binning needs bins >= 1")
-        idx = np.minimum((values * bins).astype(int), bins - 1)
-        occupied = np.bincount(idx, minlength=bins) > 0
-        score_sums, counts, positives = (
-            np.bincount(idx, weights=w, minlength=bins)[occupied] for w in (values * counts, counts, positives)
-        )
+        if not 1 <= bins <= 2**53:
+            raise ValueError("fixed-width binning needs 1 <= bins <= 2**53")
+        _, idx = np.unique(np.minimum(np.floor(values * bins), bins - 1), return_inverse=True)
+        score_sums, counts, positives = (np.bincount(idx, weights=w) for w in (values * counts, counts, positives))
         values = score_sums / counts
     weights = counts / len(g)
-    fractions = positives / counts
     gap = _pooled_gap(values, weights, positives / len(g))
-    per_bin = tuple(
-        BinStat(float(m), float(f), float(w))
-        for m, f, w in zip(values, fractions, weights)
-    )
+    per_bin = np.rec.fromarrays([values, positives / counts, weights], names="mean_score,positive_fraction,weight")
+    per_bin.setflags(write=False)
     return CalibrationReport(gap, per_bin)

@@ -60,14 +60,12 @@ def build_scene(
     group's level), one per distinct cost spec, so a shared spec yields the
     single curve both post-processed classifiers sit on.
     """
-    points = [
-        ScenePoint("observed", g.group_id, rate_point(g).c_fp, rate_point(g).c_fn)
-        for g in groups
-    ]
+    observed = [rate_point(g) for g in groups]
+    points = [ScenePoint("observed", g.group_id, rp.c_fp, rp.c_fn) for g, rp in zip(groups, observed)]
     points.extend(ScenePoint(label, gid, rp.c_fp, rp.c_fn) for label, rp, gid in extra_points)
     lines = tuple((g.group_id, calibrated_line(g.base_rate)) for g in groups)
 
-    reference_cost = max(cost(rate_point(g), specs[g.group_id]) for g in groups)
+    reference_cost = max(cost(rp, specs[g.group_id]) for g, rp in zip(groups, observed))
     curves: list[tuple[CostSpec, float, Segment]] = []
     seen: set[tuple[float, float, float]] = set()
     for g in groups:

@@ -3,19 +3,22 @@
 The flip LP solver under test enumerates vertices of the constrained box.
 These helpers never touch its internals: expected losses come from a scalar
 per-sample loop, and affine coefficients are recovered by probing the
-public rate/loss evaluations at corner points. ``write_csv_rows`` is the
-row-by-row writer that ``dataset.write_csv`` must match byte for byte.
+rate/loss evaluations at corner points. ``derived_rates`` is the
+per-sample rate computation that ``eo.derived_rates`` must match bit for
+bit, and ``write_csv_rows`` is the row-by-row writer that
+``dataset.write_csv`` must match byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from itertools import repeat
 
 import numpy as np
 
 from calparity.dataset import CSV_HEADER, GroupData
-from calparity.eo import derived_rates
+from calparity.metrics import RatePoint
 
 
 def write_csv_rows(groups, path, withheld=None) -> None:
@@ -29,6 +32,17 @@ def write_csv_rows(groups, path, withheld=None) -> None:
                 mask = withheld.get(g.group_id)
                 columns.append(repeat(0) if mask is None else mask.astype(np.int64).tolist())
             writer.writerows(zip(*columns))
+
+
+def derived_rates(g: GroupData, q_n2p: float, q_p2n: float) -> RatePoint:
+    """Expected generalized rates of the flipped classifier: ``math.fsum`` per sample."""
+    q = np.where(g.scores >= 0.5, q_p2n, q_n2p)
+    t = np.clip(g.scores + q * (1.0 - 2.0 * g.scores), 0.0, 1.0)
+    negatives = t[g.labels == 0]
+    positives = 1.0 - t[g.labels == 1]
+    c_fp = math.fsum(negatives.tolist()) / negatives.size
+    c_fn = math.fsum(positives.tolist()) / positives.size
+    return RatePoint(c_fp, c_fn)
 
 
 def expected_loss(g: GroupData, q_n2p: float, q_p2n: float) -> float:

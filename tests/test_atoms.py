@@ -3,11 +3,13 @@
 Each quantity below is computed twice: by the library from the group's
 atom table ``(values, negatives, positives)``, and here by a plain Python
 loop over the samples that never groups equal scores. They must agree
-within 1e-12.
+within 1e-12. The flipped classifier's rates are summed exactly on both
+sides, so they must agree bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -19,6 +21,7 @@ from calparity.dataset import GroupData
 from calparity import eo
 from calparity.metrics import analytic_rates, calibration_gap, linearity_residual, rate_point
 from calparity.parity import InterpolationPlan, mixture_calibration_gap
+from oracles import derived_rates as per_sample_rates
 
 TOL = 1e-12
 SNAP = 1e-9  # RatePoint's slack at the edges of the unit square
@@ -29,6 +32,10 @@ scores = st.one_of(
 )
 samples = st.lists(st.tuples(scores, st.integers(0, 1)), min_size=2, max_size=60)
 unit = st.floats(0.0, 1.0, allow_nan=False)
+# The ends of [0, 1], the smallest subnormal and both sides of the 0.5 threshold.
+flip_scores = st.one_of(st.sampled_from([0.0, 5e-324, math.nextafter(0.5, 0.0), 0.5, 1.0]), unit)
+flip_samples = st.lists(st.tuples(flip_scores, st.integers(0, 1)), min_size=2, max_size=60)
+flips = st.one_of(st.sampled_from([0.0, 1.0]), unit)
 SINGLE_ATOM = [(0.3, 0), (0.3, 1), (0.3, 1)]
 EDGES = [(0.0, 0), (0.5, 1), (0.5, 0), (1.0, 1), (0.0, 1), (1.0, 0)]
 
@@ -96,6 +103,7 @@ def test_rates_moments_and_residual(rows):
 @given(samples, st.integers(1, 12))
 @example(SINGLE_ATOM, 1)
 @example(EDGES, 2)
+@example(EDGES, 2**53)
 @example(EDGES, 4)
 def test_both_binnings(rows, bins):
     g = group(rows)
@@ -146,6 +154,15 @@ def test_flip_coefficients(rows):
     np.testing.assert_allclose(constant, zero, rtol=0, atol=TOL)
     np.testing.assert_allclose(coef[:, 0], loop_flip_stats(g, 1.0, 0.0) - zero, rtol=0, atol=TOL)
     np.testing.assert_allclose(coef[:, 1], loop_flip_stats(g, 0.0, 1.0) - zero, rtol=0, atol=TOL)
+
+
+@given(flip_samples, flips, flips)
+@example(SINGLE_ATOM, 0.2, 0.7)
+@example(EDGES, 1.0, 1.0)
+def test_flip_rates_bit_for_bit(rows, q_n2p, q_p2n):
+    g = group(rows)
+    got, want = eo.derived_rates(g, q_n2p, q_p2n), per_sample_rates(g, q_n2p, q_p2n)
+    assert (got.c_fp, got.c_fn) == (want.c_fp, want.c_fn)
 
 
 @given(samples, unit, unit)

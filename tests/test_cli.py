@@ -69,6 +69,21 @@ class TestStats:
         code, out, _ = run(capsys, "stats", "--input", str(path), "--binning", "fixed:5")
         assert code == 0 and json.loads(out)["groups"]
 
+    def test_bin_count_beyond_the_atoms(self, tmp_path, capsys):
+        # Every atom gets its own bin, and no array grows with the bin count.
+        path = write_fixture(tmp_path, feasible_pair())
+        code, out, _ = run(capsys, "stats", "--input", str(path), "--binning", "fixed:100000000000")
+        assert code == 0
+        _, exact, _ = run(capsys, "stats", "--input", str(path))
+        assert json.loads(out) == json.loads(exact)
+
+    @pytest.mark.parametrize("bins", [str(2**53 + 1), "9" * 400], ids=["2**53+1", "400-digits"])
+    def test_bin_count_past_float_exactness(self, tmp_path, capsys, bins):
+        path = write_fixture(tmp_path, feasible_pair())
+        code, out, err = run(capsys, "stats", "--input", str(path), "--binning", f"fixed:{bins}")
+        assert code == 1 and out == ""
+        assert err == "error: fixed-width binning needs 1 <= bins <= 2**53\n"
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "stats", "--input", str(tmp_path / "nope.csv"))
         assert code == 1 and "error" in err
@@ -428,6 +443,27 @@ class TestRejections:
         code, out, err = run(capsys, "synth", "--spec", spec, "--output", str(tmp_path / "s.csv"))
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and field in err
+
+    @pytest.mark.parametrize(
+        "groups, message",
+        [
+            ([{"id": "A"}, {"id": "A", "n": 60}], "synth spec groups[1].id 'A' repeats groups[0].id"),
+            ([{"id": " A"}], "synth spec groups[0].id ' A' has surrounding whitespace"),
+            ([{"shift": float("nan")}], "synth spec groups[0]: miscalibration_shift must be finite, got nan"),
+            (
+                [{"family": "beta_grid", "params": [2, 2, 1e19]}],
+                "synth spec groups[0]: beta_grid takes (a, b, bins) with a, b > 0, 1 <= bins <= 2**53",
+            ),
+        ],
+        ids=["repeated-id", "padded-id", "nan-shift", "huge-bins"],
+    )
+    def test_synth_spec_must_read_back(self, tmp_path, capsys, groups, message):
+        base = {"id": "A", "n": 50, "family": "grid", "params": [0.1, 0.9, 3]}
+        spec = json.dumps({"groups": [{**base, **g} for g in groups]})
+        out_csv = tmp_path / "s.csv"
+        code, out, err = run(capsys, "synth", "--spec", spec, "--output", str(out_csv))
+        assert code == 1 and out == "" and not out_csv.exists()
+        assert err == f"error: {message}\n"
 
     def test_moment_rates_off_the_unit_square(self, tmp_path, capsys):
         # Miscalibrated: every score 0.5 but one positive in five.
