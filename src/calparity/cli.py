@@ -19,7 +19,7 @@ import numpy as np
 
 from . import eo as eo_mod
 from .cost import CostPair, CostSpec, cost, trivial_cost, weighted_cost_spec
-from .dataset import CsvFormatError, GroupData, SynthSpec, load_csv, synth, write_csv
+from .dataset import GroupData, SynthSpec, load_csv, synth, write_csv
 from .impossibility import approximate_bound, build_matrix, exact_impossibility_check
 from .metrics import analytic_rates, calibration_gap, linearity_residual, rate_point
 from .parity import (
@@ -105,10 +105,8 @@ def _parse_binning(text: str) -> tuple[str, int]:
     if text == "exact":
         return "exact-unique", 0
     if text.startswith("fixed:"):
-        bins = int(text.split(":", 1)[1])
-        if bins < 1:
-            raise ValueError("fixed-width binning needs at least one bin")
-        return "fixed-width", bins
+        with contextlib.suppress(ValueError):  # calibration_gap bounds the count
+            return "fixed-width", int(text.removeprefix("fixed:"))
     raise ValueError(f"binning must be 'exact' or 'fixed:B', got {text!r}")
 
 
@@ -270,11 +268,9 @@ def cmd_diagnose(args) -> int:
     a1p, b1p, a2p, b2p = _parse_floats(args.cost2, 4, "--cost2")
     pair_prime = CostPair(CostSpec(a1p, b1p), CostSpec(a2p, b2p))
     matrix = build_matrix(g1.base_rate, g2.base_rate, pair, pair_prime)
-    if not matrix.distinct:
-        return _fail("the two cost constraints are not distinct")
-    exact = exact_impossibility_check(g1, g2, pair, pair_prime, args.tol)
-    bound = approximate_bound(matrix, args.delta_cal, args.delta_cost, args.matrix_max, args.denominator)
     p1, p2 = rate_point(g1), rate_point(g2)
+    exact = exact_impossibility_check(matrix, p1, p2, args.tol)
+    bound = approximate_bound(matrix, args.delta_cal, args.delta_cost, args.matrix_max, args.denominator)
     rates = [p1.c_fp, p1.c_fn, p2.c_fp, p2.c_fn]
     _emit(
         {
@@ -307,7 +303,7 @@ def _spec_field(entry: dict, i: int, key: str, convert, default=None):
         return default
     try:
         return convert(entry[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{where} has invalid value {entry[key]!r}") from None
 
 
@@ -362,32 +358,28 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="calparity", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p, with_cost=False, with_mode=False):
-        p.add_argument("--input", required=True, help="input CSV (group,score,label)")
-        p.add_argument("--output", help="output file path")
-        p.add_argument("--group1", help="group id to treat as G1")
-        p.add_argument("--binning", default="exact", help="exact or fixed:B")
-        if with_cost:
-            p.add_argument("--cost", help="a1,b1,a2,b2 cost weights per group")
-            p.add_argument("--weighted-cost", help="rfp,rfn per-sample weights")
-        if with_mode:
-            p.add_argument("--mode", choices=["deterministic", "mc"], default="deterministic")
-            p.add_argument("--seed", type=int, help="seed for Monte Carlo mode")
+    shared = {
+        "--input": dict(required=True, help="input CSV (group,score,label)"),
+        "--output": dict(help="output file path"),
+        "--group1": dict(help="group id to treat as G1"),
+        "--binning": dict(default="exact", help="exact or fixed:B"),
+        "--cost": dict(help="a1,b1,a2,b2 cost weights per group"),
+        "--weighted-cost": dict(help="rfp,rfn per-sample weights"),
+        "--mode": dict(choices=["deterministic", "mc"], default="deterministic"),
+        "--seed": dict(type=int, help="seed for Monte Carlo mode"),
+    }
 
-    p = sub.add_parser("stats", help="per-group rates, calibration, linearity")
-    add_common(p)
-    p.set_defaults(handler=cmd_stats)
+    def add(name, handler, summary, *flags):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        return p
 
-    p = sub.add_parser("postprocess-calibrated", help="equal-cost post-processing")
-    add_common(p, with_cost=True, with_mode=True)
-    p.set_defaults(handler=cmd_postprocess_calibrated)
-
-    p = sub.add_parser("postprocess-eo", help="equalized-odds flip baseline")
-    add_common(p)
-    p.set_defaults(handler=cmd_postprocess_eo)
-
-    p = sub.add_parser("diagnose", help="multi-constraint impossibility diagnostics")
-    add_common(p)
+    add("stats", cmd_stats, "per-group rates, calibration, linearity", "--input", "--binning")
+    add("postprocess-calibrated", cmd_postprocess_calibrated, "equal-cost post-processing", *shared)
+    add("postprocess-eo", cmd_postprocess_eo, "equalized-odds flip baseline", "--input", "--output", "--group1")
+    p = add("diagnose", cmd_diagnose, "multi-constraint impossibility diagnostics", "--input", "--group1")
     p.add_argument("--cost", required=True, help="a1,b1,a2,b2 first cost constraint")
     p.add_argument("--cost2", required=True, help="a1,b1,a2,b2 second cost constraint")
     p.add_argument("--tol", type=_finite_float, default=1e-9)
@@ -395,17 +387,13 @@ def build_parser() -> _Parser:
     p.add_argument("--delta-cost", type=_finite_float, required=True)
     p.add_argument("--matrix-max", type=_finite_float, required=True, help="asserted max entry magnitude M")
     p.add_argument("--denominator", type=int, required=True, help="asserted common denominator D")
-    p.set_defaults(handler=cmd_diagnose)
+    add("plot-data", cmd_plot_data, "FP/FN plane scene as JSON",
+        "--input", "--output", "--group1", "--cost", "--weighted-cost")
 
-    p = sub.add_parser("plot-data", help="FP/FN plane scene as JSON")
-    add_common(p, with_cost=True)
-    p.set_defaults(handler=cmd_plot_data)
-
-    p = sub.add_parser("synth", help="write a synthetic CSV from a JSON spec")
+    p = add("synth", cmd_synth, "write a synthetic CSV from a JSON spec")
     p.add_argument("--spec", required=True, help="JSON spec or @file")
     p.add_argument("--seed", type=int, default=0, help="base seed for derived group seeds")
     p.add_argument("--output", required=True)
-    p.set_defaults(handler=cmd_synth)
 
     return parser
 
@@ -418,8 +406,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except CsvFormatError as exc:
-        return _fail(str(exc))
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
 

@@ -51,6 +51,11 @@ class Segment:
     y1: float
 
 
+def _require_base_rate(mu: float) -> None:
+    if not 0.0 < mu < 1.0:
+        raise ValueError(f"base rate {mu} must lie strictly inside (0, 1)")
+
+
 def cost(point: RatePoint, spec: CostSpec) -> float:
     return spec.a * point.c_fp + spec.b * point.c_fn
 
@@ -61,8 +66,7 @@ def trivial_cost(mu: float, spec: CostSpec) -> float:
     This is the maximum cost over all perfectly calibrated classifiers for
     a group with base rate mu.
     """
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"base rate {mu} must lie strictly inside (0, 1)")
+    _require_base_rate(mu)
     return cost(RatePoint(mu, 1.0 - mu), spec)
 
 
@@ -77,8 +81,7 @@ def weighted_cost_spec(r_fp: float, r_fn: float, mu: float) -> CostSpec:
         raise ValueError("per-sample weights must be non-negative")
     if r_fp + r_fn <= 0.0:
         raise ValueError("at least one per-sample weight must be positive")
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"base rate {mu} must lie strictly inside (0, 1)")
+    _require_base_rate(mu)
     return CostSpec(r_fp * (1.0 - mu), r_fn * mu)
 
 
@@ -133,6 +136,5 @@ def calibrated_line(mu: float) -> Segment:
     Along it fn = ((1 - mu) / mu) * fp; the upper endpoint is the trivial
     classifier on the fp + fn = 1 diagonal.
     """
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"base rate {mu} must lie strictly inside (0, 1)")
+    _require_base_rate(mu)
     return Segment(0.0, 0.0, mu, 1.0 - mu)

@@ -16,13 +16,18 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import BinaryIO, Iterator, Mapping, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 CSV_HEADER = ("group", "score", "label")
 
 FAMILIES = ("point_mass", "grid", "beta_grid")
+
+# Caps on a synthetic group's rows and on the ``grid`` family's k, far above
+# any real use and small enough to reject a spec before it allocates.
+_MAX_SYNTH_N = 10**8
+_MAX_GRID_K = 10**8
 
 
 class CsvFormatError(ValueError):
@@ -95,7 +100,8 @@ def load_csv(path: str | Path) -> list[GroupData]:
 
     Clean input is parsed column-wise in one numpy pass; anything the fast
     path does not read exactly as the row parser would goes to
-    ``_load_reference``, which also produces every error.
+    ``_load_reference``, which also produces every row error. Both end in
+    ``_groups``, which reports a single-class group.
     """
     groups = _load_columnar(path)
     return _load_reference(path) if groups is None else groups
@@ -149,10 +155,10 @@ def _load_columnar(path: str | Path) -> list[GroupData] | None:
 
     None means the reference parser must decide: the input is not a regular
     file of clean bytes, the header or a row does not parse as plain
-    ``id,float,0|1``, an id carries surrounding whitespace, a score lies
-    outside [0, 1], or a group holds one class. Whatever this accepts, the
-    reference parser reads to the same groups, in the same order, with the
-    same bits. ``comments=None`` because ``csv`` gives ``#`` no meaning;
+    ``id,float,0|1``, an id carries surrounding whitespace, or a score lies
+    outside [0, 1]. Whatever this accepts, the reference parser reads to the
+    same groups, in the same order, with the same bits, or rejects with the
+    same error. ``comments=None`` because ``csv`` gives ``#`` no meaning;
     ``encoding=None`` so that numpy before 2.0 hands the id converter ``str``,
     not ``bytes``.
     """
@@ -184,12 +190,7 @@ def _load_columnar(path: str | Path) -> list[GroupData] | None:
         return None
     order = np.argsort(table["group"], kind="stable")
     bounds = np.cumsum(np.bincount(table["group"]))[:-1]
-    groups = []
-    for gid, s, y in zip(codes, np.split(scores[order], bounds), np.split(labels[order], bounds)):
-        if y.all() or not y.any():
-            return None
-        groups.append(GroupData(gid, s, y))
-    return groups
+    return _groups(zip(codes, np.split(scores[order], bounds), np.split(labels[order], bounds)))
 
 
 def _load_reference(path: str | Path) -> list[GroupData]:
@@ -221,14 +222,15 @@ def _load_reference(path: str | Path) -> list[GroupData]:
             labels.append(int(label_text))
         if not by_group:
             raise CsvFormatError("no data rows")
-    groups = []
-    for gid, (scores, labels) in by_group.items():
-        if len(set(labels)) < 2:
-            raise CsvFormatError(
-                f"group {gid!r} contains a single class (base rate {labels[0]})"
-            )
-        groups.append(GroupData(gid, np.array(scores), np.array(labels)))
-    return groups
+    return _groups((gid, np.array(scores), np.array(labels)) for gid, (scores, labels) in by_group.items())
+
+
+def _groups(parts: Iterable[tuple[str, np.ndarray, np.ndarray]]) -> list[GroupData]:
+    """One GroupData per ``(id, scores, labels)``; its checks become CsvFormatError."""
+    try:
+        return [GroupData(gid, scores, labels) for gid, scores, labels in parts]
+    except ValueError as exc:
+        raise CsvFormatError(str(exc)) from None
 
 
 def _numbered_rows(fh: TextIO) -> Iterator[tuple[int, list[str]]]:
@@ -317,12 +319,13 @@ class SynthSpec:
     Families:
       * ``point_mass``: params ``(p,)``, every score equals p.
       * ``grid``: params ``(lo, hi, k)``, scores drawn uniformly from k
-        evenly spaced values in [lo, hi].
+        evenly spaced values in [lo, hi]; k may be at most 10**8.
       * ``beta_grid``: params ``(a, b, bins)``, Beta(a, b) draws snapped to
         the midpoints of ``bins`` equal-width bins, keeping the support
         finite. ``bins`` may be at most 2**53, the largest count whose bin
         indices are exact in float.
 
+    ``n`` may be at most 10**8 and ``seed`` must be non-negative.
     ``miscalibration_shift`` offsets the label probability at each score
     and must be finite; the emitted score itself is never shifted.
     """
@@ -335,8 +338,10 @@ class SynthSpec:
     group_id: str = "synth"
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        if not 1 <= self.n <= _MAX_SYNTH_N:
+            raise ValueError(f"n must lie in [1, {_MAX_SYNTH_N}], got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not np.isfinite(self.miscalibration_shift):
             raise ValueError(f"miscalibration_shift must be finite, got {self.miscalibration_shift}")
         if self.family not in FAMILIES:
@@ -346,8 +351,8 @@ class SynthSpec:
             if len(p) != 1 or not 0.0 <= p[0] <= 1.0:
                 raise ValueError("point_mass takes a single value in [0, 1]")
         elif self.family == "grid":
-            if len(p) != 3 or not (0.0 <= p[0] <= p[1] <= 1.0) or int(p[2]) < 1:
-                raise ValueError("grid takes (lo, hi, k) with 0 <= lo <= hi <= 1, k >= 1")
+            if len(p) != 3 or not (0.0 <= p[0] <= p[1] <= 1.0 and 1 <= p[2] <= _MAX_GRID_K):
+                raise ValueError(f"grid takes (lo, hi, k) with 0 <= lo <= hi <= 1, 1 <= k <= {_MAX_GRID_K}")
         else:
             if len(p) != 3 or not (p[0] > 0.0 and p[1] > 0.0 and 1 <= p[2] <= 2**53):
                 raise ValueError("beta_grid takes (a, b, bins) with a, b > 0, 1 <= bins <= 2**53")

@@ -15,9 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cost import CostPair
-from .dataset import GroupData
-from .metrics import rate_point
+from .cost import CostPair, _require_base_rate
 
 _PIVOT_TOL = 1e-12
 
@@ -79,9 +77,8 @@ def build_matrix(mu1: float, mu2: float, pair: CostPair, pair_prime: CostPair) -
     The two cost constraints are distinct when their coefficient rows are
     linearly independent, judged at pivot tolerance 1e-12.
     """
-    for name, mu in (("mu1", mu1), ("mu2", mu2)):
-        if not 0.0 < mu < 1.0:
-            raise ValueError(f"{name}={mu} must lie strictly inside (0, 1)")
+    for mu in (mu1, mu2):
+        _require_base_rate(mu)
     rows = np.array(
         [
             [1.0, -mu1 / (1.0 - mu1), 0.0, 0.0],
@@ -95,21 +92,18 @@ def build_matrix(mu1: float, mu2: float, pair: CostPair, pair_prime: CostPair) -
     return ConstraintMatrix(rows, mu1, mu2, distinct)
 
 
-def exact_impossibility_check(
-    g1: GroupData, g2: GroupData, pair: CostPair, pair_prime: CostPair, tol: float
-) -> ExactCheck:
-    """Evaluate all four constraint residuals on the groups' empirical rates.
+def exact_impossibility_check(matrix: ConstraintMatrix, p1, p2, tol: float) -> ExactCheck:
+    """Evaluate all four constraint residuals at the groups' rate points.
 
-    A satisfied verdict at small tol forces all four generalized rates to
-    be near zero; the perfect-classifier pair satisfies everything exactly.
+    ``p1`` and ``p2`` are the ``metrics.RatePoint`` of G1 and G2, the
+    groups whose base rates built ``matrix``. A satisfied verdict at small
+    tol forces all four generalized rates to be near zero; the
+    perfect-classifier pair satisfies everything exactly.
     """
-    if tol < 0.0:
-        raise ValueError("tol must be non-negative")
-    matrix = build_matrix(g1.base_rate, g2.base_rate, pair, pair_prime)
     if not matrix.distinct:
         raise ValueError("the two cost constraints are not distinct")
-    p1 = rate_point(g1)
-    p2 = rate_point(g2)
+    if tol < 0.0:
+        raise ValueError("tol must be non-negative")
     q = np.array([p1.c_fp, p1.c_fn, p2.c_fp, p2.c_fn])
     residuals = matrix.rows @ q
     return ExactCheck(

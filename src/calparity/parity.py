@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cost import CostSpec, cost
+from .cost import CostSpec, _require_base_rate, cost
 from .dataset import GroupData
 from .metrics import RatePoint, _pooled_gap, rate_point
 
@@ -84,17 +84,15 @@ class InterpolationPlan:
 
 @dataclass(frozen=True, eq=False)
 class MixtureGroup:
-    """A group together with its plan and, in Monte Carlo mode, the draw.
+    """One Monte Carlo draw of a plan: the realized group and its mask.
 
     ``withheld`` marks the samples whose prediction was replaced by the
     trivial output, as drawn, even where the original score already equals
     the trivial output.
     """
 
-    base: GroupData
-    plan: InterpolationPlan
-    realized: GroupData | None = None
-    withheld: np.ndarray | None = None
+    realized: GroupData
+    withheld: np.ndarray
 
 
 def feasibility(g1_cost: float, g2_cost: float, trivial2_cost: float) -> FeasibilityVerdict:
@@ -138,7 +136,7 @@ def realize_mixture(g: GroupData, plan: InterpolationPlan) -> MixtureGroup:
     withheld = rng.random(len(g)) < plan.alpha
     scores = np.where(withheld, plan.trivial_output, g.scores)
     realized = GroupData(g.group_id, scores, g.labels)
-    return MixtureGroup(g, plan, realized, withheld)
+    return MixtureGroup(realized, withheld)
 
 
 def mixture_rate_point(g: GroupData, plan: InterpolationPlan) -> RatePoint:
@@ -201,8 +199,7 @@ def optimality_audit(
     """
     if delta_cal < 0.0:
         raise ValueError("delta_cal must be non-negative")
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"base rate {mu} must lie strictly inside (0, 1)")
+    _require_base_rate(mu)
     fp_floor = reference.c_fp - 4.0 * delta_cal / (1.0 - mu)
     fn_floor = reference.c_fn - 4.0 * delta_cal / mu
     flagged = candidate.c_fp < fp_floor or candidate.c_fn < fn_floor

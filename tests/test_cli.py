@@ -1,14 +1,22 @@
+import argparse
 import csv
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from calparity.cli import _rounded, main
+from calparity import metrics
+from calparity.cli import _rounded, build_parser, main
 from calparity.dataset import load_csv, write_csv
 from conftest import make_group
 
 EXACT = 1e-12
+
+GOLDEN_MIXED = Path(__file__).parent / "golden" / "inputs" / "mixed.csv"
+
+BINS_BOUND = "fixed-width binning needs 1 <= bins <= 2**53"
 
 
 def run(capsys, *argv):
@@ -77,12 +85,25 @@ class TestStats:
         _, exact, _ = run(capsys, "stats", "--input", str(path))
         assert json.loads(out) == json.loads(exact)
 
-    @pytest.mark.parametrize("bins", [str(2**53 + 1), "9" * 400], ids=["2**53+1", "400-digits"])
-    def test_bin_count_past_float_exactness(self, tmp_path, capsys, bins):
+    @pytest.mark.parametrize(
+        "bins, message",
+        [
+            (str(2**53 + 1), BINS_BOUND),
+            ("9" * 400, BINS_BOUND),
+            ("0", BINS_BOUND),
+            ("x", "binning must be 'exact' or 'fixed:B', got 'fixed:x'"),
+            ("", "binning must be 'exact' or 'fixed:B', got 'fixed:'"),
+            ("1.5", "binning must be 'exact' or 'fixed:B', got 'fixed:1.5'"),
+        ],
+        ids=["2**53+1", "400-digits", "zero", "not-a-number", "empty", "fraction"],
+    )
+    def test_bin_count_past_float_exactness(self, tmp_path, capsys, bins, message):
+        # Counts out of range get the library's bound at either end; text
+        # that is no count gets the flag's format.
         path = write_fixture(tmp_path, feasible_pair())
         code, out, err = run(capsys, "stats", "--input", str(path), "--binning", f"fixed:{bins}")
         assert code == 1 and out == ""
-        assert err == "error: fixed-width binning needs 1 <= bins <= 2**53\n"
+        assert err == f"error: {message}\n"
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "stats", "--input", str(tmp_path / "nope.csv"))
@@ -345,6 +366,24 @@ class TestDiagnose:
         )
         assert code == 1 and "distinct" in err
 
+    def test_sums_each_group_once(self, capsys, monkeypatch):
+        # Count rate_point calls at every module that imported it by name.
+        calls, original = [], metrics.rate_point
+
+        def counted(g):
+            calls.append(g.group_id)
+            return original(g)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("calparity") and getattr(module, "rate_point", None) is original:
+                monkeypatch.setattr(module, "rate_point", counted)
+        code, _, _ = run(
+            capsys, "diagnose", "--input", str(GOLDEN_MIXED), "--cost", "1,0,1,0", "--cost2", "0,1,0,1",
+            "--delta-cal", "0.05", "--delta-cost", "0.05", "--matrix-max", "2", "--denominator", "12",
+        )
+        assert code == 0
+        assert calls == ["A", "B"]
+
 
 class TestPlotData:
     def test_schema_and_stability(self, tmp_path, capsys):
@@ -430,6 +469,9 @@ class TestSynth:
         assert code == 0 and out_csv.exists()
 
 
+GRID_BOUND = "synth spec groups[0]: grid takes (lo, hi, k) with 0 <= lo <= hi <= 1, 1 <= k <= 100000000"
+
+
 class TestRejections:
     @pytest.mark.parametrize(
         "spec, field",
@@ -454,8 +496,15 @@ class TestRejections:
                 [{"family": "beta_grid", "params": [2, 2, 1e19]}],
                 "synth spec groups[0]: beta_grid takes (a, b, bins) with a, b > 0, 1 <= bins <= 2**53",
             ),
+            ([{"params": [0.1, 0.9, float("inf")]}], GRID_BOUND),
+            ([{"params": [0.1, 0.9, 1e12]}], GRID_BOUND),
+            ([{"n": 1e30}], f"synth spec groups[0]: n must lie in [1, 100000000], got {int(1e30)}"),
+            ([{"n": float("inf")}], "synth spec groups[0].n has invalid value inf"),
+            ([{"seed": float("inf")}], "synth spec groups[0].seed has invalid value inf"),
+            ([{"seed": -1}], "synth spec groups[0]: seed must be non-negative, got -1"),
         ],
-        ids=["repeated-id", "padded-id", "nan-shift", "huge-bins"],
+        ids=["repeated-id", "padded-id", "nan-shift", "huge-bins", "inf-k", "huge-k", "huge-n", "inf-n",
+             "inf-seed", "negative-seed"],
     )
     def test_synth_spec_must_read_back(self, tmp_path, capsys, groups, message):
         base = {"id": "A", "n": 50, "family": "grid", "params": [0.1, 0.9, 3]}
@@ -541,3 +590,55 @@ class TestExitCodes:
             capsys, "postprocess-calibrated", "--input", str(path), "--cost", "1,1,1,1"
         )
         assert code == 1 and "two groups" in err
+
+
+class _ReadRecorder:
+    """Forwards attribute reads to a namespace and records the names read."""
+
+    def __init__(self, namespace):
+        self._namespace, self.read = namespace, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._namespace, name)
+
+
+# One value for every flag a subcommand may declare. Together they take each
+# handler to its end on the golden mixed.csv, past every early return.
+FLAG_VALUES = {
+    "--input": str(GOLDEN_MIXED),
+    "--group1": "A",
+    "--binning": "fixed:5",
+    "--cost": "1,2,1,2",
+    "--weighted-cost": "1,3",
+    "--mode": "mc",
+    "--seed": "4",
+    "--cost2": "0,1,0,1",
+    "--tol": "1e-9",
+    "--delta-cal": "0.05",
+    "--delta-cost": "0.05",
+    "--matrix-max": "2",
+    "--denominator": "12",
+    "--spec": json.dumps({"groups": [{"id": "A", "n": 20, "family": "grid", "params": [0.1, 0.9, 3]}]}),
+}
+
+SUBCOMMANDS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_every_declared_flag_is_read(tmp_path, command):
+    """A flag the handler never reads is accepted and then silently ignored."""
+    flags = {a.option_strings[0]: a.dest for a in SUBCOMMANDS[command]._actions if a.dest != "help"}
+    runs = [flags]
+    if "--weighted-cost" in flags:  # each run gives exactly one cost form
+        runs = [[f for f in flags if f != other] for other in ("--cost", "--weighted-cost")]
+    read = set()
+    for run_flags in runs:
+        argv = [command]
+        for flag in run_flags:
+            argv += [flag, str(tmp_path / "out") if flag == "--output" else FLAG_VALUES[flag]]
+        args = build_parser().parse_args(argv)
+        recorder = _ReadRecorder(args)
+        assert args.handler(recorder) == 0, argv
+        read |= recorder.read
+    assert sorted(f for f, dest in flags.items() if dest not in read) == []

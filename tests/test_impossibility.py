@@ -78,7 +78,8 @@ class TestExactCheck:
     def test_perfect_classifiers_satisfy_everything(self):
         g1 = perfect_group("A", 1, 2)
         g2 = perfect_group("B", 1, 1)
-        check = exact_impossibility_check(g1, g2, FP_PAIR, FN_PAIR, tol=1e-9)
+        matrix = build_matrix(g1.base_rate, g2.base_rate, FP_PAIR, FN_PAIR)
+        check = exact_impossibility_check(matrix, rate_point(g1), rate_point(g2), tol=1e-9)
         assert check.satisfied
         assert max(abs(r) for r in check.residuals) == 0.0
         assert rate_point(g1) == rate_point(g2)
@@ -86,7 +87,8 @@ class TestExactCheck:
     def test_trivial_classifiers_violate(self):
         g1 = trivial_group("A", 0.25, 8)
         g2 = trivial_group("B", 0.5, 8)
-        check = exact_impossibility_check(g1, g2, FP_PAIR, FN_PAIR, tol=1e-3)
+        matrix = build_matrix(g1.base_rate, g2.base_rate, FP_PAIR, FN_PAIR)
+        check = exact_impossibility_check(matrix, rate_point(g1), rate_point(g2), tol=1e-3)
         assert not check.satisfied
         # Calibration rows vanish for trivial classifiers; the cost rows
         # carry the full base-rate mismatch.
@@ -102,14 +104,16 @@ class TestExactCheck:
         labels2 = np.r_[np.ones(30, dtype=int), np.zeros(30, dtype=int)]
         g1 = GroupData("A", scores1, labels1)
         g2 = GroupData("B", scores2, labels2)
-        check = exact_impossibility_check(g1, g2, FP_PAIR, FN_PAIR, tol=10 * eps)
+        matrix = build_matrix(g1.base_rate, g2.base_rate, FP_PAIR, FN_PAIR)
+        check = exact_impossibility_check(matrix, rate_point(g1), rate_point(g2), tol=10 * eps)
         assert check.satisfied
 
     def test_non_distinct_pairs_rejected(self):
         g1 = perfect_group("A", 1, 2)
         g2 = perfect_group("B", 1, 1)
+        matrix = build_matrix(g1.base_rate, g2.base_rate, FP_PAIR, FP_PAIR)
         with pytest.raises(ValueError, match="distinct"):
-            exact_impossibility_check(g1, g2, FP_PAIR, FP_PAIR, tol=1e-9)
+            exact_impossibility_check(matrix, rate_point(g1), rate_point(g2), tol=1e-9)
 
 
 class TestApproximateBound:
