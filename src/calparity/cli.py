@@ -50,11 +50,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# Record-array fields that print under another JSON key.
+_JSON_KEYS = {"mean_score": "score"}
+
+_RECORD_CHUNK = 4096  # record-array rows formatted and written per chunk
+
+
 def _rounded(obj, key: str = "report"):
     """Round floats to 12 significant digits, editing dicts and lists in place.
 
     Raises ValueError on NaN or infinity, which JSON cannot carry, before
-    any byte of the report is written.
+    any byte of the report is written. A record array is only checked, one
+    ``np.isfinite`` per column; ``_encode`` rounds its values as it writes.
     """
     if isinstance(obj, float):
         if not math.isfinite(obj):
@@ -68,14 +75,70 @@ def _rounded(obj, key: str = "report"):
             obj[i] = _rounded(v, key)
     elif isinstance(obj, tuple):
         return [_rounded(v, key) for v in obj]
+    elif isinstance(obj, np.ndarray):
+        for field in obj.dtype.names:
+            bad = ~np.isfinite(obj[field])
+            if bad.any():
+                raise ValueError(f"{_JSON_KEYS.get(field, field)} is not finite ({float(obj[field][bad][0])})")
     return obj
+
+
+def _encode(obj, depth: int = 0):
+    """Yield the text ``json.dump(obj, indent=2)`` writes for ``obj`` at nesting ``depth``.
+
+    Dicts with string keys, lists, tuples, strings, numbers, booleans and
+    None give exactly json's bytes; a record array is written by
+    ``_encode_records``.
+    """
+    if isinstance(obj, np.ndarray):
+        yield from _encode_records(obj, depth)
+    elif isinstance(obj, (dict, list, tuple)) and obj:
+        is_dict = isinstance(obj, dict)
+        inner = "\n" + "  " * (depth + 1)
+        separator = "{" if is_dict else "["
+        for key, value in obj.items() if is_dict else enumerate(obj):
+            yield separator + inner + (json.dumps(key) + ": " if is_dict else "")
+            separator = ","
+            yield from _encode(value, depth + 1)
+        yield "\n" + "  " * depth + ("}" if is_dict else "]")
+    else:
+        yield json.dumps(obj)
+
+
+def _encode_records(records: np.ndarray, depth: int):
+    """Yield a record array of float fields as json writes a list of one object per row.
+
+    Each field is written under its ``_JSON_KEYS`` name, its values rounded
+    to 12 significant digits. The rows go out in chunks of
+    ``_RECORD_CHUNK``, one string per chunk, and each column of a chunk
+    formats each distinct value once: ``np.unique`` over the float bits (so
+    ``-0.0`` keeps its own text), then one ``repr`` per distinct value.
+    """
+    if not len(records):
+        yield "[]"
+        return
+    inner = "\n" + "  " * (depth + 1)
+    heads = [
+        ("," if i else "{") + inner + "  " + json.dumps(_JSON_KEYS.get(field, field)) + ": "
+        for i, field in enumerate(records.dtype.names)
+    ]
+    for lo in range(0, len(records), _RECORD_CHUNK):
+        chunk = records[lo : lo + _RECORD_CHUNK]
+        rows = np.full(len(chunk), "", dtype=object)
+        for head, field in zip(heads, records.dtype.names):
+            keys, inverse = np.unique(chunk[field].view(np.uint64), return_inverse=True)
+            text = [head + repr(float(f"{x:.12g}")) for x in keys.view(np.float64).tolist()]
+            rows += np.array(text, dtype=object)[inverse]
+        rows += inner + "}"
+        yield ("," if lo else "[") + inner + ("," + inner).join(rows.tolist())
+    yield "\n" + "  " * depth + "]"
 
 
 def _emit(report: dict, path: str | None = None) -> None:
     """Stream the rounded report as indented JSON to ``path``, or to stdout."""
     _rounded(report)
     with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
-        json.dump(report, fh, indent=2)
+        fh.writelines(_encode(report))
         fh.write("\n")
 
 
@@ -91,6 +154,16 @@ def _finite_float(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return value
 
 
@@ -145,6 +218,7 @@ def cmd_stats(args) -> int:
     binning, bins = _parse_binning(args.binning)
     report = {"groups": []}
     for g in groups:
+        calibration = calibration_gap(g, binning, bins)
         report["groups"].append(
             {
                 "group": g.group_id,
@@ -152,7 +226,7 @@ def cmd_stats(args) -> int:
                 "base_rate": g.base_rate,
                 "rates": _rates_dict(rate_point(g)),
                 "analytic_rates": _rates_dict(analytic_rates(g)),
-                "calibration": calibration_gap(g, binning, bins).to_json_dict(),
+                "calibration": {"gap": calibration.gap, "bins": calibration.per_bin},
                 "linearity_residual": linearity_residual(g),
             }
         )
@@ -366,7 +440,7 @@ def build_parser() -> _Parser:
         "--cost": dict(help="a1,b1,a2,b2 cost weights per group"),
         "--weighted-cost": dict(help="rfp,rfn per-sample weights"),
         "--mode": dict(choices=["deterministic", "mc"], default="deterministic"),
-        "--seed": dict(type=int, help="seed for Monte Carlo mode"),
+        "--seed": dict(type=_seed, help="seed for Monte Carlo mode"),
     }
 
     def add(name, handler, summary, *flags):
@@ -392,7 +466,7 @@ def build_parser() -> _Parser:
 
     p = add("synth", cmd_synth, "write a synthetic CSV from a JSON spec")
     p.add_argument("--spec", required=True, help="JSON spec or @file")
-    p.add_argument("--seed", type=int, default=0, help="base seed for derived group seeds")
+    p.add_argument("--seed", type=_seed, default=0, help="base seed for derived group seeds")
     p.add_argument("--output", required=True)
 
     return parser

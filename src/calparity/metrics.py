@@ -62,15 +62,6 @@ class CalibrationReport:
     gap: float
     per_bin: np.recarray
 
-    def to_json_dict(self) -> dict:
-        return {
-            "gap": self.gap,
-            "bins": [
-                {"score": m, "positive_fraction": f, "weight": w}
-                for m, f, w in self.per_bin.tolist()
-            ],
-        }
-
 
 def _pooled_gap(values: np.ndarray, mass: np.ndarray, positive_mass: np.ndarray) -> float:
     """Calibration gap of a score distribution given as weighted atoms.

@@ -5,13 +5,15 @@ These helpers never touch its internals: expected losses come from a scalar
 per-sample loop, and affine coefficients are recovered by probing the
 rate/loss evaluations at corner points. ``derived_rates`` is the
 per-sample rate computation that ``eo.derived_rates`` must match bit for
-bit, and ``write_csv_rows`` is the row-by-row writer that
-``dataset.write_csv`` must match byte for byte.
+bit, ``write_csv_rows`` is the row-by-row writer that ``dataset.write_csv``
+must match byte for byte, and ``dump_json`` is the dict-per-bin JSON
+writer that the CLI's ``_emit`` must match byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from itertools import repeat
 
@@ -32,6 +34,25 @@ def write_csv_rows(groups, path, withheld=None) -> None:
                 mask = withheld.get(g.group_id)
                 columns.append(repeat(0) if mask is None else mask.astype(np.int64).tolist())
             writer.writerows(zip(*columns))
+
+
+def _dict_form(obj):
+    """Record arrays as lists of bin dicts, floats rounded to 12 significant digits."""
+    if isinstance(obj, np.ndarray):  # a per_bin array: one dict per bin, keyed as the CLI prints them
+        return _dict_form([{"score": m, "positive_fraction": f, "weight": w} for m, f, w in obj.tolist()])
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _dict_form(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_dict_form(v) for v in obj]
+    return obj
+
+
+def dump_json(report, fh) -> None:
+    """The report as ``json.dump(indent=2)`` writes its dict-per-bin form, plus a newline."""
+    json.dump(_dict_form(report), fh, indent=2)
+    fh.write("\n")
 
 
 def derived_rates(g: GroupData, q_n2p: float, q_p2n: float) -> RatePoint:

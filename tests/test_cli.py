@@ -514,6 +514,37 @@ class TestRejections:
         assert code == 1 and out == "" and not out_csv.exists()
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "command, seed",
+        [
+            (("synth", "--spec", '{"groups": [{"id": "A", "n": 5, "family": "grid", "params": [0, 1, 3]}]}'), "-1"),
+            (("postprocess-calibrated", "--input", str(GOLDEN_MIXED), "--weighted-cost", "1,3", "--mode", "mc"),
+             "-1"),
+            (("synth", "--spec", '{"groups": []}'), "1.5"),
+        ],
+        ids=["synth", "mc", "synth-fraction"],
+    )  # fmt: skip
+    def test_bad_seed_names_its_flag(self, tmp_path, capsys, command, seed):
+        out_csv = tmp_path / "out.csv"
+        code, out, err = run(capsys, *command, "--seed", seed, "--output", str(out_csv))
+        assert code == 1 and out == "" and not out_csv.exists()
+        assert err.startswith(f"usage: calparity {command[0]} ")
+        assert err.splitlines()[-1] == (
+            f"calparity {command[0]}: error: argument --seed: expected a non-negative integer, got '{seed}'"
+        )
+
+    def test_mc_output_does_not_read_back(self, tmp_path, capsys):
+        # The withheld column is a fourth field, which load_csv rejects.
+        out_csv = tmp_path / "post.csv"
+        code, _, _ = run(
+            capsys, "postprocess-calibrated", "--input", str(GOLDEN_MIXED), "--weighted-cost", "1,3",
+            "--mode", "mc", "--seed", "4", "--output", str(out_csv),
+        )  # fmt: skip
+        assert code == 0
+        code, out, err = run(capsys, "stats", "--input", str(out_csv))
+        assert code == 1 and out == ""
+        assert err == "error: expected header 'group,score,label', got ['group', 'score', 'label', 'withheld']\n"
+
     def test_moment_rates_off_the_unit_square(self, tmp_path, capsys):
         # Miscalibrated: every score 0.5 but one positive in five.
         g = make_group([0.5] * 5, [1, 0, 0, 0, 0], gid="A")

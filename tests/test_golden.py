@@ -6,11 +6,13 @@ each case in ``CASES`` produced when the corpus was recorded. Replays run
 ``calparity.cli.main`` in-process from a temporary directory, so paths in the
 reports are the relative names below.
 
-Exit codes, keys, strings, ints and every CSV column except ``score`` must
-match exactly. Floats, scores included, must agree to 12 significant
-digits: the flip LP's affine coefficients may move in their last bits when
-the summation order changes, and with them the non-vertex flip
-probabilities and the ``repr`` of flipped scores.
+Every case but the two ``eo_*`` ones must reproduce its recorded stdout and
+output file byte for byte. The ``eo_*`` cases must match exit codes, keys,
+strings, ints and every CSV column except ``score`` exactly, and floats,
+scores included, to 12 significant digits: the flip LP's affine
+coefficients may move in their last bits when the summation order changes,
+and with them the non-vertex flip probabilities and the ``repr`` of flipped
+scores.
 """
 
 from __future__ import annotations
@@ -150,6 +152,10 @@ def test_replay_matches_corpus(name, tmp_path, monkeypatch):
     assert code == recorded["exit"]
     assert stderr == recorded["stderr"]
     want_stdout = (EXPECTED / f"{name}.stdout").read_text(encoding="utf-8")
+    if not name.startswith("eo_"):
+        assert stdout == want_stdout
+        if output is not None:
+            assert (tmp_path / output).read_bytes() == (EXPECTED / output).read_bytes()
     if want_stdout:
         assert_close(json.loads(stdout), json.loads(want_stdout))
     else:
