@@ -214,7 +214,7 @@ def _rates_dict(p) -> dict:
 
 
 def cmd_stats(args) -> int:
-    groups = load_csv(args.input)
+    groups = load_csv(args.input, samples=False)
     binning, bins = _parse_binning(args.binning)
     report = {"groups": []}
     for g in groups:
@@ -235,7 +235,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_postprocess_calibrated(args) -> int:
-    groups = load_csv(args.input)
+    # Rows are kept only to realize a Monte Carlo mixture or to write them back.
+    groups = load_csv(args.input, samples=args.mode == "mc" or args.output is not None)
     g1, g2 = _two_groups(groups, args.group1)
     specs = _resolve_specs(args, g1, g2)
     binning, bins = _parse_binning(args.binning)
@@ -311,7 +312,7 @@ def cmd_postprocess_calibrated(args) -> int:
 
 
 def cmd_postprocess_eo(args) -> int:
-    groups = load_csv(args.input)
+    groups = load_csv(args.input, samples=args.output is not None)
     g1, g2 = _two_groups(groups, args.group1)
     solution = eo_mod.solve_eo(g1, g2)
     if solution.status != eo_mod.STATUS_OPTIMAL:
@@ -335,7 +336,7 @@ def cmd_postprocess_eo(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    groups = load_csv(args.input)
+    groups = load_csv(args.input, samples=False)
     g1, g2 = _two_groups(groups, args.group1)
     a1, b1, a2, b2 = _parse_floats(args.cost, 4, "--cost")
     pair = CostPair(CostSpec(a1, b1), CostSpec(a2, b2))
@@ -361,7 +362,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
-    groups = load_csv(args.input)
+    groups = load_csv(args.input, samples=False)
     g1, g2 = _two_groups(groups, args.group1)
     specs = _resolve_specs(args, g1, g2)
     _emit(build_scene([g1, g2], specs).to_json_dict(), args.output)

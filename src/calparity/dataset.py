@@ -1,26 +1,32 @@
 """Grouped score/label data: CSV ingestion and a seeded synthetic generator.
 
-The data model is intentionally small: a group is an ordered collection of
-(score, label) samples where the score is a probabilistic classifier output
-in [0, 1] and the label is the observed binary outcome. Both classes must be
-present in every group so the base rate stays strictly inside (0, 1).
+A group's scores are probabilistic classifier outputs in [0, 1] and its
+labels the observed binary outcomes. Both classes must be present in every
+group so the base rate stays strictly inside (0, 1). Every group statistic
+depends on the samples only through the group's atom table: its distinct
+scores, each with a count of negatives and positives. So ``load_csv`` can
+keep just that table, built chunk by chunk, and drop the rows; only
+realizing a Monte Carlo mixture, flipping scores and writing rows need
+them.
 """
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 CSV_HEADER = ("group", "score", "label")
+# The fourth column a Monte Carlo output carries; it is read, checked and dropped.
+WITHHELD = "withheld"
 
 FAMILIES = ("point_mass", "grid", "beta_grid")
 
@@ -34,44 +40,79 @@ class CsvFormatError(ValueError):
     """Input CSV does not match the ``group,score,label`` schema."""
 
 
+def pool_atoms(values: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Merge equal values: the distinct values, ascending, and each weight summed per value."""
+    merged, inverse = np.unique(values, return_inverse=True)
+    return (merged, *(np.bincount(inverse, weights=w, minlength=merged.size) for w in weights))
+
+
 @dataclass(frozen=True, eq=False)
 class GroupData:
-    """Scores and binary outcomes for one population group.
+    """One population group: its atom table, and its samples where they are kept.
 
-    ``base_rate`` is the arithmetic mean of the labels, cached at
-    construction. Arrays are copied and frozen, so instances are safe to
-    share across threads.
+    Built from ``scores`` and ``labels``, a group keeps its samples in
+    order, copied and frozen, and builds its atom table on first use. Built
+    from ``table`` alone, an atom table as ``atoms`` describes it, the group
+    holds no samples: ``scores`` and ``labels`` are None and ``samples()``
+    raises. Both forms make the same checks with the same messages, and
+    ``base_rate``, the mean label cached at construction, is the same float
+    either way. Instances are safe to share across threads.
     """
 
     group_id: str
-    scores: np.ndarray
-    labels: np.ndarray
+    scores: np.ndarray | None = None
+    labels: np.ndarray | None = None
+    table: InitVar[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = None
     base_rate: float = field(init=False)
+    _size: int = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=float).copy()
-        labels = np.asarray(self.labels, dtype=np.int64).copy()
-        if scores.ndim != 1 or labels.shape != scores.shape:
-            raise ValueError("scores and labels must be 1-d arrays of equal length")
-        if scores.size == 0:
+    def __post_init__(self, table) -> None:
+        if table is None:
+            scores = np.asarray(self.scores, dtype=float).copy()
+            labels = np.asarray(self.labels, dtype=np.int64).copy()
+            if scores.ndim != 1 or labels.shape != scores.shape:
+                raise ValueError("scores and labels must be 1-d arrays of equal length")
+            values, size, positives = scores, scores.size, labels.sum()
+        else:
+            if self.scores is not None or self.labels is not None:
+                raise ValueError("give a group samples or an atom table, not both")
+            atoms = values, negatives, positives = tuple(np.array(a, dtype=float) for a in table)
+            if values.ndim != 1 or negatives.shape != values.shape or positives.shape != values.shape:
+                raise ValueError("atom table columns must be 1-d arrays of equal length")
+            if np.any(values[1:] <= values[:-1]):
+                raise ValueError("atom table values must be distinct and ascending")
+            size, positives = int(negatives.sum() + positives.sum()), positives.sum()
+        if size == 0:
             raise ValueError(f"group {self.group_id!r} has no samples")
-        if np.any((scores < 0.0) | (scores > 1.0)):
+        if not np.all((values >= 0.0) & (values <= 1.0)):  # NaN fails too
             raise ValueError(f"group {self.group_id!r} has scores outside [0, 1]")
-        if not np.all((labels == 0) | (labels == 1)):
-            raise ValueError(f"group {self.group_id!r} has non-binary labels")
-        mu = float(labels.sum()) / labels.size
+        if table is None:
+            if not np.all((labels == 0) | (labels == 1)):
+                raise ValueError(f"group {self.group_id!r} has non-binary labels")
+            scores.setflags(write=False)
+            labels.setflags(write=False)
+            object.__setattr__(self, "scores", scores)
+            object.__setattr__(self, "labels", labels)
+        else:
+            for a in atoms:
+                a.setflags(write=False)
+            self.__dict__["atoms"] = atoms  # the cache of the ``atoms`` property
+        mu = float(positives) / size
         if not 0.0 < mu < 1.0:
             raise ValueError(
                 f"group {self.group_id!r} contains a single class (base rate {mu})"
             )
-        scores.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "base_rate", mu)
+        object.__setattr__(self, "_size", int(size))
 
     def __len__(self) -> int:
-        return int(self.scores.size)
+        return self._size
+
+    def samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(scores, labels)``; ValueError naming the group if only its atom table was kept."""
+        if self.scores is None:
+            raise ValueError(f"group {self.group_id!r} was loaded without its samples, which this needs")
+        return self.scores, self.labels
 
     @cached_property
     def atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -80,39 +121,125 @@ class GroupData:
         ``values`` are the distinct scores in ascending order; ``negatives``
         and ``positives`` count the samples of each class at each value, as
         floats. Every group statistic depends on the samples only through
-        this table. Caching is safe because the arrays are frozen.
+        this table. It is tallied ``_ATOM_CHUNK`` samples at a time, as the
+        CSV loader tallies it, so building it takes memory for one chunk
+        and the distinct scores. Caching is safe because the arrays are
+        frozen.
         """
-        values, inverse = np.unique(self.scores, return_inverse=True)
-        positives = np.bincount(inverse, weights=self.labels, minlength=values.size)
-        negatives = np.bincount(inverse, minlength=values.size) - positives
-        for a in (values, negatives, positives):
+        tally = _Tally()
+        for lo in range(0, len(self), _ATOM_CHUNK):
+            tally.add(self.scores[lo : lo + _ATOM_CHUNK], self.labels[lo : lo + _ATOM_CHUNK] == 1)
+        atoms = tally.table()
+        for a in atoms:
             a.setflags(write=False)
-        return values, negatives, positives
+        return atoms
 
 
-def load_csv(path: str | Path) -> list[GroupData]:
-    """Read a ``group,score,label`` CSV into one GroupData per group.
+# Samples a group's atom table takes in before it pools them (or twice its
+# atoms, if more): large enough that sorting dominates the per-pool cost,
+# small enough that one pool's arrays stay a few MB.
+_ATOM_CHUNK = 1 << 17
 
-    Sample order is preserved within each group. A leading UTF-8 byte order
-    mark is skipped. Raises CsvFormatError with the offending row number for
-    schema violations, out-of-range scores, non-binary labels, and
-    single-class groups.
 
-    Clean input is parsed column-wise in one numpy pass; anything the fast
+class _Tally:
+    """A group's atom table, built from pieces of its samples.
+
+    Pieces wait until they hold ``_ATOM_CHUNK`` samples, or twice the atoms
+    counted so far. They are then counted, one sort over their scores and
+    one over their positives' scores, and pooled with the table. So memory
+    follows the distinct scores, not the samples, and each sample is
+    sorted about once.
+    """
+
+    def __init__(self) -> None:
+        self.atoms: tuple[np.ndarray, ...] = (np.empty(0),) * 3
+        self.pieces: list[tuple[np.ndarray, np.ndarray]] = []
+        self.waiting = 0
+
+    def add(self, scores: np.ndarray, positive: np.ndarray) -> None:
+        """Add samples: their scores, and a bool array that marks the positives."""
+        self.pieces.append((scores, positive))
+        self.waiting += len(scores)
+        if self.waiting >= max(_ATOM_CHUNK, 2 * len(self.atoms[0])):
+            self.table()
+
+    def table(self) -> tuple[np.ndarray, ...]:
+        """The atom table of every sample added so far."""
+        if self.pieces:
+            scores, positive = (np.concatenate(c) for c in zip(*self.pieces))
+            # No inverse index, as pool_atoms would build: lighter and faster on samples.
+            # ``+ 0.0`` writes a zero as ``0.0`` whether ``-0.0`` or ``0.0`` sorted first.
+            values, counts = np.unique(scores, return_counts=True)
+            found, found_counts = np.unique(scores[positive], return_counts=True)
+            positives = np.zeros(values.size)
+            positives[np.searchsorted(values, found)] = found_counts
+            new = values + 0.0, counts - positives, positives
+            if len(self.atoms[0]):
+                new = pool_atoms(*map(np.concatenate, zip(self.atoms, new)))
+            self.atoms, self.pieces, self.waiting = new, [], 0
+        return self.atoms
+
+    def args(self) -> tuple:
+        """``GroupData`` arguments after the id."""
+        return None, None, self.table()
+
+
+class _Rows:
+    """A group's samples, appended piece by piece into growing buffers.
+
+    One buffer per column instead of a list of pieces: concatenating a list
+    leaves each freed piece as a hole in the heap, which kept about 6 MB
+    more resident on a 1e6-row load.
+    """
+
+    def __init__(self) -> None:
+        self.scores, self.labels = bytearray(), bytearray()
+
+    def add(self, scores: np.ndarray, labels: np.ndarray) -> None:
+        self.scores += scores.tobytes()
+        self.labels += labels.tobytes()
+
+    def args(self) -> tuple:
+        """``GroupData`` arguments after the id."""
+        return np.frombuffer(self.scores, float), np.frombuffer(self.labels, bool)
+
+
+def load_csv(path: str | Path, samples: bool = True) -> list[GroupData]:
+    """Read a ``group,score,label`` CSV into one GroupData per group, in first-seen order.
+
+    With ``samples`` each group keeps its rows in file order; without, each
+    group holds only its atom table, and memory is bounded by the number
+    of distinct scores instead of rows. A fourth ``withheld`` column, as a
+    Monte Carlo output has, must hold 0 or 1 in every row and is dropped.
+    A leading UTF-8 byte order mark is skipped. Raises CsvFormatError with
+    the offending row number for schema violations, out-of-range scores,
+    non-binary labels, and single-class groups.
+
+    Clean input is parsed column-wise, chunk by chunk; anything the fast
     path does not read exactly as the row parser would goes to
     ``_load_reference``, which also produces every row error. Both end in
     ``_groups``, which reports a single-class group.
     """
-    groups = _load_columnar(path)
-    return _load_reference(path) if groups is None else groups
+    groups = _load_columnar(path, samples)
+    if groups is None:
+        groups = _load_reference(path)
+        if not samples:
+            groups = [GroupData(g.group_id, table=g.atoms) for g in groups]
+    return groups
 
 
-_CHUNK = 1 << 20
+def _header_width(header: Sequence[str] | None) -> int | None:
+    """3 or 4, the columns a header names, or None if it is not ours."""
+    names = None if header is None else tuple(h.strip() for h in header)
+    return len(names) if names in (CSV_HEADER, CSV_HEADER + (WITHHELD,)) else None
+
+
+_CHUNK = 1 << 18  # characters of text read, checked and parsed at a time
 
 # Group ids are coded to dense ints through a converter, not read as a
 # fixed-width string column, which would truncate long ids silently and
 # cost more memory. ``S2`` labels keep ``10`` from passing as ``1``.
-_ROW = np.dtype([("group", "i4"), ("score", "f8"), ("label", "S2")])
+_ROW = np.dtype([("group", "i4"), ("score", "f8"), ("label", "S2"), (WITHHELD, "S2")])
 
 
 class _Codes(dict):
@@ -123,74 +250,116 @@ class _Codes(dict):
         return code
 
 
-def _clean_bytes(raw: BinaryIO) -> bool:
-    """True when the bytes hold nothing numpy reads differently from ``csv``.
+class _Unclean(Exception):
+    """The text holds something numpy would read differently from ``csv``."""
 
-    Rejects non-ASCII bytes, quotes (which ``csv`` strips and numpy keeps),
-    NUL (which numpy strips from byte strings) and any line longer than
-    ``csv.field_size_limit()``, on which the reference parser raises. A line
-    feed and a bare carriage return both end a line, as they do for ``csv``.
-    Reads the file in chunks, never holding a second copy of it.
+
+def _blocks(fh: TextIO) -> Iterator[str]:
+    """Yield the text in blocks of whole lines, from chunks of ``_CHUNK`` characters.
+
+    Each chunk is cut at its last line end and the rest carried into the
+    next block. ``fh`` translates ``\\r\\n`` and a bare ``\\r`` to ``\\n``,
+    as ``csv`` also ends a line at either. Raises _Unclean at a chunk that
+    holds a non-ASCII character, a quote (which ``csv`` strips and numpy
+    keeps) or NUL (which numpy strips from byte strings), or at a line
+    longer than ``csv.field_size_limit()``, on which the reference parser
+    raises; so the carried text never outgrows that limit.
     """
     limit = csv.field_size_limit()
-    run = 0  # length of the line that runs into the current chunk
-    chunk = raw.read(_CHUNK).removeprefix(codecs.BOM_UTF8)
-    while chunk:
-        if not chunk.isascii() or b'"' in chunk or b"\0" in chunk:
-            return False
-        start, end = -run, len(chunk)  # start of the current line, maybe in an earlier chunk
+    tail = ""  # the unfinished line
+    while chunk := fh.read(_CHUNK):
+        if not chunk.isascii() or '"' in chunk or "\0" in chunk:
+            raise _Unclean
+        start, end = -len(tail), len(chunk)  # start of the current line, maybe in the tail
         while end - start > limit:
-            span = max(start, 0), start + limit + 1
-            newline = max(chunk.rfind(b"\n", *span), chunk.rfind(b"\r", *span))
+            newline = chunk.rfind("\n", max(start, 0), start + limit + 1)
             if newline < 0:
-                return False
+                raise _Unclean
             start = newline + 1
-        run = end - start
-        chunk = raw.read(_CHUNK)
-    return True
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield tail + chunk[:cut]
+            tail = chunk[cut:]
+        else:
+            tail += chunk
+    if tail:
+        yield tail
 
 
-def _load_columnar(path: str | Path) -> list[GroupData] | None:
-    """Parse clean input in one ``np.loadtxt`` pass, or return None.
+def _load_columnar(path: str | Path, samples: bool = True) -> list[GroupData] | None:
+    """Parse clean input one ``np.loadtxt`` block at a time, or return None.
 
     None means the reference parser must decide: the input is not a regular
-    file of clean bytes, the header or a row does not parse as plain
-    ``id,float,0|1``, an id carries surrounding whitespace, or a score lies
-    outside [0, 1]. Whatever this accepts, the reference parser reads to the
-    same groups, in the same order, with the same bits, or rejects with the
-    same error. ``comments=None`` because ``csv`` gives ``#`` no meaning;
-    ``encoding=None`` so that numpy before 2.0 hands the id converter ``str``,
-    not ``bytes``.
+    file of clean text, the header or a row does not parse as plain
+    ``id,float,0|1`` (with ``,0|1`` after it under a ``withheld`` header),
+    an id carries surrounding whitespace, or a score lies outside [0, 1].
+    Whatever this accepts, the reference parser reads to the same groups,
+    in the same order, with the same bits, or rejects with the same error.
+
+    Each block is split by group. With ``samples`` each group's pieces are
+    appended to its rows (``_Rows``); without, each piece goes into the
+    group's ``_Tally`` and the rows are dropped, so memory follows one
+    block and the distinct scores, not the file.
     """
     if not os.path.isfile(path):  # a pipe can be read only once
         return None
-    with open(path, "rb") as raw:
-        if not _clean_bytes(raw):
-            return None
-        raw.seek(0)
-        with io.TextIOWrapper(raw, encoding="utf-8-sig") as fh:
-            if tuple(h.strip() for h in fh.readline().split(",")) != CSV_HEADER:
+    codes = _Codes()
+    groups: list[_Rows | _Tally] = []  # per group code
+    rows = 0
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            blocks = _blocks(fh)
+            header, _, first = next(blocks, "").partition("\n")
+            width = _header_width(header.split(","))
+            if width is None:
                 return None
-            codes = _Codes()
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    table = np.loadtxt(
-                        fh, delimiter=",", dtype=_ROW, converters={0: codes.__getitem__},
-                        comments=None, encoding=None, ndmin=1,
-                    )
-            except (ValueError, Warning):
-                return None
-    scores, labels = table["score"], table["label"] == b"1"
-    if not (
-        all(gid == gid.strip() for gid in codes)
-        and np.all((scores >= 0.0) & (scores <= 1.0))
-        and np.all(labels | (table["label"] == b"0"))
-    ):
+            dtype = _ROW if width == 4 else np.dtype(_ROW.descr[:3])
+            for block in chain([first], blocks):
+                if not block.strip("\n"):  # numpy skips empty lines, and warns if that is all
+                    continue
+                group, scores, labels = _parse_block(block, dtype, codes)
+                rows += len(group)
+                groups.extend(_Rows() if samples else _Tally() for _ in range(len(codes) - len(groups)))
+                _add_block(group, scores, labels, groups)
+    except (_Unclean, ValueError, Warning):  # invalid UTF-8 is a ValueError too
         return None
-    order = np.argsort(table["group"], kind="stable")
-    bounds = np.cumsum(np.bincount(table["group"]))[:-1]
-    return _groups(zip(codes, np.split(scores[order], bounds), np.split(labels[order], bounds)))
+    if not rows or any(gid != gid.strip() for gid in codes):
+        return None
+    return _groups((gid, *group.args()) for gid, group in zip(codes, groups))
+
+
+def _parse_block(block: str, dtype: np.dtype, codes: _Codes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group codes, scores and labels of a block, from one ``np.loadtxt`` pass.
+
+    Raises _Unclean where only ``csv`` may judge: a score outside [0, 1]
+    or a label or ``withheld`` field other than exactly ``0`` or ``1``,
+    which is then dropped. ``comments=None`` because ``csv`` gives ``#``
+    no meaning; ``encoding=None`` so that numpy before 2.0 hands the id
+    converter ``str``, not ``bytes``. Any warning is an error.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = np.loadtxt(
+            io.StringIO(block), delimiter=",", dtype=dtype, converters={0: codes.__getitem__},
+            comments=None, encoding=None, ndmin=1,
+        )
+    scores = table["score"]
+    # Read as a little-endian uint16, an S2 field holding exactly "0" is 0x30 and "1" is 0x31.
+    flags = [table[name].view("<u2") for name in dtype.names[2:]]
+    if not (np.all((scores >= 0.0) & (scores <= 1.0)) and all(np.all((f == 0x30) | (f == 0x31)) for f in flags)):
+        raise _Unclean
+    return table["group"], scores, flags[0] == 0x31
+
+
+def _add_block(group: np.ndarray, scores: np.ndarray, labels: np.ndarray, groups: list[_Rows | _Tally]) -> None:
+    """Add each group's rows of a block to that group, in file order."""
+    if np.any(group[1:] < group[:-1]):  # the groups interleave
+        order = np.argsort(group, kind="stable")
+        scores, labels = scores[order], labels[order]
+    ends = np.cumsum(np.bincount(group, minlength=len(groups))).tolist()
+    for acc, lo, hi in zip(groups, [0, *ends], ends):
+        if lo < hi:
+            acc.add(scores[lo:hi], labels[lo:hi])
 
 
 def _load_reference(path: str | Path) -> list[GroupData]:
@@ -198,17 +367,19 @@ def _load_reference(path: str | Path) -> list[GroupData]:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = _numbered_rows(fh)
         _, header = next(rows, (1, None))
-        if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
+        width = _header_width(header)
+        if width is None:
             raise CsvFormatError(
-                f"expected header {','.join(CSV_HEADER)!r}, got {header!r}"
+                f"expected header {','.join(CSV_HEADER)!r} or {','.join(CSV_HEADER + (WITHHELD,))!r}, "
+                f"got {header!r}"
             )
         by_group: dict[str, tuple[list[float], list[int]]] = {}
         for lineno, row in rows:
             if not row:
                 continue
-            if len(row) != 3:
-                raise CsvFormatError(f"row {lineno}: expected 3 columns, got {len(row)}")
-            gid, score_text, label_text = (cell.strip() for cell in row)
+            if len(row) != width:
+                raise CsvFormatError(f"row {lineno}: expected {width} columns, got {len(row)}")
+            gid, score_text, label_text, *withheld = (cell.strip() for cell in row)
             try:
                 score = float(score_text)
             except ValueError:
@@ -217,6 +388,8 @@ def _load_reference(path: str | Path) -> list[GroupData]:
                 raise CsvFormatError(f"row {lineno}: score {score_text} outside [0, 1]")
             if label_text not in ("0", "1"):
                 raise CsvFormatError(f"row {lineno}: label must be 0 or 1, got {label_text!r}")
+            if withheld and withheld[0] not in ("0", "1"):
+                raise CsvFormatError(f"row {lineno}: withheld must be 0 or 1, got {withheld[0]!r}")
             scores, labels = by_group.setdefault(gid, ([], []))
             scores.append(score)
             labels.append(int(label_text))
@@ -225,10 +398,10 @@ def _load_reference(path: str | Path) -> list[GroupData]:
     return _groups((gid, np.array(scores), np.array(labels)) for gid, (scores, labels) in by_group.items())
 
 
-def _groups(parts: Iterable[tuple[str, np.ndarray, np.ndarray]]) -> list[GroupData]:
-    """One GroupData per ``(id, scores, labels)``; its checks become CsvFormatError."""
+def _groups(parts: Iterable[tuple]) -> list[GroupData]:
+    """One ``GroupData(*args)`` per part; its checks become CsvFormatError."""
     try:
-        return [GroupData(gid, scores, labels) for gid, scores, labels in parts]
+        return [GroupData(*args) for args in parts]
     except ValueError as exc:
         raise CsvFormatError(str(exc)) from None
 
@@ -263,7 +436,8 @@ def write_csv(
     holds each group's Monte Carlo withholding mask as 0/1; groups missing
     from the mapping were not post-processed and read 0. A mask whose
     length differs from its group's, or that holds a value other than 0 or
-    1, raises ValueError before the file is opened.
+    1, raises ValueError before the file is opened, as does a group that
+    holds only its atom table.
 
     Each group is streamed in chunks of ``_WRITE_CHUNK`` rows, and each chunk
     formats each distinct score once: ``np.unique`` over the score bits (so
@@ -273,19 +447,20 @@ def write_csv(
     row; the id field comes from ``csv.writer`` itself, so ids are quoted as
     it quotes them.
     """
+    rows = [g.samples() for g in groups]
     masks = [None if withheld is None else _withheld_mask(g, withheld) for g in groups]
     suffixes = ("",) if withheld is None else (",0", ",1")
     ends = np.array([f",{label}{w}\r\n" for label in "01" for w in suffixes], dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(CSV_HEADER if withheld is None else CSV_HEADER + ("withheld",))
-        for g, mask in zip(groups, masks):
+        csv.writer(fh).writerow(CSV_HEADER if withheld is None else CSV_HEADER + (WITHHELD,))
+        for g, (scores, labels), mask in zip(groups, rows, masks):
             prefix = _row_prefix(g.group_id)
-            bits = g.scores.view(np.uint64)
+            bits = scores.view(np.uint64)
             for lo in range(0, len(g), _WRITE_CHUNK):
                 chunk = slice(lo, lo + _WRITE_CHUNK)
                 keys, inverse = np.unique(bits[chunk], return_inverse=True)
                 text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-                code = g.labels[chunk] * len(suffixes)  # index into ends
+                code = labels[chunk] * len(suffixes)  # index into ends
                 if mask is not None:
                     code += mask[chunk]
                 lines = np.add.outer(text, ends)  # each line after the id field
@@ -298,7 +473,7 @@ def _withheld_mask(g: GroupData, withheld: Mapping[str, np.ndarray]) -> np.ndarr
     if mask is None:
         return None
     mask = np.asarray(mask).astype(np.int64)
-    if mask.shape != g.scores.shape or not np.all((mask == 0) | (mask == 1)):
+    if mask.shape != (len(g),) or not np.all((mask == 0) | (mask == 1)):
         raise ValueError(
             f"withheld mask for group {g.group_id!r} must hold {len(g)} values of 0 or 1"
         )

@@ -102,7 +102,7 @@ def _flipped(scores: np.ndarray, q_n2p: float, q_p2n: float) -> np.ndarray:
 
 def flipped_scores(g: GroupData, q_n2p: float, q_p2n: float) -> np.ndarray:
     """Expected score of the flipped classifier, per sample."""
-    return _flipped(g.scores, q_n2p, q_p2n)
+    return _flipped(g.samples()[0], q_n2p, q_p2n)
 
 
 def derived_rates(g: GroupData, q_n2p: float, q_p2n: float) -> RatePoint:

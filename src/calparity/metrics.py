@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import GroupData
+from .dataset import GroupData, pool_atoms
 
 BINNING_MODES = ("exact-unique", "fixed-width")
 
@@ -70,9 +70,7 @@ def _pooled_gap(values: np.ndarray, mass: np.ndarray, positive_mass: np.ndarray)
     distinct values v of |positive mass at v - v * mass at v|, which is the
     weighted |positive fraction - v| with the division cancelled.
     """
-    merged, inverse = np.unique(values, return_inverse=True)
-    mass = np.bincount(inverse, weights=mass, minlength=merged.size)
-    positive_mass = np.bincount(inverse, weights=positive_mass, minlength=merged.size)
+    merged, mass, positive_mass = pool_atoms(values, mass, positive_mass)
     return float(np.abs(positive_mass - merged * mass).sum())
 
 
@@ -158,8 +156,9 @@ def calibration_gap(g: GroupData, binning: str = "exact-unique", bins: int = 10)
     if binning == "fixed-width":
         if not 1 <= bins <= 2**53:
             raise ValueError("fixed-width binning needs 1 <= bins <= 2**53")
-        _, idx = np.unique(np.minimum(np.floor(values * bins), bins - 1), return_inverse=True)
-        score_sums, counts, positives = (np.bincount(idx, weights=w) for w in (values * counts, counts, positives))
+        _, score_sums, counts, positives = pool_atoms(
+            np.minimum(np.floor(values * bins), bins - 1), values * counts, counts, positives
+        )
         values = score_sums / counts
     weights = counts / len(g)
     gap = _pooled_gap(values, weights, positives / len(g))

@@ -131,11 +131,11 @@ def realize_mixture(g: GroupData, plan: InterpolationPlan) -> MixtureGroup:
     """Draw the withholding mask and materialize the mixed scores."""
     if plan.mode != MODE_MONTE_CARLO:
         raise ValueError("realize_mixture requires a monte_carlo plan")
+    scores, labels = g.samples()
     rng = np.random.default_rng(plan.seed)
     # One stream in sample order keeps the mask reproducible per seed.
     withheld = rng.random(len(g)) < plan.alpha
-    scores = np.where(withheld, plan.trivial_output, g.scores)
-    realized = GroupData(g.group_id, scores, g.labels)
+    realized = GroupData(g.group_id, np.where(withheld, plan.trivial_output, scores), labels)
     return MixtureGroup(realized, withheld)
 
 

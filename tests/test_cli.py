@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calparity import metrics
+from calparity import cli, metrics
 from calparity.cli import _rounded, build_parser, main
 from calparity.dataset import load_csv, write_csv
 from conftest import make_group
@@ -17,6 +17,11 @@ EXACT = 1e-12
 GOLDEN_MIXED = Path(__file__).parent / "golden" / "inputs" / "mixed.csv"
 
 BINS_BOUND = "fixed-width binning needs 1 <= bins <= 2**53"
+
+DIAGNOSE_ARGS = [
+    "--cost", "1,1,1,1", "--cost2", "1,2,2,1", "--delta-cal", "0.05", "--delta-cost", "0.05",
+    "--matrix-max", "2", "--denominator", "12",
+]  # fmt: skip
 
 
 def run(capsys, *argv):
@@ -533,17 +538,20 @@ class TestRejections:
             f"calparity {command[0]}: error: argument --seed: expected a non-negative integer, got '{seed}'"
         )
 
-    def test_mc_output_does_not_read_back(self, tmp_path, capsys):
-        # The withheld column is a fourth field, which load_csv rejects.
+    def test_mc_output_reads_back(self, tmp_path, capsys):
+        # The withheld column is read, checked and dropped, so stats audits the realized output.
         out_csv = tmp_path / "post.csv"
-        code, _, _ = run(
+        code, out, _ = run(
             capsys, "postprocess-calibrated", "--input", str(GOLDEN_MIXED), "--weighted-cost", "1,3",
             "--mode", "mc", "--seed", "4", "--output", str(out_csv),
         )  # fmt: skip
         assert code == 0
+        report = json.loads(out)
         code, out, err = run(capsys, "stats", "--input", str(out_csv))
-        assert code == 1 and out == ""
-        assert err == "error: expected header 'group,score,label', got ['group', 'score', 'label', 'withheld']\n"
+        assert code == 0 and err == ""
+        stats = {g["group"]: g for g in json.loads(out)["groups"]}
+        assert [g["n"] for g in stats.values()] == [len(g) for g in load_csv(GOLDEN_MIXED)]
+        assert stats[report["group2"]]["calibration"]["gap"] == report["realized"]["g2_gap"]
 
     def test_moment_rates_off_the_unit_square(self, tmp_path, capsys):
         # Miscalibrated: every score 0.5 but one positive in five.
@@ -604,6 +612,54 @@ class TestRejections:
         assert report == {"a": [0.123456789012, {"b": 2}], "c": "x"}
         with pytest.raises(ValueError, match="b is not finite"):
             _rounded({"a": [{"b": float("nan")}]})
+
+
+class TestSamples:
+    """Only realizing a mixture, flipping scores and writing rows keep the rows."""
+
+    @pytest.mark.parametrize(
+        "argv, samples",
+        [
+            (["stats"], False),
+            (["stats", "--binning", "fixed:5"], False),
+            (["postprocess-calibrated", "--weighted-cost", "1,3"], False),
+            (["postprocess-calibrated", "--weighted-cost", "1,3", "--output", "OUT"], True),
+            (["postprocess-calibrated", "--weighted-cost", "1,3", "--mode", "mc", "--seed", "4"], True),
+            (["postprocess-eo"], False),
+            (["postprocess-eo", "--output", "OUT"], True),
+            (["diagnose", *DIAGNOSE_ARGS], False),
+            (["plot-data", "--weighted-cost", "1,3"], False),
+        ],
+    )
+    def test_rows_are_loaded_only_where_read(self, tmp_path, capsys, monkeypatch, argv, samples):
+        seen = []
+
+        def recording_load(path, samples=True):
+            seen.append(samples)
+            return load_csv(path, samples=samples)
+
+        monkeypatch.setattr(cli, "load_csv", recording_load)
+        argv = [str(tmp_path / "out.csv") if a == "OUT" else a for a in argv]
+        code, _, _ = run(capsys, *argv, "--input", str(GOLDEN_MIXED))
+        assert code == 0 and seen == [samples]
+
+    @pytest.mark.parametrize(
+        "argv, gid",
+        [
+            (["postprocess-calibrated", "--weighted-cost", "1,3", "--mode", "mc", "--seed", "4"], "B"),
+            (["postprocess-eo", "--output", "OUT"], "A"),
+            (["postprocess-calibrated", "--weighted-cost", "1,3", "--output", "OUT"], "A"),
+        ],
+        ids=["realize_mixture", "flipped_scores", "write_csv"],
+    )
+    def test_rows_missing_is_one_line(self, tmp_path, capsys, monkeypatch, argv, gid):
+        # Were the rows not loaded, each reader of them fails by name, not on None.
+        monkeypatch.setattr(cli, "load_csv", lambda path, samples=True: load_csv(path, samples=False))
+        out_csv = tmp_path / "out.csv"
+        argv = [str(out_csv) if a == "OUT" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--input", str(GOLDEN_MIXED))
+        assert (code, out) == (1, "") and not out_csv.exists()
+        assert err == f"error: group {gid!r} was loaded without its samples, which this needs\n"
 
 
 class TestExitCodes:

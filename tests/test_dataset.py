@@ -1,12 +1,16 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from calparity import dataset
 from calparity.dataset import CsvFormatError, GroupData, SynthSpec, load_csv, synth, write_csv
-from calparity.metrics import calibration_gap
+from calparity.eo import flipped_scores
+from calparity.metrics import analytic_rates, calibration_gap, linearity_residual, rate_point
+from calparity.parity import MODE_MONTE_CARLO, InterpolationPlan, realize_mixture
 
 
 def _write(tmp_path, text):
@@ -92,6 +96,44 @@ class TestLoadCsv:
             b'"B, west",0.125,1,1\r\n"B, west",1.0,0,0\r\n'
         )
 
+    def test_withheld_column_reads_back(self, tmp_path):
+        path = _write(tmp_path, "group,score,label,withheld\nA,0.2,0,1\nA,0.8,1,0\n")
+        for samples in (True, False):
+            (g,) = load_csv(path, samples=samples)
+            assert (g.group_id, len(g), g.base_rate) == ("A", 2, 0.5)
+            assert g.atoms[0].tolist() == [0.2, 0.8]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("group,score,label,withheld\nA,0.2,0,1\nA,0.8,1,2\n", "row 3: withheld must be 0 or 1, got '2'"),
+            ("group,score,label,withheld\nA,0.2,0,1\nA,0.8,1, \n", "row 3: withheld must be 0 or 1, got ''"),
+            ("group,score,label,withheld\nA,0.2,0\n", "row 2: expected 4 columns, got 3"),
+            ("group,score,label\nA,0.2,0,1\n", "row 2: expected 3 columns, got 4"),
+            (
+                "group,score,label,extra\nA,0.2,0,1\n",
+                "expected header 'group,score,label' or 'group,score,label,withheld', "
+                "got ['group', 'score', 'label', 'extra']",
+            ),
+        ],
+        ids=["two", "blank", "short-row", "long-row", "extra-header"],
+    )
+    def test_withheld_column_errors(self, tmp_path, text, message):
+        path = _write(tmp_path, text)
+        for samples in (True, False):
+            with pytest.raises(CsvFormatError) as info:
+                load_csv(path, samples=samples)
+            assert str(info.value) == message
+
+    def test_without_samples(self, tmp_path):
+        path = _write(tmp_path, "group,score,label\nA,0.5,0\nB,0.1,1\nA,0.2,1\nB,0.1,0\nA,0.5,1\n")
+        groups = load_csv(path, samples=False)
+        assert [(g.group_id, len(g), g.base_rate, g.scores, g.labels) for g in groups] == [
+            ("A", 3, 2 / 3, None, None),
+            ("B", 2, 0.5, None, None),
+        ]
+        assert [a.tolist() for a in groups[0].atoms] == [[0.2, 0.5], [0.0, 1.0], [1.0, 1.0]]
+
 
 class TestGroupData:
     @pytest.mark.parametrize(
@@ -102,8 +144,9 @@ class TestGroupData:
         assert g.base_rate == expected
 
     def test_rejects_bad_scores(self):
-        with pytest.raises(ValueError, match="outside"):
-            GroupData("g", np.array([0.2, 1.5]), np.array([0, 1]))
+        for bad in (1.5, float("nan")):
+            with pytest.raises(ValueError, match="outside"):
+                GroupData("g", np.array([0.2, bad]), np.array([0, 1]))
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="non-binary"):
@@ -141,6 +184,118 @@ class TestGroupData:
     def test_base_rate_is_exact_label_mean(self, labels):
         g = GroupData("g", np.full(len(labels), 0.5), np.array(labels))
         assert g.base_rate == sum(labels) / len(labels)
+        table = GroupData("g", table=g.atoms)
+        assert (table.base_rate, len(table)) == (g.base_rate, len(g))
+
+
+class TestAtomTableOnly:
+    def test_holds_no_samples(self):
+        g = GroupData("A", table=([0.1, 0.5], [2, 1], [1, 3]))
+        assert (g.scores, g.labels, len(g), g.base_rate) == (None, None, 7, 4 / 7)
+        with pytest.raises(ValueError, match="group 'A' was loaded without its samples"):
+            g.samples()
+        with pytest.raises(ValueError):
+            g.atoms[1][0] = 5.0
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            (([], [], []), "group 'A' has no samples"),
+            (([0.1, 1.5], [1, 1], [1, 1]), "group 'A' has scores outside \\[0, 1\\]"),
+            (([0.1, float("nan")], [1, 1], [1, 1]), "group 'A' has scores outside \\[0, 1\\]"),
+            (([0.1, 0.5], [0, 0], [1, 2]), "group 'A' contains a single class \\(base rate 1.0\\)"),
+            (([0.5, 0.1], [1, 1], [1, 1]), "distinct and ascending"),
+            (([0.5, 0.5], [1, 1], [1, 1]), "distinct and ascending"),
+            (([0.5], [1, 1], [1]), "equal length"),
+        ],
+    )
+    def test_same_checks(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            GroupData("A", table=table)
+
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda g, tmp: realize_mixture(g, InterpolationPlan(0.5, g.base_rate, MODE_MONTE_CARLO, 1)),
+            lambda g, tmp: flipped_scores(g, 0.1, 0.2),
+            lambda g, tmp: write_csv([g], tmp / "out.csv"),
+        ],
+        ids=["realize_mixture", "flipped_scores", "write_csv"],
+    )
+    def test_sample_readers_name_the_group(self, tmp_path, use):
+        g = GroupData("A", table=([0.1, 0.5], [2, 1], [1, 3]))
+        with pytest.raises(ValueError, match="^group 'A' was loaded without its samples, which this needs$"):
+            use(g, tmp_path)
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_samples_or_table(self):
+        with pytest.raises(ValueError, match="not both"):
+            GroupData("A", np.array([0.1, 0.2]), np.array([0, 1]), table=([0.1, 0.2], [1, 0], [0, 1]))
+
+
+def _stats(g: GroupData):
+    """Every report statistic of a group as ``==``-comparable values, and its atom table as bytes."""
+    fixed = calibration_gap(g, "fixed-width", 7)
+    exact = calibration_gap(g)
+    return (
+        [a.tobytes() for a in g.atoms], len(g), g.base_rate, rate_point(g), analytic_rates(g), linearity_residual(g),
+        exact.gap, exact.per_bin.tolist(), fixed.gap, fixed.per_bin.tolist(),
+    )  # fmt: skip
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 0.1]), st.floats(0.0, 1.0)), st.booleans()),
+        min_size=2,
+        max_size=80,
+    ).filter(lambda rows: 0 < sum(label for _, label in rows) < len(rows)),
+    st.integers(1, 9),
+    st.randoms(use_true_random=False),
+)
+def test_shuffled_chunks_give_equal_statistics(rows, atom_chunk, rng):
+    """An atom table tallied from chunks in any order gives ``==`` rates, moments and gaps."""
+    scores = np.array([s for s, _ in rows])
+    labels = np.array([label for _, label in rows])
+    whole = _stats(GroupData("g", scores, labels))
+    cuts = sorted(rng.sample(range(1, len(rows)), rng.randint(0, len(rows) - 1)))
+    chunks = list(zip(np.split(scores, cuts), np.split(labels, cuts)))
+    rng.shuffle(chunks)
+    with mock.patch.object(dataset, "_ATOM_CHUNK", atom_chunk):
+        tally = dataset._Tally()
+        for s, label in chunks:
+            tally.add(s, label)
+        assert _stats(GroupData("g", table=tally.table())) == whole
+        shuffled = [i for _, i in sorted(zip([rng.random() for _ in rows], range(len(rows))))]
+        assert _stats(GroupData("g", scores[shuffled], labels[shuffled])) == whole
+
+
+def test_samples_free_load_memory(tmp_path):
+    """Loading atoms only holds one block and the distinct scores, not every row.
+
+    tracemalloc sees numpy's buffers. The chunk sizes are fixed here so
+    that the bound tests the structure, not their tuning: a loader that
+    held every row before reducing it would peak near the samples load.
+    """
+    import tracemalloc
+
+    groups = [
+        synth(SynthSpec(100_000, "beta_grid", (2, 4, 20), seed=1, group_id="A")),
+        synth(SynthSpec(100_000, "grid", (0.1, 0.9, 9), seed=2, group_id="B")),
+    ]
+    path = tmp_path / "200k.csv"
+    write_csv(groups, path)
+    peaks = {}
+    with mock.patch.object(dataset, "_CHUNK", 1 << 14), mock.patch.object(dataset, "_ATOM_CHUNK", 1 << 12):
+        for samples in (False, True):
+            tracemalloc.start()
+            try:
+                loaded = load_csv(path, samples=samples)
+                peaks[samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert [len(g) for g in loaded] == [100_000, 100_000]
+    assert peaks[False] < peaks[True] / 4, peaks
 
 
 class TestSynthCalibrated:

@@ -1,14 +1,17 @@
-"""Differential test: the columnar CSV parser against the row-by-row reference.
+"""Differential test: the chunked columnar CSV loader against the row-by-row reference.
 
-``load_csv`` parses clean input with one ``np.loadtxt`` pass and hands
-anything else to ``_load_reference``. For any bytes, both must return the
-same groups (ids, order, score bits, labels) or raise the same error.
+``load_csv`` parses clean input in ``np.loadtxt`` blocks and hands anything
+else to ``_load_reference``. For any bytes, both must return the same
+groups or raise the same error. With samples kept that means the same ids,
+order, score bits and labels; without, the same ids, order, sizes, base
+rates and atom tables.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from calparity import dataset
-from calparity.dataset import CsvFormatError, SynthSpec, load_csv, synth, write_csv
+from calparity.dataset import CsvFormatError, GroupData, SynthSpec, load_csv, synth, write_csv
 
 GOLDEN_MIXED = "tests/golden/inputs/mixed.csv"
 
@@ -26,6 +29,9 @@ HEADERS = [
     '"group",score,label',
     "group,score",
     "group,score,label,extra",
+    "group,score,label,withheld",
+    "group,score,label, withheld ",
+    "group,score,label",
     "",
 ]
 IDS = ["A", "B", "grp-7", "x" * 40, "", "B west", "nan", "1", "A#b"]
@@ -41,7 +47,8 @@ MUTATIONS = {
         "", "5.", "1e", "0x1p-1", "oops", "infinity", "2e-1 ", "1e400", "0.5\x00", "٠.5", "0.5#1",
     ],
     "label": ["10", "1.0", " 1", "1 ", "2", "", "01", "1\x00", "-1", "1\x1f", "True", "1#c"],
-    "line": ["", " ", "\t", "\x0c", "A,0.5", "A,0.5,1,", "A,0.5,1,x", ",,", "#A,0.5,1"],
+    "withheld": ["10", "1.0", " 1", "0 ", "2", "", "01", "-1", "True", "1#c"],
+    "line": ["", " ", "\t", "\x0c", "A,0.5", "A,0.5,1,", "A,0.5,1,x", ",,", "#A,0.5,1", "A,0.5,1,0,1"],
     "header": HEADERS,
     "bytes": [b"\x00", b'"', "é".encode(), b"\xff", codecs.BOM_UTF8, b"\r", b"\n", b","],
     "single": [None],
@@ -52,20 +59,25 @@ NEWLINES = ["\n", "\r\n", "\r"]
 
 @st.composite
 def csv_bytes(draw) -> bytes:
-    """A valid file, interleaved across groups, then up to two mutations."""
+    """A valid file, interleaved across groups, maybe with a ``withheld`` column, then up to two mutations."""
     ids = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=3, unique=True))
     extra = draw(st.lists(st.tuples(st.sampled_from(ids), SCORES, st.sampled_from("01")), max_size=20))
     both = [(gid, draw(SCORES), label) for gid in ids for label in "01"]
     rows = [list(r) for r in draw(st.permutations(both + extra))]
     header, empty = "group,score,label", False
+    if draw(st.booleans()):
+        header += ",withheld"
+        rows = [[*row, draw(st.sampled_from("01"))] for row in rows]
     inserts, raw = [], []
     for kind in draw(st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=2)):
         value = draw(st.sampled_from(MUTATIONS[kind]))
         at = draw(st.integers(0, len(rows) - 1))
         if kind == "id":  # rename the whole group, so that it keeps both classes
             rows = [[value if row[0] == rows[at][0] else row[0], *row[1:]] for row in rows]
-        elif kind in ("score", "label"):
-            rows[at][("score", "label").index(kind) + 1] = value
+        elif kind in ("score", "label", "withheld"):
+            column = ("score", "label", "withheld").index(kind) + 1
+            if column < len(rows[at]):
+                rows[at][column] = value
         elif kind == "line":
             inserts.append((at, value))
         elif kind == "header":
@@ -89,12 +101,20 @@ def csv_bytes(draw) -> bytes:
     return data
 
 
-def _outcome(loader, path):
+def _outcome(loader, path, samples=True):
+    """What ``loader`` makes of ``path``: per group its samples or its atoms, or the error."""
     try:
         groups = loader(path)
     except Exception as exc:  # every error must match, including csv.Error
         return type(exc), str(exc)
-    return [(g.group_id, g.scores.tobytes(), g.labels.dtype, g.labels.tobytes()) for g in groups]
+    if samples:
+        return [(g.group_id, g.scores.tobytes(), g.labels.dtype, g.labels.tobytes()) for g in groups]
+    return [(g.group_id, len(g), g.base_rate, *(a.tobytes() for a in g.atoms)) for g in groups]
+
+
+def _line_chars(data: bytes) -> int:
+    """Mean line length of ``data``, line ends included: the text a block of one row reads."""
+    return max(1, len(data) // (1 + data.count(b"\n") + data.count(b"\r")))
 
 
 @pytest.fixture(scope="module")
@@ -120,10 +140,36 @@ def csv_path(tmp_path_factory):
 @example(b"group,score,label\nA,0.5,1\nA,0.2,1\n")
 @example(b"group,score,label\n")
 @example(b"")
+@example(b"group,score,label,withheld\r\nA,0.5,1,1\r\nA,0.2,0,0\r\n")
+@example(b"group,score,label,withheld\nA,0.5,1,1\nA,0.2,0,2\n")
+@example(b"group,score,label,withheld\nA,0.5,1\nA,0.2,0\n")
+@example(b"group,score,label\nA,0.5,1,0\nA,0.2,0,1\n")
+@example(b"group,score,label,extra\nA,0.5,1,0\nA,0.2,0,1\n")
+@example(b"group,score,label\nA,0.5,1\nB,-0,1\nB,0,0\nA,-0,0\nB,0.5,0\n")
 def test_fast_path_matches_reference(csv_path, data):
     csv_path.write_bytes(data)
     event("reference" if _outcome(lambda p: dataset._load_columnar(p) or [], csv_path) == [] else "columnar")
     assert _outcome(load_csv, csv_path) == _outcome(dataset._load_reference, csv_path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_bytes(), st.sampled_from([1, 2, 3]), st.booleans(), st.sampled_from([1, 2, 5, 1 << 17]))
+@example(b"group,score,label\nA,0.5,1\nB,-0,1\nB,0,0\nA,-0,0\nB,0.5,0\nA,0.5,0\n", 1, False, 1)
+@example(b"group,score,label,withheld\rA,0.5,1,1\rA,0.2,0,0\r\rB,0.2,0,1\rB,0.7,1,0", 2, True, 2)
+@example(b"group,score,label\n\n\n\nA,0.5,1\n\n\n\n\n\nA,0.2,0\n\n\n", 1, False, 1)
+def test_chunked_loader_matches_reference(csv_path, data, rows, samples, atom_chunk):
+    """Blocks of about 1, 2 or 3 rows, tallies pooled every few samples: same groups, same errors."""
+    csv_path.write_bytes(data)
+    reference = _outcome(dataset._load_reference if samples else _reference_tables, csv_path, samples)
+    with mock.patch.object(dataset, "_CHUNK", rows * _line_chars(data)), mock.patch.object(
+        dataset, "_ATOM_CHUNK", atom_chunk
+    ):
+        assert _outcome(lambda p: load_csv(p, samples=samples), csv_path, samples) == reference
+
+
+def _reference_tables(path):
+    """The reference parser's groups, reduced to their atom tables."""
+    return [GroupData(g.group_id, table=g.atoms) for g in dataset._load_reference(path)]
 
 
 @pytest.mark.parametrize("spare", [0, 1, 7])
@@ -136,14 +182,16 @@ def test_long_lines_across_chunks(csv_path, spare):
     """
     limit = csv.field_size_limit()
     gid = "B" * (limit - 6 + spare)
-    head = "group,score,label\n" + "A,0.5,1\nA,0.25,0\n" * 40_000
+    pairs = dataset._CHUNK // 64
+    head = "group,score,label\n" + "A,0.5,1\nA,0.25,0\n" * pairs
     pads = (dataset._CHUNK - len(head) - limit // 2) // 8
+    assert pads > 0  # the long lines start in the first chunk and end in the second
     csv_path.write_text(head + "A,0.5,1\n" * pads + f"{gid},0.5,1\n{gid},0.5,0\n", encoding="ascii")
     assert (dataset._load_columnar(csv_path) is None) == (spare > 0)
     outcome = _outcome(load_csv, csv_path)
     assert outcome == _outcome(dataset._load_reference, csv_path)
     if len(gid) > limit:
-        row = 1 + 80_000 + pads + 1
+        row = 1 + 2 * pairs + pads + 1
         assert outcome == (CsvFormatError, f"row {row}: field larger than field limit ({limit})")
 
 
@@ -165,7 +213,10 @@ def test_fast_path_serves_clean_input(tmp_path, monkeypatch):
     cr = tmp_path / "cr.csv"
     cr.write_bytes((tmp_path / "crlf.csv").read_bytes().replace(b"\r\n", b"\r"))
     assert cr.stat().st_size > csv.field_size_limit()
-    paths = (GOLDEN_MIXED, written, bom, cr)
+    # A Monte Carlo output, with its withheld column.
+    mc = tmp_path / "mc.csv"
+    write_csv([a, b], mc, withheld={"B": np.arange(len(b)) % 2})
+    paths = (GOLDEN_MIXED, written, bom, cr, mc)
     expected = {path: dataset._load_reference(path) for path in paths}
     monkeypatch.setattr(dataset, "_load_reference", _refuse)
     for path, want in expected.items():
@@ -175,4 +226,9 @@ def test_fast_path_serves_clean_input(tmp_path, monkeypatch):
         for g, w in zip(got, want):
             assert g.scores.tobytes() == w.scores.tobytes()
             assert np.array_equal(g.labels, w.labels)
+        tables = load_csv(path, samples=False)
+        assert [g.group_id for g in tables] == [g.group_id for g in want]
+        for g, w in zip(tables, want):
+            assert g.scores is None and len(g) == len(w) and g.base_rate == w.base_rate
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(g.atoms, w.atoms))
     assert [g.group_id for g in load_csv(written)] == ["A", "B"]
