@@ -19,7 +19,7 @@ import numpy as np
 
 from . import eo as eo_mod
 from .cost import CostPair, CostSpec, cost, trivial_cost, weighted_cost_spec
-from .dataset import GroupData, SynthSpec, load_csv, synth, write_csv
+from .dataset import GroupData, SynthGroup, SynthSpec, load_csv, row_chunks, write_csv, write_rows
 from .impossibility import approximate_bound, build_matrix, exact_impossibility_check
 from .metrics import analytic_rates, calibration_gap, linearity_residual, rate_point
 from .parity import (
@@ -325,12 +325,13 @@ def cmd_postprocess_eo(args) -> int:
         g.group_id: eo_mod.eo_calibration_damage(g, plan) for g in (g1, g2)
     }
     if args.output:
-        flipped = []
-        for g in groups:
-            pair = plan.for_group(g.group_id)
-            scores = eo_mod.flipped_scores(g, pair.q_n2p, pair.q_p2n)
-            flipped.append(GroupData(g.group_id, scores, g.labels))
-        write_csv(flipped, args.output)
+        # Checked before the file is opened; each group's scores are flipped as it is written.
+        rows = [(g, plan.for_group(g.group_id), g.samples()[1]) for g in groups]
+        flipped = (
+            (g.group_id, row_chunks(eo_mod.flipped_scores(g, f.q_n2p, f.q_p2n), labels))
+            for g, f, labels in rows
+        )
+        write_rows(args.output, flipped)
     _emit(report)
     return EXIT_OK
 
@@ -415,14 +416,15 @@ def cmd_synth(args) -> int:
             specs.append(SynthSpec(group_id=gid, **fields))
         except ValueError as exc:
             raise ValueError(f"synth spec groups[{i}]: {exc}") from None
-    groups = [synth(spec) for spec in specs]
-    write_csv(groups, args.output)
+    # Every group is drawn and checked before the file is opened.
+    groups = [SynthGroup(spec) for spec in specs]
+    write_rows(args.output, ((g.spec.group_id, g.chunks()) for g in groups))
     _emit(
         {
             "written": str(args.output),
             "groups": [
-                {"id": g.group_id, "n": len(g), "seed": spec.seed, "base_rate": g.base_rate}
-                for g, spec in zip(groups, specs)
+                {"id": g.spec.group_id, "n": g.spec.n, "seed": g.spec.seed, "base_rate": g.base_rate}
+                for g in groups
             ],
         }
     )

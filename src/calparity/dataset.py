@@ -12,10 +12,12 @@ them.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import os
 import warnings
+import weakref
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -51,10 +53,13 @@ class GroupData:
     """One population group: its atom table, and its samples where they are kept.
 
     Built from ``scores`` and ``labels``, a group keeps its samples in
-    order, copied and frozen, and builds its atom table on first use. Built
-    from ``table`` alone, an atom table as ``atoms`` describes it, the group
-    holds no samples: ``scores`` and ``labels`` are None and ``samples()``
-    raises. Both forms make the same checks with the same messages, and
+    order, copied and frozen, and builds its atom table on first use. An
+    array another group froze is shared, not copied, where it has the
+    dtype this one keeps (float64 scores, int64 labels). Labels must equal
+    0 or 1 as given, so 0.5 or NaN is rejected, not truncated by the cast.
+    Built from ``table`` alone, an atom table as ``atoms`` describes it,
+    the group holds no samples: ``scores`` and ``labels`` are None and
+    ``samples()`` raises. Both forms make the same checks with the same messages, and
     ``base_rate``, the mean label cached at construction, is the same float
     either way. Instances are safe to share across threads.
     """
@@ -68,11 +73,10 @@ class GroupData:
 
     def __post_init__(self, table) -> None:
         if table is None:
-            scores = np.asarray(self.scores, dtype=float).copy()
-            labels = np.asarray(self.labels, dtype=np.int64).copy()
+            scores, labels = np.asarray(self.scores, dtype=float), np.asarray(self.labels)
             if scores.ndim != 1 or labels.shape != scores.shape:
                 raise ValueError("scores and labels must be 1-d arrays of equal length")
-            values, size, positives = scores, scores.size, labels.sum()
+            values, size = scores, scores.size
         else:
             if self.scores is not None or self.labels is not None:
                 raise ValueError("give a group samples or an atom table, not both")
@@ -87,22 +91,17 @@ class GroupData:
         if not np.all((values >= 0.0) & (values <= 1.0)):  # NaN fails too
             raise ValueError(f"group {self.group_id!r} has scores outside [0, 1]")
         if table is None:
-            if not np.all((labels == 0) | (labels == 1)):
+            if not _binary(labels):
                 raise ValueError(f"group {self.group_id!r} has non-binary labels")
-            scores.setflags(write=False)
-            labels.setflags(write=False)
+            scores, labels = _frozen(scores, np.float64), _frozen(labels, np.int64)
+            positives = labels.sum()
             object.__setattr__(self, "scores", scores)
             object.__setattr__(self, "labels", labels)
         else:
             for a in atoms:
                 a.setflags(write=False)
             self.__dict__["atoms"] = atoms  # the cache of the ``atoms`` property
-        mu = float(positives) / size
-        if not 0.0 < mu < 1.0:
-            raise ValueError(
-                f"group {self.group_id!r} contains a single class (base rate {mu})"
-            )
-        object.__setattr__(self, "base_rate", mu)
+        object.__setattr__(self, "base_rate", _base_rate(self.group_id, positives, size))
         object.__setattr__(self, "_size", int(size))
 
     def __len__(self) -> int:
@@ -133,6 +132,33 @@ class GroupData:
         for a in atoms:
             a.setflags(write=False)
         return atoms
+
+
+# Arrays a GroupData has frozen, by id; another GroupData may hold one without a copy.
+_FROZEN: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+
+
+def _frozen(a: np.ndarray, dtype: type[np.generic]) -> np.ndarray:
+    """``a`` itself if a GroupData froze it as ``dtype``, else a frozen copy of it as ``dtype``."""
+    if _FROZEN.get(id(a)) is a and a.dtype == dtype and not a.flags.writeable:
+        return a
+    a = a.astype(dtype)
+    a.setflags(write=False)
+    _FROZEN[id(a)] = a
+    return a
+
+
+def _binary(a: np.ndarray) -> bool:
+    """Every value equals 0 or 1; checked before any cast, which would truncate 0.5 to 0."""
+    return bool(np.all((a == 0) | (a == 1)))
+
+
+def _base_rate(group_id: str, positives: float, size: int) -> float:
+    """The mean label; ValueError naming the group if it holds a single class."""
+    mu = float(positives) / size
+    if not 0.0 < mu < 1.0:
+        raise ValueError(f"group {group_id!r} contains a single class (base rate {mu})")
+    return mu
 
 
 # Samples a group's atom table takes in before it pools them (or twice its
@@ -425,59 +451,84 @@ def _numbered_rows(fh: TextIO) -> Iterator[tuple[int, list[str]]]:
 # overhead, small enough that the chunk's strings never set the peak memory.
 _WRITE_CHUNK = 1 << 16
 
+# One piece of a group's rows: scores, labels and, with a ``withheld``
+# column, the mask (None reads 0), each a 1-d array of the same, non-zero length.
+Chunk = tuple[np.ndarray, np.ndarray, "np.ndarray | None"]
+
+
+def row_chunks(scores: np.ndarray, labels: np.ndarray, mask: np.ndarray | None = None) -> Iterator[Chunk]:
+    """A group's columns in pieces of ``_WRITE_CHUNK`` rows, for ``write_rows``."""
+    for lo in range(0, len(scores), _WRITE_CHUNK):
+        chunk = slice(lo, lo + _WRITE_CHUNK)
+        yield scores[chunk], labels[chunk], None if mask is None else mask[chunk]
+
+
+def write_rows(
+    path: str | Path, groups: Iterable[tuple[str, Iterable[Chunk]]], withheld: bool = False
+) -> None:
+    """Write each ``(group_id, chunks)`` pair's rows as CSV, chunk by chunk.
+
+    This is the one row writer: ``write_csv`` and ``synth`` both feed it,
+    and it holds one chunk's text at a time, however the chunks are made.
+    Labels are 0/1 or bool; with ``withheld`` a fourth column holds each
+    chunk's mask as 0/1. Nothing is checked here: callers check before
+    they call, so that a bad input leaves no file behind.
+
+    Each chunk formats each distinct score once: ``np.unique`` over the
+    score bits (so ``-0.0`` and ``0.0`` keep their own text), one ``repr``
+    per distinct value, and a table of whole lines per (score, line
+    ending) that the rows index. ``repr`` is the shortest string that
+    parses back to the identical float, and the bytes are those
+    ``csv.writer`` writes with one ``repr`` per row; the id field comes
+    from ``csv.writer`` itself, so ids are quoted as it quotes them.
+    """
+    suffixes = (",0", ",1") if withheld else ("",)
+    ends = np.array([f",{label}{w}\r\n" for label in "01" for w in suffixes], dtype=object)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(CSV_HEADER + (WITHHELD,) if withheld else CSV_HEADER)
+        for group_id, chunks in groups:
+            prefix = _row_prefix(group_id)
+            for scores, labels, mask in chunks:
+                keys, inverse = np.unique(scores.view(np.uint64), return_inverse=True)
+                text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+                code = labels * len(suffixes)  # index into ends
+                if mask is not None:
+                    code += mask
+                lines = np.add.outer(text, ends)  # each line after the id field
+                fh.write(prefix)
+                fh.write(prefix.join(lines[inverse, code].tolist()))
+
 
 def write_csv(
     groups: Sequence[GroupData], path: str | Path, withheld: Mapping[str, np.ndarray] | None = None
 ) -> None:
     """Write groups back to the CSV schema, round-tripping values exactly.
 
-    Scores are emitted with ``repr``, which is the shortest string that
-    parses back to the identical float. With ``withheld`` a fourth column
-    holds each group's Monte Carlo withholding mask as 0/1; groups missing
-    from the mapping were not post-processed and read 0. A mask whose
-    length differs from its group's, or that holds a value other than 0 or
-    1, raises ValueError before the file is opened, as does a group that
-    holds only its atom table.
-
-    Each group is streamed in chunks of ``_WRITE_CHUNK`` rows, and each chunk
-    formats each distinct score once: ``np.unique`` over the score bits (so
-    ``-0.0`` and ``0.0`` keep their own text), one ``repr`` per distinct
-    value, and a table of whole lines per (score, line ending) that the rows
-    index. The bytes are those ``csv.writer`` writes with one ``repr`` per
-    row; the id field comes from ``csv.writer`` itself, so ids are quoted as
-    it quotes them.
+    Each group's samples go through ``write_rows`` in chunks of
+    ``_WRITE_CHUNK`` rows. With ``withheld`` a fourth column holds each
+    group's Monte Carlo withholding mask as 0/1; groups missing from the
+    mapping were not post-processed and read 0. A mask whose length
+    differs from its group's, or that holds a value other than 0 or 1
+    (such as 0.5 or NaN), raises ValueError before the file is opened, as
+    does a group that holds only its atom table.
     """
     rows = [g.samples() for g in groups]
     masks = [None if withheld is None else _withheld_mask(g, withheld) for g in groups]
-    suffixes = ("",) if withheld is None else (",0", ",1")
-    ends = np.array([f",{label}{w}\r\n" for label in "01" for w in suffixes], dtype=object)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(CSV_HEADER if withheld is None else CSV_HEADER + (WITHHELD,))
-        for g, (scores, labels), mask in zip(groups, rows, masks):
-            prefix = _row_prefix(g.group_id)
-            bits = scores.view(np.uint64)
-            for lo in range(0, len(g), _WRITE_CHUNK):
-                chunk = slice(lo, lo + _WRITE_CHUNK)
-                keys, inverse = np.unique(bits[chunk], return_inverse=True)
-                text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-                code = labels[chunk] * len(suffixes)  # index into ends
-                if mask is not None:
-                    code += mask[chunk]
-                lines = np.add.outer(text, ends)  # each line after the id field
-                fh.write(prefix)
-                fh.write(prefix.join(lines[inverse, code].tolist()))
+    parts = ((g.group_id, row_chunks(*r, mask)) for g, r, mask in zip(groups, rows, masks))
+    write_rows(path, parts, withheld is not None)
 
 
 def _withheld_mask(g: GroupData, withheld: Mapping[str, np.ndarray]) -> np.ndarray | None:
+    """The group's mask as bool, after checking its values as given."""
     mask = withheld.get(g.group_id)
     if mask is None:
         return None
-    mask = np.asarray(mask).astype(np.int64)
-    if mask.shape != (len(g),) or not np.all((mask == 0) | (mask == 1)):
+    mask = np.asarray(mask)
+    if mask.shape != (len(g),) or not _binary(mask):
         raise ValueError(
             f"withheld mask for group {g.group_id!r} must hold {len(g)} values of 0 or 1"
         )
-    return mask
+    return mask == 1
 
 
 def _row_prefix(group_id: str) -> str:
@@ -534,17 +585,85 @@ class SynthSpec:
 
 
 def _draw_scores(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
+    """The group's scores, drawn ``_WRITE_CHUNK`` at a time into one array.
+
+    Each draw takes its values from the stream in order, so the pieces
+    hold the values one whole-array draw gives, and the draw temporaries
+    are one chunk's.
+    """
     if spec.family == "point_mass":
         return np.full(spec.n, float(spec.params[0]))
     if spec.family == "grid":
         lo, hi, k = spec.params
         values = np.linspace(lo, hi, int(k))
-        return rng.choice(values, size=spec.n)
-    a, b, bins = spec.params
-    bins = int(bins)
-    raw = rng.beta(a, b, size=spec.n)
-    idx = np.minimum((raw * bins).astype(int), bins - 1)
-    return (idx + 0.5) / bins
+
+        def draw(m: int) -> np.ndarray:
+            return rng.choice(values, size=m)
+
+    else:
+        a, b, bins = spec.params
+        bins = int(bins)
+
+        def draw(m: int) -> np.ndarray:
+            return (np.minimum((rng.beta(a, b, size=m) * bins).astype(int), bins - 1) + 0.5) / bins
+
+    scores = np.empty(spec.n)
+    for start in range(0, spec.n, _WRITE_CHUNK):
+        out = scores[start : start + _WRITE_CHUNK]
+        out[:] = draw(len(out))
+    return scores
+
+
+def _label_probs(scores: np.ndarray, shift: float) -> np.ndarray:
+    """Each label's chance of being 1: clamp(score + shift) to [0, 1]."""
+    if shift == 0.0:
+        return scores  # scores lie in [0, 1] already
+    probs = scores + shift
+    return np.clip(probs, 0.0, 1.0, out=probs)
+
+
+@dataclass(frozen=True, eq=False)
+class SynthGroup:
+    """A synthetic group, drawn from its spec and checked, ready for ``write_rows``.
+
+    Draws the scores ``_WRITE_CHUNK`` at a time into one array, the 8
+    bytes a row it holds. Raises ValueError if the mean label probability
+    is 0 or 1 (a degenerate spec) or if the labels hold a single class,
+    worded as ``GroupData`` words it. The mean is numpy's pairwise sum
+    over the whole probability array, so the check does not depend on
+    the chunk size; with a shift that array costs 8 bytes a row more
+    while the check runs. The labels are counted for ``base_rate`` and
+    dropped: the generator state after the score draws is kept, and
+    ``chunks`` draws the same labels again, a chunk at a time.
+    """
+
+    spec: SynthSpec
+    scores: np.ndarray = field(init=False)
+    base_rate: float = field(init=False)
+    _label_rng: np.random.Generator = field(init=False, repr=False)  # where the label draws start
+
+    def __post_init__(self) -> None:
+        spec = self.spec
+        rng = np.random.default_rng(spec.seed)
+        scores = _draw_scores(spec, rng)
+        mean_prob = float(_label_probs(scores, spec.miscalibration_shift).mean())
+        if mean_prob <= 0.0 or mean_prob >= 1.0:
+            raise ValueError(
+                "degenerate synthetic spec: labels would be single-class in expectation"
+            )
+        scores.setflags(write=False)
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "_label_rng", rng)
+        positives = sum(int(np.count_nonzero(labels)) for _, labels, _ in self.chunks())
+        object.__setattr__(self, "base_rate", _base_rate(spec.group_id, positives, spec.n))
+
+    def chunks(self) -> Iterator[Chunk]:
+        """``(scores, labels, None)`` in pieces of ``_WRITE_CHUNK`` rows, for ``write_rows``."""
+        rng = copy.deepcopy(self._label_rng)
+        for lo in range(0, self.spec.n, _WRITE_CHUNK):
+            scores = self.scores[lo : lo + _WRITE_CHUNK]
+            probs = _label_probs(scores, self.spec.miscalibration_shift)
+            yield scores, rng.random(len(scores)) < probs, None
 
 
 def synth(spec: SynthSpec) -> GroupData:
@@ -553,15 +672,9 @@ def synth(spec: SynthSpec) -> GroupData:
     With shift 0 the labels are Bernoulli draws at the score itself, so the
     population calibration gap is zero; otherwise it equals |shift|
     wherever no clamping occurs. Deterministic for a fixed spec (numpy
-    PCG64 under the given seed).
+    PCG64 under the given seed). The draws are those of ``SynthGroup``,
+    which ``calparity synth`` writes without building a GroupData.
     """
-    rng = np.random.default_rng(spec.seed)
-    scores = _draw_scores(spec, rng)
-    probs = np.clip(scores + spec.miscalibration_shift, 0.0, 1.0)
-    mean_prob = float(probs.mean())
-    if mean_prob <= 0.0 or mean_prob >= 1.0:
-        raise ValueError(
-            "degenerate synthetic spec: labels would be single-class in expectation"
-        )
-    labels = (rng.random(spec.n) < probs).astype(np.int64)
-    return GroupData(spec.group_id, scores, labels)
+    drawn = SynthGroup(spec)
+    labels = np.concatenate([labels for _, labels, _ in drawn.chunks()])
+    return GroupData(spec.group_id, drawn.scores, labels)

@@ -6,8 +6,10 @@ per-sample loop, and affine coefficients are recovered by probing the
 rate/loss evaluations at corner points. ``derived_rates`` is the
 per-sample rate computation that ``eo.derived_rates`` must match bit for
 bit, ``write_csv_rows`` is the row-by-row writer that ``dataset.write_csv``
-must match byte for byte, and ``dump_json`` is the dict-per-bin JSON
-writer that the CLI's ``_emit`` must match byte for byte.
+must match byte for byte, ``dump_json`` is the dict-per-bin JSON writer
+that the CLI's ``_emit`` must match byte for byte, and ``synth_whole`` is
+the whole-array generator whose groups the chunked ``dataset.SynthGroup``
+must draw value for value.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import repeat
 
 import numpy as np
 
-from calparity.dataset import CSV_HEADER, GroupData
+from calparity.dataset import CSV_HEADER, GroupData, SynthSpec
 from calparity.metrics import RatePoint
 
 
@@ -35,6 +37,27 @@ def write_csv_rows(groups, path, withheld=None) -> None:
                 columns.append(repeat(0) if mask is None else mask.astype(np.int64).tolist())
             writer.writerows(zip(*columns))
 
+
+
+def synth_whole(spec: SynthSpec) -> GroupData:
+    """Every draw as one whole-array call, each check on the whole group."""
+    rng = np.random.default_rng(spec.seed)
+    if spec.family == "point_mass":
+        scores = np.full(spec.n, float(spec.params[0]))
+    elif spec.family == "grid":
+        lo, hi, k = spec.params
+        scores = rng.choice(np.linspace(lo, hi, int(k)), size=spec.n)
+    else:
+        a, b, bins = spec.params
+        bins = int(bins)
+        idx = np.minimum((rng.beta(a, b, size=spec.n) * bins).astype(int), bins - 1)
+        scores = (idx + 0.5) / bins
+    probs = np.clip(scores + spec.miscalibration_shift, 0.0, 1.0)
+    mean_prob = float(probs.mean())
+    if mean_prob <= 0.0 or mean_prob >= 1.0:
+        raise ValueError("degenerate synthetic spec: labels would be single-class in expectation")
+    labels = (rng.random(spec.n) < probs).astype(np.int64)
+    return GroupData(spec.group_id, scores, labels)
 
 def _dict_form(obj):
     """Record arrays as lists of bin dicts, floats rounded to 12 significant digits."""

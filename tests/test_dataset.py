@@ -149,8 +149,27 @@ class TestGroupData:
                 GroupData("g", np.array([0.2, bad]), np.array([0, 1]))
 
     def test_rejects_bad_labels(self):
-        with pytest.raises(ValueError, match="non-binary"):
-            GroupData("g", np.array([0.2, 0.5]), np.array([0, 2]))
+        # The values are checked before the int64 cast, which truncates 0.5 and 1.7.
+        for bad in (2, 0.5, 1.7, float("nan"), -1):
+            with pytest.raises(ValueError, match="non-binary"):
+                GroupData("g", np.array([0.2, 0.5, 0.7]), np.array([0, 1, bad]))
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.0], [False, True]])
+    def test_accepts_exact_float_and_bool_labels(self, labels):
+        g = GroupData("g", np.array([0.2, 0.5]), np.array(labels))
+        assert g.labels.dtype == np.int64 and g.labels.tolist() == [0, 1]
+
+    def test_shares_only_arrays_a_group_froze(self):
+        g = GroupData("g", np.array([0.2, 0.5]), np.array([0, 1]))
+        again = GroupData("h", g.scores, g.labels)
+        assert again.scores is g.scores and again.labels is g.labels
+        # A caller's read-only array could be made writable again, so it is copied.
+        frozen_by_caller = np.array([0, 1])
+        frozen_by_caller.setflags(write=False)
+        assert not np.shares_memory(GroupData("g", g.scores, frozen_by_caller).labels, frozen_by_caller)
+        # Frozen int64 labels given as scores are cast to float64, so copied.
+        cast = GroupData("h", g.labels, g.labels)
+        assert cast.labels is g.labels and not np.shares_memory(cast.scores, g.labels)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="no samples"):

@@ -131,7 +131,8 @@ class TestMonteCarloApplication:
         g = self.base_group(200)
         plan = InterpolationPlan(0.6, 0.4, MODE_MONTE_CARLO, seed=11)
         mixture = realize_mixture(g, plan)
-        assert np.array_equal(mixture.realized.labels, g.labels)
+        assert np.shares_memory(mixture.realized.labels, g.labels)  # not copied again
+        assert not mixture.realized.labels.flags.writeable
         changed = mixture.realized.scores != g.scores
         assert np.all(mixture.realized.scores[changed] == 0.4)
         assert np.all(changed <= mixture.withheld)

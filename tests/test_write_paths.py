@@ -55,7 +55,7 @@ def groups_and_masks(draw):
         labels = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
         labels[:2] = draw(st.permutations([0, 1]))
         groups.append(GroupData(gid, np.array(scores), np.array(labels)))
-        mask = draw(st.sampled_from([None, bool, np.int64]))
+        mask = draw(st.sampled_from([None, bool, np.int64, float]))
         if mask is not None:
             masks[gid] = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))).astype(mask)
     withheld = draw(st.sampled_from([None, masks]))
@@ -98,10 +98,12 @@ def test_signed_zero_keeps_its_sign(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "mask", [np.array([True]), np.array([0, 1, 0, 1]), np.array([0, 2, 0]), np.array([[0, 1, 0]])]
+    "mask",
+    [np.array([True]), np.array([0, 1, 0, 1]), np.array([0, 2, 0]), np.array([[0, 1, 0]])]
+    + [np.array([0.0, 1.0, bad]) for bad in (0.5, 1.7, float("nan"), -1.0)],
 )
 def test_bad_mask_raises_before_writing(tmp_path, mask):
-    """A short mask used to drop rows silently, because ``zip`` truncates."""
+    """A short mask used to drop rows silently, because ``zip`` truncates; 0.5 was cast to 0."""
     g = GroupData("A", np.array([0.1, 0.2, 0.3]), np.array([0, 1, 0]))
     path = tmp_path / "out.csv"
     with pytest.raises(ValueError, match="group 'A' must hold 3 values of 0 or 1"):
