@@ -18,6 +18,7 @@ import io
 import os
 import warnings
 import weakref
+from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -170,21 +171,23 @@ _ATOM_CHUNK = 1 << 17
 class _Tally:
     """A group's atom table, built from pieces of its samples.
 
-    Pieces wait until they hold ``_ATOM_CHUNK`` samples, or twice the atoms
+    Pieces wait until they hold ``_ATOM_CHUNK`` entries, or twice the atoms
     counted so far. They are then counted, one sort over their scores and
     one over their positives' scores, and pooled with the table. So memory
     follows the distinct scores, not the samples, and each sample is
-    sorted about once.
+    sorted about once. An entry may stand for several samples, as a line
+    repeated in a block does; pieces with such counts are pooled instead,
+    each entry weighted by its count.
     """
 
     def __init__(self) -> None:
         self.atoms: tuple[np.ndarray, ...] = (np.empty(0),) * 3
-        self.pieces: list[tuple[np.ndarray, np.ndarray]] = []
+        self.pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]] = []
         self.waiting = 0
 
-    def add(self, scores: np.ndarray, positive: np.ndarray) -> None:
-        """Add samples: their scores, and a bool array that marks the positives."""
-        self.pieces.append((scores, positive))
+    def add(self, scores: np.ndarray, positive: np.ndarray, count: np.ndarray | None = None) -> None:
+        """Add samples: scores, a bool array that marks the positives and, if given, each entry's count."""
+        self.pieces.append((scores, positive, count))
         self.waiting += len(scores)
         if self.waiting >= max(_ATOM_CHUNK, 2 * len(self.atoms[0])):
             self.table()
@@ -192,14 +195,19 @@ class _Tally:
     def table(self) -> tuple[np.ndarray, ...]:
         """The atom table of every sample added so far."""
         if self.pieces:
-            scores, positive = (np.concatenate(c) for c in zip(*self.pieces))
-            # No inverse index, as pool_atoms would build: lighter and faster on samples.
+            scores, positive, weights = zip(*self.pieces)
+            scores, positive = np.concatenate(scores), np.concatenate(positive)
+            if any(w is not None for w in weights):
+                count = np.concatenate([np.ones(len(s), np.intp) if w is None else w for s, _, w in self.pieces])
+                values, negatives, positives = pool_atoms(scores, count * ~positive, count * positive)
+            else:  # no inverse index, as pool_atoms builds: lighter and faster on samples
+                values, counts = np.unique(scores, return_counts=True)
+                found, found_counts = np.unique(scores[positive], return_counts=True)
+                positives = np.zeros(values.size)
+                positives[np.searchsorted(values, found)] = found_counts
+                negatives = counts - positives
             # ``+ 0.0`` writes a zero as ``0.0`` whether ``-0.0`` or ``0.0`` sorted first.
-            values, counts = np.unique(scores, return_counts=True)
-            found, found_counts = np.unique(scores[positive], return_counts=True)
-            positives = np.zeros(values.size)
-            positives[np.searchsorted(values, found)] = found_counts
-            new = values + 0.0, counts - positives, positives
+            new = values + 0.0, negatives, positives
             if len(self.atoms[0]):
                 new = pool_atoms(*map(np.concatenate, zip(self.atoms, new)))
             self.atoms, self.pieces, self.waiting = new, [], 0
@@ -244,7 +252,9 @@ def load_csv(path: str | Path, samples: bool = True) -> list[GroupData]:
     Clean input is parsed column-wise, chunk by chunk; anything the fast
     path does not read exactly as the row parser would goes to
     ``_load_reference``, which also produces every row error. Both end in
-    ``_groups``, which reports a single-class group.
+    ``_groups``, which reports a single-class group. A chunk whose lines
+    mostly repeat, as a classifier's few distinct scores make them, has
+    each distinct line text parsed once, under the same checks.
     """
     groups = _load_columnar(path, samples)
     if groups is None:
@@ -322,10 +332,16 @@ def _load_columnar(path: str | Path, samples: bool = True) -> list[GroupData] | 
     Whatever this accepts, the reference parser reads to the same groups,
     in the same order, with the same bits, or rejects with the same error.
 
-    Each block is split by group. With ``samples`` each group's pieces are
-    appended to its rows (``_Rows``); without, each piece goes into the
-    group's ``_Tally`` and the rows are dropped, so memory follows one
-    block and the distinct scores, not the file.
+    A block where at least half of the first ``_PROBE`` lines repeat is
+    parsed by ``_parse_distinct``: one ``np.loadtxt`` pass over its
+    distinct lines, which a clean block passes exactly when all its lines
+    do. Other blocks, such as those of nearly distinct scores, go to
+    ``_parse_block`` whole. Each block is then split by group. With
+    ``samples`` each group's pieces are appended to its rows (``_Rows``);
+    without, each piece goes into the group's ``_Tally``, with each
+    distinct line's count where the lines were counted, and the rows are
+    dropped, so memory follows one block and the distinct scores, not the
+    file.
     """
     if not os.path.isfile(path):  # a pipe can be read only once
         return None
@@ -343,15 +359,46 @@ def _load_columnar(path: str | Path, samples: bool = True) -> list[GroupData] | 
             for block in chain([first], blocks):
                 if not block.strip("\n"):  # numpy skips empty lines, and warns if that is all
                     continue
-                group, scores, labels = _parse_block(block, dtype, codes)
+                if _repetitive(block):
+                    group, *columns = _parse_distinct(block, dtype, codes, samples)
+                else:
+                    group, *columns = _parse_block(block, dtype, codes)
                 rows += len(group)
                 groups.extend(_Rows() if samples else _Tally() for _ in range(len(codes) - len(groups)))
-                _add_block(group, scores, labels, groups)
+                _add_block(group, columns, groups)
     except (_Unclean, ValueError, Warning):  # invalid UTF-8 is a ValueError too
         return None
     if not rows or any(gid != gid.strip() for gid in codes):
         return None
     return _groups((gid, *group.args()) for gid, group in zip(codes, groups))
+
+
+# Lines of a block the probe reads; a parse of many thousand lines costs far more.
+_PROBE = 1 << 10
+
+
+def _repetitive(block: str) -> bool:
+    """At least half of the block's first ``_PROBE`` lines repeat an earlier one."""
+    head = block.split("\n", _PROBE)[:_PROBE]
+    return 2 * len(set(head)) <= len(head)
+
+
+def _parse_distinct(block: str, dtype: np.dtype, codes: _Codes, samples: bool) -> list[np.ndarray]:
+    """``_parse_block`` of the block's distinct lines: each line text is parsed once.
+
+    With ``samples`` the parsed columns are expanded back to the block's
+    rows; without, a fourth column holds each distinct line's count. Empty
+    lines are dropped first, as numpy skips them. The distinct lines keep
+    first-seen order, so the group ids are coded in the same order.
+    """
+    if samples:
+        lines = list(filter(None, block.split("\n")))
+        index = {line: i for i, line in enumerate(dict.fromkeys(lines))}
+        at = np.fromiter(map(index.__getitem__, lines), np.intp, len(lines))
+        return [c[at] for c in _parse_block("\n".join(index), dtype, codes)]
+    counts = Counter(block.split("\n"))
+    del counts[""]
+    return [*_parse_block("\n".join(counts), dtype, codes), np.fromiter(counts.values(), np.intp, len(counts))]
 
 
 def _parse_block(block: str, dtype: np.dtype, codes: _Codes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -377,15 +424,15 @@ def _parse_block(block: str, dtype: np.dtype, codes: _Codes) -> tuple[np.ndarray
     return table["group"], scores, flags[0] == 0x31
 
 
-def _add_block(group: np.ndarray, scores: np.ndarray, labels: np.ndarray, groups: list[_Rows | _Tally]) -> None:
-    """Add each group's rows of a block to that group, in file order."""
+def _add_block(group: np.ndarray, columns: list[np.ndarray], groups: list[_Rows | _Tally]) -> None:
+    """Add each group's rows of a block (scores, labels and maybe counts) to that group, in file order."""
     if np.any(group[1:] < group[:-1]):  # the groups interleave
         order = np.argsort(group, kind="stable")
-        scores, labels = scores[order], labels[order]
+        columns = [c[order] for c in columns]
     ends = np.cumsum(np.bincount(group, minlength=len(groups))).tolist()
     for acc, lo, hi in zip(groups, [0, *ends], ends):
         if lo < hi:
-            acc.add(scores[lo:hi], labels[lo:hi])
+            acc.add(*(c[lo:hi] for c in columns))
 
 
 def _load_reference(path: str | Path) -> list[GroupData]:
@@ -476,8 +523,10 @@ def write_rows(
 
     Each chunk formats each distinct score once: ``np.unique`` over the
     score bits (so ``-0.0`` and ``0.0`` keep their own text), one ``repr``
-    per distinct value, and a table of whole lines per (score, line
-    ending) that the rows index. ``repr`` is the shortest string that
+    per distinct value, and a table of whole lines that the rows index,
+    one per (score, line ending) pair the chunk's rows use. So a chunk
+    makes at most one line per row, however many line endings there
+    are. ``repr`` is the shortest string that
     parses back to the identical float, and the bytes are those
     ``csv.writer`` writes with one ``repr`` per row; the id field comes
     from ``csv.writer`` itself, so ids are quoted as it quotes them.
@@ -489,14 +538,19 @@ def write_rows(
         for group_id, chunks in groups:
             prefix = _row_prefix(group_id)
             for scores, labels, mask in chunks:
-                keys, inverse = np.unique(scores.view(np.uint64), return_inverse=True)
+                keys, pair = np.unique(scores.view(np.uint64), return_inverse=True)
                 text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-                code = labels * len(suffixes)  # index into ends
+                pair *= len(ends)  # each row's (score, line ending) pair, flattened
+                pair += labels * len(suffixes)
                 if mask is not None:
-                    code += mask
-                lines = np.add.outer(text, ends)  # each line after the id field
+                    pair += mask
+                used = np.zeros(len(keys) * len(ends), bool)
+                used[pair] = True
+                slots = np.flatnonzero(used)
+                lines = text[slots // len(ends)] + ends[slots % len(ends)]  # each line after the id field
+                rank = np.cumsum(used) - 1  # a used pair's place in lines
                 fh.write(prefix)
-                fh.write(prefix.join(lines[inverse, code].tolist()))
+                fh.write(prefix.join(lines[rank[pair]].tolist()))
 
 
 def write_csv(
@@ -595,10 +649,10 @@ def _draw_scores(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
         return np.full(spec.n, float(spec.params[0]))
     if spec.family == "grid":
         lo, hi, k = spec.params
-        values = np.linspace(lo, hi, int(k))
+        k = int(k)
 
-        def draw(m: int) -> np.ndarray:
-            return rng.choice(values, size=m)
+        def draw(m: int) -> np.ndarray:  # as rng.choice(np.linspace(lo, hi, k), size=m) draws
+            return _linspace_at(lo, hi, k, rng.integers(0, k, size=m))
 
     else:
         a, b, bins = spec.params
@@ -612,6 +666,23 @@ def _draw_scores(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
         out = scores[start : start + _WRITE_CHUNK]
         out[:] = draw(len(out))
     return scores
+
+
+def _linspace_at(lo: float, hi: float, k: int, index: np.ndarray) -> np.ndarray:
+    """``np.linspace(lo, hi, k)[index]`` without the table: each value from the same float operations."""
+    delta = np.float64(hi) - np.float64(lo)
+    values = index.astype(np.float64)
+    if k == 1:
+        values *= delta
+    elif delta / (k - 1) == 0:  # a step that underflows: linspace divides first
+        values /= k - 1
+        values *= delta
+    else:
+        values *= delta / (k - 1)
+    values += lo
+    if k > 1:
+        values[index == k - 1] = hi
+    return values
 
 
 def _label_probs(scores: np.ndarray, shift: float) -> np.ndarray:

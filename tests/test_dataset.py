@@ -317,6 +317,38 @@ def test_samples_free_load_memory(tmp_path):
     assert peaks[False] < peaks[True] / 4, peaks
 
 
+def test_distinct_line_parse_memory(tmp_path):
+    """Parsing a block's distinct lines holds no more than parsing the block whole.
+
+    The file repeats a few lines, so the probe picks the distinct-line
+    parse; both branches run on full-size blocks, with and without
+    samples. Line strings kept past their block, a second block's worth
+    or a dict over every line of the file, go well above the bound.
+    """
+    import tracemalloc
+
+    groups = [
+        synth(SynthSpec(100_000, "beta_grid", (2, 4, 20), seed=1, group_id="A")),
+        synth(SynthSpec(100_000, "grid", (0.1, 0.9, 9), seed=2, group_id="B")),
+    ]
+    path = tmp_path / "200k.csv"
+    write_csv(groups, path)
+    load_csv(path)  # imports what a load first needs, untraced
+    peaks = {}
+    for repetitive in (True, False):
+        for samples in (True, False):
+            with mock.patch.object(dataset, "_repetitive", lambda block: repetitive):
+                tracemalloc.start()
+                try:
+                    loaded = load_csv(path, samples=samples)
+                    peaks[repetitive, samples] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert [len(g) for g in loaded] == [100_000, 100_000]
+    for samples in (True, False):
+        assert peaks[True, samples] <= 1.05 * peaks[False, samples], peaks
+
+
 class TestSynthCalibrated:
     def test_point_mass_concentration(self):
         g = synth(SynthSpec(10_000, "point_mass", (0.5,), seed=7))

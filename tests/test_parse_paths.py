@@ -4,13 +4,17 @@
 else to ``_load_reference``. For any bytes, both must return the same
 groups or raise the same error. With samples kept that means the same ids,
 order, score bits and labels; without, the same ids, order, sizes, base
-rates and atom tables.
+rates and atom tables. A block whose lines mostly repeat parses only its
+distinct lines; the differential tests patch that choice (``PROBES``)
+so that every block takes one branch, or the two alternate, and check
+each input under each.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -101,6 +105,16 @@ def csv_bytes(draw) -> bytes:
     return data
 
 
+# Replacements for ``dataset._repetitive``: every block parses its distinct lines, or none does.
+PROBES = (lambda block: True, lambda block: False)
+
+
+def _alternating():
+    """A probe that sends blocks to the two parsers in turn, so one group's tally gets both kinds of piece."""
+    turns = itertools.cycle([True, False])
+    return lambda block: next(turns)
+
+
 def _outcome(loader, path, samples=True):
     """What ``loader`` makes of ``path``: per group its samples or its atoms, or the error."""
     try:
@@ -146,10 +160,21 @@ def csv_path(tmp_path_factory):
 @example(b"group,score,label\nA,0.5,1,0\nA,0.2,0,1\n")
 @example(b"group,score,label,extra\nA,0.5,1,0\nA,0.2,0,1\n")
 @example(b"group,score,label\nA,0.5,1\nB,-0,1\nB,0,0\nA,-0,0\nB,0.5,0\n")
+@example(b"group,score,label\nA,0.5,1\nA,0.5,1\n\nA,0.5,1\n\nA,0.2,0\nA,0.5,1\n\n")
+@example(b"group,score,label\nA,-0,1\nA,0,0\nA,-0,0\nA,0,1\nA,0.5,1\nA,-0,1\n")
+@example(b"group,score,label\nA,0.5,1\nB,0.5,0\nA,0.5,1\nB,0.2,1\nA,0.2,0\nB,0.5,0\nA,0.5,1\n")
+@example(b"group,score,label,withheld\nA,0.5,1,1\nA,0.5,1,0\nA,0.5,1,1\nA,0.2,0,0\nA,0.5,1,0\n")
+@example(b"group,score,label\n" + b"A,0.5,1\nA,0.2,0\n" * 520 + b"A,0.5,2\n")
 def test_fast_path_matches_reference(csv_path, data):
+    """With and without samples, every block parsed by its distinct lines or whole: the reference's outcome."""
     csv_path.write_bytes(data)
-    event("reference" if _outcome(lambda p: dataset._load_columnar(p) or [], csv_path) == [] else "columnar")
-    assert _outcome(load_csv, csv_path) == _outcome(dataset._load_reference, csv_path)
+    for samples in (True, False):
+        reference = _outcome(dataset._load_reference if samples else _reference_tables, csv_path, samples)
+        for probe in PROBES:
+            with mock.patch.object(dataset, "_repetitive", probe):
+                columnar = _outcome(lambda p: dataset._load_columnar(p, samples) or [], csv_path, samples)
+                event("reference" if columnar == [] else "columnar")
+                assert _outcome(lambda p: load_csv(p, samples=samples), csv_path, samples) == reference
 
 
 @settings(max_examples=300, deadline=None)
@@ -157,14 +182,17 @@ def test_fast_path_matches_reference(csv_path, data):
 @example(b"group,score,label\nA,0.5,1\nB,-0,1\nB,0,0\nA,-0,0\nB,0.5,0\nA,0.5,0\n", 1, False, 1)
 @example(b"group,score,label,withheld\rA,0.5,1,1\rA,0.2,0,0\r\rB,0.2,0,1\rB,0.7,1,0", 2, True, 2)
 @example(b"group,score,label\n\n\n\nA,0.5,1\n\n\n\n\n\nA,0.2,0\n\n\n", 1, False, 1)
+@example(b"group,score,label\nA,0.5,1\nA,0.5,1\n\nA,0.5,1\nA,0.2,0\n\nA,0.2,0\n", 3, False, 2)
+@example(b"group,score,label\nA,-0,1\nA,0,0\nA,0,1\nA,-0,0\nA,-0,1\nA,0.5,1\n", 2, False, 1)
 def test_chunked_loader_matches_reference(csv_path, data, rows, samples, atom_chunk):
-    """Blocks of about 1, 2 or 3 rows, tallies pooled every few samples: same groups, same errors."""
+    """Blocks of about 1, 2 or 3 rows, tallies pooled every few samples, each probe: same groups, same errors."""
     csv_path.write_bytes(data)
     reference = _outcome(dataset._load_reference if samples else _reference_tables, csv_path, samples)
-    with mock.patch.object(dataset, "_CHUNK", rows * _line_chars(data)), mock.patch.object(
-        dataset, "_ATOM_CHUNK", atom_chunk
-    ):
-        assert _outcome(lambda p: load_csv(p, samples=samples), csv_path, samples) == reference
+    for probe in [*PROBES, _alternating()]:
+        with mock.patch.object(dataset, "_CHUNK", rows * _line_chars(data)), mock.patch.object(
+            dataset, "_ATOM_CHUNK", atom_chunk
+        ), mock.patch.object(dataset, "_repetitive", probe):
+            assert _outcome(lambda p: load_csv(p, samples=samples), csv_path, samples) == reference
 
 
 def _reference_tables(path):
@@ -195,6 +223,17 @@ def test_long_lines_across_chunks(csv_path, spare):
         assert outcome == (CsvFormatError, f"row {row}: field larger than field limit ({limit})")
 
 
+@pytest.mark.parametrize("samples", [True, False], ids=["samples", "atoms"])
+def test_bad_row_after_repeats_names_its_row(csv_path, samples):
+    """A block of repeated lines parses each text once, yet the error still names the row."""
+    csv_path.write_bytes(b"group,score,label\n" + b"A,0.5,1\nA,0.2,0\n" * 600 + b"A,0.5,2\nA,0.5,1\n")
+    with open(csv_path) as fh:
+        assert dataset._repetitive(next(dataset._blocks(fh)))
+    assert dataset._load_columnar(csv_path, samples) is None
+    with pytest.raises(CsvFormatError, match=r"^row 1202: label must be 0 or 1, got '2'$"):
+        load_csv(csv_path, samples=samples)
+
+
 def _refuse(path):
     raise AssertionError(f"{path} fell back to the reference parser")
 
@@ -216,9 +255,21 @@ def test_fast_path_serves_clean_input(tmp_path, monkeypatch):
     # A Monte Carlo output, with its withheld column.
     mc = tmp_path / "mc.csv"
     write_csv([a, b], mc, withheld={"B": np.arange(len(b)) % 2})
-    paths = (GOLDEN_MIXED, written, bom, cr, mc)
+    # Few distinct lines, so every block parses its distinct lines only.
+    repeated = tmp_path / "repeated.csv"
+    write_csv(
+        [
+            synth(SynthSpec(16_000, "grid", (0.1, 0.9, 9), seed=8, group_id="D")),
+            synth(SynthSpec(12_000, "beta_grid", (2, 4, 20), seed=9, group_id="E")),
+        ],
+        repeated,
+    )
+    paths = (GOLDEN_MIXED, written, bom, cr, mc, repeated)
     expected = {path: dataset._load_reference(path) for path in paths}
     monkeypatch.setattr(dataset, "_load_reference", _refuse)
+    distinct = []
+    parse_distinct = dataset._parse_distinct
+    monkeypatch.setattr(dataset, "_parse_distinct", lambda *args: distinct.append(args[-1]) or parse_distinct(*args))
     for path, want in expected.items():
         got = load_csv(path)
         assert all(type(g.group_id) is str for g in got)
@@ -232,3 +283,8 @@ def test_fast_path_serves_clean_input(tmp_path, monkeypatch):
             assert g.scores is None and len(g) == len(w) and g.base_rate == w.base_rate
             assert all(x.tobytes() == y.tobytes() for x, y in zip(g.atoms, w.atoms))
     assert [g.group_id for g in load_csv(written)] == ["A", "B"]
+    distinct.clear()
+    load_csv(repeated), load_csv(repeated, samples=False)
+    with open(repeated) as fh:
+        blocks = sum(1 for _ in dataset._blocks(fh))
+    assert blocks > 1 and distinct == [True] * blocks + [False] * blocks

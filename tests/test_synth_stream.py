@@ -16,6 +16,7 @@ import re
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,3 +164,46 @@ def test_synth_memory(tmp_path):
             tracemalloc.stop()
     assert code == 0
     assert peak < 12 * rows, peak / rows
+
+
+@pytest.mark.parametrize(
+    "params",
+    [(0.1, 0.9, 1), (0.1, 0.9, 2), (0.1, 0.9, 9), (0.0, 1.0, 10**6 + 7), (0.3, 0.3, 9), (0.05, 1.0, 9), (0, 1, 4)],
+    ids=["k=1", "k=2", "k=9", "k=10**6+7", "lo==hi", "hi=1.0", "int-bounds"],
+)
+def test_grid_draws_match_linspace_choice(params):
+    """``grid`` draws index the grid, not a table of it, yet give ``rng.choice(np.linspace(...))``'s values."""
+    spec = SynthSpec(3 * 64 + 5, "grid", params, seed=11, group_id="A")
+    with mock.patch.object(dataset, "_WRITE_CHUNK", 64):
+        ours = synth(spec)
+    oracle = synth_whole(spec)
+    assert ours.scores.tobytes() == oracle.scores.tobytes()
+    assert ours.labels.tobytes() == oracle.labels.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1.0])), min_size=2, max_size=2),
+    st.integers(1, 40),
+)
+def test_linspace_at_matches_the_table(bounds, k):
+    """Every entry, signed zeros and steps that underflow included, has the bits ``np.linspace`` gives it."""
+    lo, hi = sorted(bounds)
+    table = np.linspace(lo, hi, k)
+    assert dataset._linspace_at(lo, hi, k, np.arange(k)).tobytes() == table.tobytes()
+    picks = np.array([k - 1, 0, k // 2, k - 1])
+    assert dataset._linspace_at(lo, hi, k, picks).tobytes() == table[picks].tobytes()
+
+
+def test_grid_draw_memory():
+    """A ``grid`` draw's memory follows the rows drawn, not ``k``; a table of 10**7 values is 80 MB."""
+    spec = SynthSpec(100, "grid", (0.1, 0.9, 10**7), seed=3)
+    dataset._draw_scores(spec, np.random.default_rng(spec.seed))  # untraced, so lazy imports are not counted
+    tracemalloc.start()
+    try:
+        scores = dataset._draw_scores(spec, np.random.default_rng(spec.seed))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.tobytes() == synth_whole(spec).scores.tobytes()
+    assert peak < 64 << 10, peak
