@@ -56,89 +56,83 @@ _JSON_KEYS = {"mean_score": "score"}
 _RECORD_CHUNK = 4096  # record-array rows formatted and written per chunk
 
 
-def _rounded(obj, key: str = "report"):
-    """Round floats to 12 significant digits, editing dicts and lists in place.
+def _number(x: float) -> str:
+    """``repr`` of ``x`` rounded to 12 significant digits, as json writes that float.
 
-    Raises ValueError on NaN or infinity, which JSON cannot carry, before
-    any byte of the report is written. A record array is only checked, one
-    ``np.isfinite`` per column; ``_encode`` rounds its values as it writes.
+    ``f"{x:.12g}"`` is that text except for a whole number (``3``, ``-0``),
+    an exponent of 12 to 15, which ``repr`` writes positionally, and a
+    subnormal, whose 12 digits name a float with a shorter ``repr``.
+    """
+    text = f"{x:.12g}"
+    whole = "." not in text and "e" not in text
+    if whole or text[-4:] in ("e+12", "e+13", "e+14", "e+15") or abs(x) < sys.float_info.min:
+        return repr(float(text))
+    return text
+
+
+def _encode(obj, depth: int = 0, key: str = "report"):
+    """Yield the text ``json.dump(obj, indent=2)`` writes for ``obj``, floats through ``_number``.
+
+    Dicts with string keys, lists, tuples, strings, numbers, booleans and
+    None give exactly json's bytes. A NaN or infinity raises ValueError
+    naming its nearest dict ``key``. A record array is checked whole here;
+    its text comes as one more iterator, ``_encode_records``, made as it is
+    written.
     """
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"{key} is not finite ({obj})")
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            obj[k] = _rounded(v, k)
-    elif isinstance(obj, list):
-        for i, v in enumerate(obj):
-            obj[i] = _rounded(v, key)
-    elif isinstance(obj, tuple):
-        return [_rounded(v, key) for v in obj]
+        yield _number(obj)
     elif isinstance(obj, np.ndarray):
         for field in obj.dtype.names:
             bad = ~np.isfinite(obj[field])
             if bad.any():
                 raise ValueError(f"{_JSON_KEYS.get(field, field)} is not finite ({float(obj[field][bad][0])})")
-    return obj
-
-
-def _encode(obj, depth: int = 0):
-    """Yield the text ``json.dump(obj, indent=2)`` writes for ``obj`` at nesting ``depth``.
-
-    Dicts with string keys, lists, tuples, strings, numbers, booleans and
-    None give exactly json's bytes; a record array is written by
-    ``_encode_records``.
-    """
-    if isinstance(obj, np.ndarray):
-        yield from _encode_records(obj, depth)
+        yield _encode_records(obj, depth) if len(obj) else "[]"
     elif isinstance(obj, (dict, list, tuple)) and obj:
         is_dict = isinstance(obj, dict)
         inner = "\n" + "  " * (depth + 1)
         separator = "{" if is_dict else "["
-        for key, value in obj.items() if is_dict else enumerate(obj):
-            yield separator + inner + (json.dumps(key) + ": " if is_dict else "")
+        for k, value in obj.items() if is_dict else enumerate(obj):
+            yield separator + inner + (json.dumps(k) + ": " if is_dict else "")
             separator = ","
-            yield from _encode(value, depth + 1)
+            yield from _encode(value, depth + 1, k if is_dict else key)
         yield "\n" + "  " * depth + ("}" if is_dict else "]")
     else:
         yield json.dumps(obj)
 
 
 def _encode_records(records: np.ndarray, depth: int):
-    """Yield a record array of float fields as json writes a list of one object per row.
+    """Yield a non-empty record array of float fields as json writes a list of one object per row.
 
-    Each field is written under its ``_JSON_KEYS`` name, its values rounded
-    to 12 significant digits. The rows go out in chunks of
-    ``_RECORD_CHUNK``, one string per chunk, and each column of a chunk
-    formats each distinct value once: ``np.unique`` over the float bits (so
-    ``-0.0`` keeps its own text), then one ``repr`` per distinct value.
+    Each field is written under its ``_JSON_KEYS`` name. The rows go out in
+    chunks of ``_RECORD_CHUNK``, one string per chunk, and each column of a
+    chunk formats each distinct value once: ``np.unique`` over the float
+    bits (so ``-0.0`` keeps its own text), then one ``_number`` per value.
     """
-    if not len(records):
-        yield "[]"
-        return
     inner = "\n" + "  " * (depth + 1)
     heads = [
         ("," if i else "{") + inner + "  " + json.dumps(_JSON_KEYS.get(field, field)) + ": "
         for i, field in enumerate(records.dtype.names)
     ]
+    separator = inner + "}," + inner
     for lo in range(0, len(records), _RECORD_CHUNK):
         chunk = records[lo : lo + _RECORD_CHUNK]
-        rows = np.full(len(chunk), "", dtype=object)
+        columns = []
         for head, field in zip(heads, records.dtype.names):
             keys, inverse = np.unique(chunk[field].view(np.uint64), return_inverse=True)
-            text = [head + repr(float(f"{x:.12g}")) for x in keys.view(np.float64).tolist()]
-            rows += np.array(text, dtype=object)[inverse]
-        rows += inner + "}"
-        yield ("," if lo else "[") + inner + ("," + inner).join(rows.tolist())
+            text = np.array([head + _number(x) for x in keys.view(np.float64).tolist()], dtype=object)
+            columns.append(text[inverse].tolist())
+        yield ("," if lo else "[") + inner + separator.join(map("".join, zip(*columns))) + inner + "}"
     yield "\n" + "  " * depth + "]"
 
 
 def _emit(report: dict, path: str | None = None) -> None:
-    """Stream the rounded report as indented JSON to ``path``, or to stdout."""
-    _rounded(report)
+    """Write the report as indented JSON to ``path``, or to stdout."""
+    parts = list(_encode(report))  # checks every value, so a NaN or infinity writes nothing
     with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
-        fh.writelines(_encode(report))
+        for part in parts:
+            fh.writelines((part,) if isinstance(part, str) else part)
         fh.write("\n")
 
 
@@ -383,6 +377,13 @@ def _spec_field(entry: dict, i: int, key: str, convert, default=None):
         raise ValueError(f"{where} has invalid value {entry[key]!r}") from None
 
 
+def _whole(value) -> int:
+    """A JSON integer, or a float that holds one such as ``1e6``; a bool is not a number here."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"not a whole number: {value!r}")
+    return int(value)
+
+
 def cmd_synth(args) -> int:
     text = args.spec
     if text.startswith("@"):
@@ -406,11 +407,11 @@ def cmd_synth(args) -> int:
             raise ValueError(f"synth spec groups[{i}].id {gid!r} repeats groups[{first_index[gid]}].id")
         first_index[gid] = i
         fields = dict(
-            n=_spec_field(entry, i, "n", int),
+            n=_spec_field(entry, i, "n", _whole),
             family=_spec_field(entry, i, "family", str),
             params=_spec_field(entry, i, "params", lambda v: tuple(float(x) for x in v)),
             miscalibration_shift=_spec_field(entry, i, "shift", float, 0.0),
-            seed=_spec_field(entry, i, "seed", int, int(derived[i])),
+            seed=_spec_field(entry, i, "seed", _whole, int(derived[i])),
         )
         try:
             specs.append(SynthSpec(group_id=gid, **fields))

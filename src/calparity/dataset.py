@@ -602,10 +602,12 @@ class SynthSpec:
         evenly spaced values in [lo, hi]; k may be at most 10**8.
       * ``beta_grid``: params ``(a, b, bins)``, Beta(a, b) draws snapped to
         the midpoints of ``bins`` equal-width bins, keeping the support
-        finite. ``bins`` may be at most 2**53, the largest count whose bin
-        indices are exact in float.
+        finite. ``a`` and ``b`` must be finite, and ``bins`` may be at most
+        2**53, the largest count whose bin indices are exact in float.
 
-    ``n`` may be at most 10**8 and ``seed`` must be non-negative.
+    ``n`` may be at most 10**8 and ``seed`` must be non-negative. ``k``
+    and ``bins`` must be whole numbers; a float such as ``1e6`` counts as
+    the integer it holds.
     ``miscalibration_shift`` offsets the label probability at each score
     and must be finite; the emitted score itself is never shifted.
     """
@@ -633,9 +635,13 @@ class SynthSpec:
         elif self.family == "grid":
             if len(p) != 3 or not (0.0 <= p[0] <= p[1] <= 1.0 and 1 <= p[2] <= _MAX_GRID_K):
                 raise ValueError(f"grid takes (lo, hi, k) with 0 <= lo <= hi <= 1, 1 <= k <= {_MAX_GRID_K}")
+            if not float(p[2]).is_integer():
+                raise ValueError(f"grid takes a whole number k, got {p[2]}")
         else:
             if len(p) != 3 or not (p[0] > 0.0 and p[1] > 0.0 and 1 <= p[2] <= 2**53):
                 raise ValueError("beta_grid takes (a, b, bins) with a, b > 0, 1 <= bins <= 2**53")
+            if not (np.isfinite(p[:2]).all() and float(p[2]).is_integer()):
+                raise ValueError(f"beta_grid takes finite a, b and a whole number of bins, got {p}")
 
 
 def _draw_scores(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:

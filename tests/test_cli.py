@@ -1,6 +1,8 @@
 import argparse
+import copy
 import csv
 import json
+import pickle
 import sys
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from calparity import cli, metrics
-from calparity.cli import _rounded, build_parser, main
+from calparity.cli import _emit, build_parser, main
 from calparity.dataset import load_csv, write_csv
 from conftest import make_group
 
@@ -507,9 +509,28 @@ class TestRejections:
             ([{"n": float("inf")}], "synth spec groups[0].n has invalid value inf"),
             ([{"seed": float("inf")}], "synth spec groups[0].seed has invalid value inf"),
             ([{"seed": -1}], "synth spec groups[0]: seed must be non-negative, got -1"),
+            (
+                [{"family": "beta_grid", "params": [1e400, 2, 20]}],
+                "synth spec groups[0]: beta_grid takes finite a, b and a whole number of bins, got (inf, 2.0, 20.0)",
+            ),
+            (
+                [{"family": "beta_grid", "params": [2, 1e400, 20]}],
+                "synth spec groups[0]: beta_grid takes finite a, b and a whole number of bins, got (2.0, inf, 20.0)",
+            ),
+            (
+                [{"family": "beta_grid", "params": [2, 4, 20.5]}],
+                "synth spec groups[0]: beta_grid takes finite a, b and a whole number of bins, got (2.0, 4.0, 20.5)",
+            ),
+            ([{"params": [0.1, 0.9, 9.7]}], "synth spec groups[0]: grid takes a whole number k, got 9.7"),
+            ([{"n": 3.9}], "synth spec groups[0].n has invalid value 3.9"),
+            ([{"n": True}], "synth spec groups[0].n has invalid value True"),
+            ([{"n": "3"}], "synth spec groups[0].n has invalid value '3'"),
+            ([{"seed": 2.5}], "synth spec groups[0].seed has invalid value 2.5"),
+            ([{"seed": True}], "synth spec groups[0].seed has invalid value True"),
         ],
         ids=["repeated-id", "padded-id", "nan-shift", "huge-bins", "inf-k", "huge-k", "huge-n", "inf-n",
-             "inf-seed", "negative-seed"],
+             "inf-seed", "negative-seed", "inf-a", "inf-b", "fractional-bins", "fractional-k", "fractional-n",
+             "bool-n", "string-n", "fractional-seed", "bool-seed"],
     )
     def test_synth_spec_must_read_back(self, tmp_path, capsys, groups, message):
         base = {"id": "A", "n": 50, "family": "grid", "params": [0.1, 0.9, 3]}
@@ -518,6 +539,18 @@ class TestRejections:
         code, out, err = run(capsys, "synth", "--spec", spec, "--output", str(out_csv))
         assert code == 1 and out == "" and not out_csv.exists()
         assert err == f"error: {message}\n"
+
+    def test_integral_floats_are_whole_numbers(self, tmp_path, capsys):
+        # The atoms-200k bench spec gives bins as 1e6.
+        written = []
+        for n, seed, bins in [(60, 4, 10**6), (60.0, 4.0, 1e6)]:
+            spec = {"groups": [{"id": "A", "n": n, "seed": seed, "family": "beta_grid", "params": [2, 4, bins]}]}
+            out_csv = tmp_path / f"{len(written)}.csv"
+            code, out, err = run(capsys, "synth", "--spec", json.dumps(spec), "--output", str(out_csv))
+            assert code == 0 and err == ""
+            assert json.loads(out)["groups"][0]["n"] == 60 and '"seed": 4,' in out
+            written.append(out_csv.read_bytes())
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize(
         "command, seed",
@@ -606,12 +639,22 @@ class TestRejections:
         assert code == 1 and out == ""
         assert err == "error: L is not finite (inf)\n"
 
-    def test_rounding_is_in_place_and_rejects_nan(self):
-        report = {"a": [0.12345678901234567, {"b": 2}], "c": "x"}
-        assert _rounded(report) is report
-        assert report == {"a": [0.123456789012, {"b": 2}], "c": "x"}
-        with pytest.raises(ValueError, match="b is not finite"):
-            _rounded({"a": [{"b": float("nan")}]})
+    def test_emit_leaves_report_and_checks_before_writing(self, tmp_path, capsys):
+        per_bin = np.rec.fromarrays([[0.1, 0.123456789012345], [0.0, 1.0], [0.25, 0.75]],
+                                    names="mean_score,positive_fraction,weight")  # fmt: skip
+        report = {"a": [0.12345678901234567, {"b": 2 / 3}], "t": (1e12, -0.0), "bins": per_bin, "c": "x"}
+        before = copy.deepcopy(report)
+        _emit(report)
+        assert json.loads(capsys.readouterr().out)["a"] == [0.123456789012, {"b": 0.666666666667}]
+        # Pickles compare every float bit for bit, tuples as tuples and the record array whole.
+        assert pickle.dumps(report) == pickle.dumps(before)
+        # The NaN comes after the record array in dict order: still nothing is written.
+        bad = {"bins": per_bin, "gap": float("nan")}
+        path = tmp_path / "report.json"
+        for target in (None, str(path)):
+            with pytest.raises(ValueError, match=r"^gap is not finite \(nan\)$"):
+                _emit(bad, target)
+        assert capsys.readouterr().out == "" and not path.exists()
 
 
 class TestSamples:
