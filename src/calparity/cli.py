@@ -19,7 +19,7 @@ import numpy as np
 
 from . import eo as eo_mod
 from .cost import CostPair, CostSpec, cost, trivial_cost, weighted_cost_spec
-from .dataset import GroupData, SynthGroup, SynthSpec, load_csv, row_chunks, write_csv, write_rows
+from .dataset import GroupData, SynthGroup, SynthSpec, _whole, load_csv, row_chunks, write_csv, write_rows
 from .impossibility import approximate_bound, build_matrix, exact_impossibility_check
 from .metrics import analytic_rates, calibration_gap, linearity_residual, rate_point
 from .parity import (
@@ -57,17 +57,8 @@ _RECORD_CHUNK = 4096  # record-array rows formatted and written per chunk
 
 
 def _number(x: float) -> str:
-    """``repr`` of ``x`` rounded to 12 significant digits, as json writes that float.
-
-    ``f"{x:.12g}"`` is that text except for a whole number (``3``, ``-0``),
-    an exponent of 12 to 15, which ``repr`` writes positionally, and a
-    subnormal, whose 12 digits name a float with a shorter ``repr``.
-    """
-    text = f"{x:.12g}"
-    whole = "." not in text and "e" not in text
-    if whole or text[-4:] in ("e+12", "e+13", "e+14", "e+15") or abs(x) < sys.float_info.min:
-        return repr(float(text))
-    return text
+    """``repr`` of ``x`` rounded to 12 significant digits, as json writes that float."""
+    return repr(float(f"{x:.12g}"))
 
 
 def _encode(obj, depth: int = 0, key: str = "report"):
@@ -377,11 +368,11 @@ def _spec_field(entry: dict, i: int, key: str, convert, default=None):
         raise ValueError(f"{where} has invalid value {entry[key]!r}") from None
 
 
-def _whole(value) -> int:
-    """A JSON integer, or a float that holds one such as ``1e6``; a bool is not a number here."""
-    if isinstance(value, bool) or int(value) != value:
-        raise ValueError(f"not a whole number: {value!r}")
-    return int(value)
+def _real(value) -> float:
+    """A JSON number as a float; a bool or a string is not a number here."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
 
 
 def cmd_synth(args) -> int:
@@ -409,8 +400,8 @@ def cmd_synth(args) -> int:
         fields = dict(
             n=_spec_field(entry, i, "n", _whole),
             family=_spec_field(entry, i, "family", str),
-            params=_spec_field(entry, i, "params", lambda v: tuple(float(x) for x in v)),
-            miscalibration_shift=_spec_field(entry, i, "shift", float, 0.0),
+            params=_spec_field(entry, i, "params", lambda v: tuple(_real(x) for x in v)),
+            miscalibration_shift=_spec_field(entry, i, "shift", _real, 0.0),
             seed=_spec_field(entry, i, "seed", _whole, int(derived[i])),
         )
         try:

@@ -592,6 +592,13 @@ def _row_prefix(group_id: str) -> str:
     return buf.getvalue()[: -len("\r\n")]
 
 
+def _whole(value, name: str = "value") -> int:
+    """``value`` as an int: an integer, or a float that holds one such as ``1e6``; a bool is not a number here."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Recipe for one seeded synthetic group.
@@ -635,13 +642,13 @@ class SynthSpec:
         elif self.family == "grid":
             if len(p) != 3 or not (0.0 <= p[0] <= p[1] <= 1.0 and 1 <= p[2] <= _MAX_GRID_K):
                 raise ValueError(f"grid takes (lo, hi, k) with 0 <= lo <= hi <= 1, 1 <= k <= {_MAX_GRID_K}")
-            if not float(p[2]).is_integer():
-                raise ValueError(f"grid takes a whole number k, got {p[2]}")
+            _whole(p[2], "grid k")
         else:
             if len(p) != 3 or not (p[0] > 0.0 and p[1] > 0.0 and 1 <= p[2] <= 2**53):
                 raise ValueError("beta_grid takes (a, b, bins) with a, b > 0, 1 <= bins <= 2**53")
-            if not (np.isfinite(p[:2]).all() and float(p[2]).is_integer()):
-                raise ValueError(f"beta_grid takes finite a, b and a whole number of bins, got {p}")
+            if not np.isfinite(p[:2]).all():
+                raise ValueError(f"beta_grid takes finite a and b, got {p}")
+            _whole(p[2], "beta_grid bins")
 
 
 def _draw_scores(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:

@@ -511,17 +511,21 @@ class TestRejections:
             ([{"seed": -1}], "synth spec groups[0]: seed must be non-negative, got -1"),
             (
                 [{"family": "beta_grid", "params": [1e400, 2, 20]}],
-                "synth spec groups[0]: beta_grid takes finite a, b and a whole number of bins, got (inf, 2.0, 20.0)",
+                "synth spec groups[0]: beta_grid takes finite a and b, got (inf, 2.0, 20.0)",
             ),
             (
                 [{"family": "beta_grid", "params": [2, 1e400, 20]}],
-                "synth spec groups[0]: beta_grid takes finite a, b and a whole number of bins, got (2.0, inf, 20.0)",
+                "synth spec groups[0]: beta_grid takes finite a and b, got (2.0, inf, 20.0)",
             ),
             (
                 [{"family": "beta_grid", "params": [2, 4, 20.5]}],
-                "synth spec groups[0]: beta_grid takes finite a, b and a whole number of bins, got (2.0, 4.0, 20.5)",
+                "synth spec groups[0]: beta_grid bins must be a whole number, got 20.5",
             ),
-            ([{"params": [0.1, 0.9, 9.7]}], "synth spec groups[0]: grid takes a whole number k, got 9.7"),
+            ([{"params": [0.1, 0.9, 9.7]}], "synth spec groups[0]: grid k must be a whole number, got 9.7"),
+            ([{"params": [0.1, 0.9, True]}], "synth spec groups[0].params has invalid value [0.1, 0.9, True]"),
+            ([{"params": [0.1, 0.9, "3"]}], "synth spec groups[0].params has invalid value [0.1, 0.9, '3']"),
+            ([{"shift": "0.1"}], "synth spec groups[0].shift has invalid value '0.1'"),
+            ([{"shift": True}], "synth spec groups[0].shift has invalid value True"),
             ([{"n": 3.9}], "synth spec groups[0].n has invalid value 3.9"),
             ([{"n": True}], "synth spec groups[0].n has invalid value True"),
             ([{"n": "3"}], "synth spec groups[0].n has invalid value '3'"),
@@ -529,7 +533,8 @@ class TestRejections:
             ([{"seed": True}], "synth spec groups[0].seed has invalid value True"),
         ],
         ids=["repeated-id", "padded-id", "nan-shift", "huge-bins", "inf-k", "huge-k", "huge-n", "inf-n",
-             "inf-seed", "negative-seed", "inf-a", "inf-b", "fractional-bins", "fractional-k", "fractional-n",
+             "inf-seed", "negative-seed", "inf-a", "inf-b", "fractional-bins", "fractional-k", "bool-k",
+             "string-param", "string-shift", "bool-shift", "fractional-n",
              "bool-n", "string-n", "fractional-seed", "bool-seed"],
     )
     def test_synth_spec_must_read_back(self, tmp_path, capsys, groups, message):
