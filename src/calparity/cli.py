@@ -19,7 +19,7 @@ import numpy as np
 
 from . import eo as eo_mod
 from .cost import CostPair, CostSpec, cost, trivial_cost, weighted_cost_spec
-from .dataset import GroupData, SynthGroup, SynthSpec, _whole, load_csv, row_chunks, write_csv, write_rows
+from .dataset import GroupData, SynthGroup, SynthSpec, _whole, atom_table, load_csv, row_chunks, write_rows
 from .impossibility import approximate_bound, build_matrix, exact_impossibility_check
 from .metrics import analytic_rates, calibration_gap, linearity_residual, rate_point
 from .parity import (
@@ -31,8 +31,8 @@ from .parity import (
     compute_alpha,
     feasibility,
     mixture_calibration_gap,
+    mixture_chunks,
     mixture_rate_point,
-    realize_mixture,
 )
 from .scene import build_scene
 
@@ -262,7 +262,7 @@ def cmd_postprocess_calibrated(args) -> int:
 
     # Unless Monte Carlo mode realizes the plan, scores pass through: the
     # analytic plan in the report is the deliverable.
-    out_groups, withheld = groups, None
+    drawn = None  # the Monte Carlo plan whose draws replace G2's rows
     try:
         alpha = compute_alpha(verdict.g1_cost, verdict.g2_cost, verdict.trivial2_cost)
     except AlreadyTrivialError:
@@ -281,17 +281,27 @@ def cmd_postprocess_calibrated(args) -> int:
             "g2_rates": _rates_dict(post_rates),
         }
         if mode == MODE_MONTE_CARLO:
-            mixture = realize_mixture(g2, plan)
-            realized = mixture.realized
+            drawn = plan
+            withheld = 0
+
+            def counted():
+                nonlocal withheld
+                for chunk in mixture_chunks(g2, plan):
+                    withheld += int(np.count_nonzero(chunk[2]))
+                    yield chunk
+
+            # The draws are made twice, here for the report and again as they are written.
+            realized = GroupData(g2.group_id, table=atom_table(counted()))
             report["realized"] = {
                 "g2_cost": cost(rate_point(realized), specs[g2.group_id]),
                 "g2_gap": calibration_gap(realized, binning, bins).gap,
-                "withheld_fraction": float(mixture.withheld.mean()),
+                "withheld_fraction": withheld / len(g2),
             }
-            out_groups = [realized if g is g2 else g for g in groups]
-            withheld = {g2.group_id: mixture.withheld}
     if args.output:
-        write_csv(out_groups, args.output, withheld)
+        rows = {g.group_id: row_chunks(*g.samples()) for g in groups}  # checked before the file is opened
+        if drawn is not None:
+            rows[g2.group_id] = mixture_chunks(g2, drawn)
+        write_rows(args.output, rows.items(), drawn is not None)
     _emit(report)
     return EXIT_OK
 
@@ -310,13 +320,12 @@ def cmd_postprocess_eo(args) -> int:
         g.group_id: eo_mod.eo_calibration_damage(g, plan) for g in (g1, g2)
     }
     if args.output:
-        # Checked before the file is opened; each group's scores are flipped as it is written.
-        rows = [(g, plan.for_group(g.group_id), g.samples()[1]) for g in groups]
-        flipped = (
-            (g.group_id, row_chunks(eo_mod.flipped_scores(g, f.q_n2p, f.q_p2n), labels))
-            for g, f, labels in rows
-        )
-        write_rows(args.output, flipped)
+        # Checked before the file is opened; each chunk's scores are flipped as it is written.
+        rows = [(g.group_id, plan.for_group(g.group_id), row_chunks(*g.samples())) for g in groups]
+        write_rows(args.output, (
+            (gid, ((eo_mod.flipped_scores(s, f.q_n2p, f.q_p2n), labels, mask) for s, labels, mask in chunks))
+            for gid, f, chunks in rows
+        ))
     _emit(report)
     return EXIT_OK
 

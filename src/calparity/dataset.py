@@ -4,10 +4,11 @@ A group's scores are probabilistic classifier outputs in [0, 1] and its
 labels the observed binary outcomes. Both classes must be present in every
 group so the base rate stays strictly inside (0, 1). Every group statistic
 depends on the samples only through the group's atom table: its distinct
-scores, each with a count of negatives and positives. So ``load_csv`` can
-keep just that table, built chunk by chunk, and drop the rows; only
-realizing a Monte Carlo mixture, flipping scores and writing rows need
-them.
+scores, each with a count of negatives and positives. Each group builds
+that table once, at construction, through ``atom_table``, chunk by chunk.
+So ``load_csv`` can keep just the table and drop the rows; only the
+per-row transforms (a Monte Carlo draw, an equalized-odds flip) and
+writing rows need them, and those go to ``write_rows`` as chunks.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ import csv
 import io
 import os
 import warnings
-import weakref
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
@@ -53,22 +52,24 @@ def pool_atoms(values: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ..
 class GroupData:
     """One population group: its atom table, and its samples where they are kept.
 
-    Built from ``scores`` and ``labels``, a group keeps its samples in
-    order, copied and frozen, and builds its atom table on first use. An
-    array another group froze is shared, not copied, where it has the
-    dtype this one keeps (float64 scores, int64 labels). Labels must equal
-    0 or 1 as given, so 0.5 or NaN is rejected, not truncated by the cast.
-    Built from ``table`` alone, an atom table as ``atoms`` describes it,
-    the group holds no samples: ``scores`` and ``labels`` are None and
-    ``samples()`` raises. Both forms make the same checks with the same messages, and
-    ``base_rate``, the mean label cached at construction, is the same float
-    either way. Instances are safe to share across threads.
+    ``atoms`` is the table ``(values, negatives, positives)``: the distinct
+    scores in ascending order and the count of samples of each class at
+    each, as floats. Every group statistic depends on the samples only
+    through it. Built from ``scores`` and ``labels``, a group keeps its own
+    frozen copy of its samples, in order, and tallies the table from them
+    at construction. Labels must equal 0 or 1 as given, so 0.5 or NaN is
+    rejected, not truncated by the cast. Built from ``table`` alone, the
+    group holds no samples: ``scores`` and ``labels`` are None and
+    ``samples()`` raises. Both forms make the same checks with the same
+    messages and give the same ``base_rate``, the mean label. Every array
+    is frozen, so instances are safe to share across threads.
     """
 
     group_id: str
     scores: np.ndarray | None = None
     labels: np.ndarray | None = None
     table: InitVar[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = None
+    atoms: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
     base_rate: float = field(init=False)
     _size: int = field(init=False, repr=False)
 
@@ -81,12 +82,12 @@ class GroupData:
         else:
             if self.scores is not None or self.labels is not None:
                 raise ValueError("give a group samples or an atom table, not both")
-            atoms = values, negatives, positives = tuple(np.array(a, dtype=float) for a in table)
+            table = values, negatives, positives = tuple(np.array(a, dtype=float) for a in table)
             if values.ndim != 1 or negatives.shape != values.shape or positives.shape != values.shape:
                 raise ValueError("atom table columns must be 1-d arrays of equal length")
             if np.any(values[1:] <= values[:-1]):
                 raise ValueError("atom table values must be distinct and ascending")
-            size, positives = int(negatives.sum() + positives.sum()), positives.sum()
+            size = int(negatives.sum() + positives.sum())
         if size == 0:
             raise ValueError(f"group {self.group_id!r} has no samples")
         if not np.all((values >= 0.0) & (values <= 1.0)):  # NaN fails too
@@ -94,16 +95,17 @@ class GroupData:
         if table is None:
             if not _binary(labels):
                 raise ValueError(f"group {self.group_id!r} has non-binary labels")
-            scores, labels = _frozen(scores, np.float64), _frozen(labels, np.int64)
-            positives = labels.sum()
+            table = atom_table(row_chunks(scores, labels))  # before the copies, so its pools never sit beside them
+            scores, labels = scores.astype(np.float64), labels.astype(np.int64)
+            for a in (scores, labels):
+                a.setflags(write=False)
             object.__setattr__(self, "scores", scores)
             object.__setattr__(self, "labels", labels)
-        else:
-            for a in atoms:
-                a.setflags(write=False)
-            self.__dict__["atoms"] = atoms  # the cache of the ``atoms`` property
-        object.__setattr__(self, "base_rate", _base_rate(self.group_id, positives, size))
-        object.__setattr__(self, "_size", int(size))
+        for a in table:
+            a.setflags(write=False)
+        object.__setattr__(self, "atoms", table)
+        object.__setattr__(self, "base_rate", _base_rate(self.group_id, table[2].sum(), size))
+        object.__setattr__(self, "_size", size)
 
     def __len__(self) -> int:
         return self._size
@@ -113,40 +115,6 @@ class GroupData:
         if self.scores is None:
             raise ValueError(f"group {self.group_id!r} was loaded without its samples, which this needs")
         return self.scores, self.labels
-
-    @cached_property
-    def atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Atom table ``(values, negatives, positives)``, built on first use.
-
-        ``values`` are the distinct scores in ascending order; ``negatives``
-        and ``positives`` count the samples of each class at each value, as
-        floats. Every group statistic depends on the samples only through
-        this table. It is tallied ``_ATOM_CHUNK`` samples at a time, as the
-        CSV loader tallies it, so building it takes memory for one chunk
-        and the distinct scores. Caching is safe because the arrays are
-        frozen.
-        """
-        tally = _Tally()
-        for lo in range(0, len(self), _ATOM_CHUNK):
-            tally.add(self.scores[lo : lo + _ATOM_CHUNK], self.labels[lo : lo + _ATOM_CHUNK] == 1)
-        atoms = tally.table()
-        for a in atoms:
-            a.setflags(write=False)
-        return atoms
-
-
-# Arrays a GroupData has frozen, by id; another GroupData may hold one without a copy.
-_FROZEN: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
-
-
-def _frozen(a: np.ndarray, dtype: type[np.generic]) -> np.ndarray:
-    """``a`` itself if a GroupData froze it as ``dtype``, else a frozen copy of it as ``dtype``."""
-    if _FROZEN.get(id(a)) is a and a.dtype == dtype and not a.flags.writeable:
-        return a
-    a = a.astype(dtype)
-    a.setflags(write=False)
-    _FROZEN[id(a)] = a
-    return a
 
 
 def _binary(a: np.ndarray) -> bool:
@@ -216,6 +184,19 @@ class _Tally:
     def args(self) -> tuple:
         """``GroupData`` arguments after the id."""
         return None, None, self.table()
+
+
+def atom_table(chunks: Iterable[Chunk]) -> tuple[np.ndarray, ...]:
+    """The atom table ``(values, negatives, positives)`` of a group's rows, given as ``write_rows`` chunks.
+
+    The rows are pooled ``_ATOM_CHUNK`` at a time, as the CSV loader pools
+    them, so building the table holds one pool and the distinct scores,
+    and the table is the same however the rows are cut. Masks are ignored.
+    """
+    tally = _Tally()
+    for scores, labels, _ in chunks:
+        tally.add(scores, labels == 1)
+    return tally.table()
 
 
 class _Rows:
@@ -370,7 +351,9 @@ def _load_columnar(path: str | Path, samples: bool = True) -> list[GroupData] | 
         return None
     if not rows or any(gid != gid.strip() for gid in codes):
         return None
-    return _groups((gid, *group.args()) for gid, group in zip(codes, groups))
+    # Pop each accumulator as its group is built, so its row buffers are freed once the group has copied them.
+    groups.reverse()
+    return _groups((gid, *groups.pop().args()) for gid in codes)
 
 
 # Lines of a block the probe reads; a parse of many thousand lines costs far more.

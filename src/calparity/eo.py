@@ -90,7 +90,7 @@ class EOSolution:
         }
 
 
-def _flipped(scores: np.ndarray, q_n2p: float, q_p2n: float) -> np.ndarray:
+def flipped_scores(scores: np.ndarray, q_n2p: float, q_p2n: float) -> np.ndarray:
     """Expected score of the flipped classifier at each score.
 
     Scores at exactly 0.5 count as positive predictions; their complement
@@ -98,11 +98,6 @@ def _flipped(scores: np.ndarray, q_n2p: float, q_p2n: float) -> np.ndarray:
     """
     q = np.where(scores >= 0.5, q_p2n, q_n2p)
     return np.clip(scores + q * (1.0 - 2.0 * scores), 0.0, 1.0)
-
-
-def flipped_scores(g: GroupData, q_n2p: float, q_p2n: float) -> np.ndarray:
-    """Expected score of the flipped classifier, per sample."""
-    return _flipped(g.samples()[0], q_n2p, q_p2n)
 
 
 def derived_rates(g: GroupData, q_n2p: float, q_p2n: float) -> RatePoint:
@@ -114,7 +109,7 @@ def derived_rates(g: GroupData, q_n2p: float, q_p2n: float) -> RatePoint:
     """
     GroupFlip(q_n2p, q_p2n)
     values, negatives, positives = g.atoms
-    t = _flipped(values, q_n2p, q_p2n)
+    t = flipped_scores(values, q_n2p, q_p2n)
     return RatePoint(_exact_mean(t, negatives), _exact_mean(1.0 - t, positives))
 
 

@@ -14,11 +14,12 @@ calibration gap: the mixture's gap is (1 - alpha) times the original.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .cost import CostSpec, _require_base_rate, cost
-from .dataset import GroupData
+from .dataset import Chunk, GroupData, row_chunks
 from .metrics import RatePoint, _pooled_gap, rate_point
 
 REASON_OK = "ok"
@@ -127,16 +128,25 @@ def compute_alpha(g1_cost: float, g2_cost: float, trivial2_cost: float) -> float
     return min(max((g1_cost - g2_cost) / denom, 0.0), 1.0)
 
 
-def realize_mixture(g: GroupData, plan: InterpolationPlan) -> MixtureGroup:
-    """Draw the withholding mask and materialize the mixed scores."""
+def mixture_chunks(g: GroupData, plan: InterpolationPlan) -> Iterator[Chunk]:
+    """One Monte Carlo draw of the plan: ``(scores, labels, withheld)`` per ``_WRITE_CHUNK`` rows.
+
+    ``withheld`` marks the samples whose prediction is replaced by the
+    trivial output, even where the score already equals it. The draws are
+    one stream in sample order: the whole-array ``rng.random(len(g)) < alpha``.
+    """
     if plan.mode != MODE_MONTE_CARLO:
-        raise ValueError("realize_mixture requires a monte_carlo plan")
-    scores, labels = g.samples()
+        raise ValueError("a Monte Carlo draw requires a monte_carlo plan")
     rng = np.random.default_rng(plan.seed)
-    # One stream in sample order keeps the mask reproducible per seed.
-    withheld = rng.random(len(g)) < plan.alpha
-    realized = GroupData(g.group_id, np.where(withheld, plan.trivial_output, scores), labels)
-    return MixtureGroup(realized, withheld)
+    for scores, labels, _ in row_chunks(*g.samples()):
+        withheld = rng.random(len(scores)) < plan.alpha
+        yield np.where(withheld, plan.trivial_output, scores), labels, withheld
+
+
+def realize_mixture(g: GroupData, plan: InterpolationPlan) -> MixtureGroup:
+    """Draw the withholding mask and materialize the mixed scores: ``mixture_chunks``, joined."""
+    scores, labels, withheld = map(np.concatenate, zip(*mixture_chunks(g, plan)))
+    return MixtureGroup(GroupData(g.group_id, scores, labels), withheld)
 
 
 def mixture_rate_point(g: GroupData, plan: InterpolationPlan) -> RatePoint:

@@ -7,9 +7,10 @@ rate/loss evaluations at corner points. ``derived_rates`` is the
 per-sample rate computation that ``eo.derived_rates`` must match bit for
 bit, ``write_csv_rows`` is the row-by-row writer that ``dataset.write_csv``
 must match byte for byte, ``dump_json`` is the dict-per-bin JSON writer
-that the CLI's ``_emit`` must match byte for byte, and ``synth_whole`` is
+that the CLI's ``_emit`` must match byte for byte, ``synth_whole`` is
 the whole-array generator whose groups the chunked ``dataset.SynthGroup``
-must draw value for value.
+must draw value for value, and ``mixture_whole`` is the whole-array
+Monte Carlo draw that ``parity.mixture_chunks`` must give bit for bit.
 """
 
 from __future__ import annotations
@@ -58,6 +59,12 @@ def synth_whole(spec: SynthSpec) -> GroupData:
         raise ValueError("degenerate synthetic spec: labels would be single-class in expectation")
     labels = (rng.random(spec.n) < probs).astype(np.int64)
     return GroupData(spec.group_id, scores, labels)
+
+
+def mixture_whole(g: GroupData, plan) -> tuple[np.ndarray, np.ndarray]:
+    """``(realized scores, withheld)``: the whole mask drawn in one call, then one ``np.where``."""
+    withheld = np.random.default_rng(plan.seed).random(len(g)) < plan.alpha
+    return np.where(withheld, plan.trivial_output, g.scores), withheld
 
 def _dict_form(obj):
     """Record arrays as lists of bin dicts, floats rounded to 12 significant digits."""

@@ -11,8 +11,12 @@ import pytest
 
 from calparity import cli, metrics
 from calparity.cli import _emit, build_parser, main
-from calparity.dataset import load_csv, write_csv
+from calparity.cost import CostSpec, cost, trivial_cost
+from calparity.dataset import GroupData, load_csv, write_csv
+from calparity.metrics import calibration_gap, rate_point
+from calparity.parity import MODE_MONTE_CARLO, InterpolationPlan, compute_alpha
 from conftest import make_group
+from oracles import mixture_whole, write_csv_rows
 
 EXACT = 1e-12
 
@@ -217,6 +221,37 @@ class TestPostprocessCalibrated:
         assert all(r[3] == "0" for r in a_rows)
         doc = json.loads(first)
         assert "realized" in doc and 0.0 <= doc["realized"]["withheld_fraction"] <= 1.0
+
+    @pytest.mark.parametrize("n", [2, 65535, 65536, 65537, 2 * 65536 + 3])
+    @pytest.mark.parametrize("g1_at, alpha", [("fp2", 0.0), ("between", None), ("mu2", 1.0)])
+    def test_mc_output_matches_whole_array_draw(self, tmp_path, capsys, n, g1_at, alpha):
+        # Under cost weights (1, 0) a group's cost is its FP rate and G2's trivial cost
+        # its base rate, so G1 scoring G2's FP rate gives alpha 0 and its base rate alpha 1.
+        labels = np.arange(n) % 2
+        g2 = GroupData("B", 0.25 + 0.5 * labels, labels)
+        g1 = GroupData("A", np.full(2, {"fp2": 0.25, "between": 0.375, "mu2": g2.base_rate}[g1_at]), np.array([0, 1]))
+        path = write_fixture(tmp_path, [g1, g2])
+        spec = CostSpec(1.0, 0.0)
+        plan = InterpolationPlan(
+            compute_alpha(cost(rate_point(g1), spec), cost(rate_point(g2), spec), trivial_cost(g2.base_rate, spec)),
+            g2.base_rate, MODE_MONTE_CARLO, 7,
+        )
+        assert plan.alpha == alpha if alpha is not None else 0.0 < plan.alpha < 1.0
+        out_csv = tmp_path / "post.csv"
+        code, out, _ = run(
+            capsys, "postprocess-calibrated", "--input", str(path), "--cost", "1,0,1,0",
+            "--mode", "mc", "--seed", "7", "--output", str(out_csv),
+        )
+        scores, withheld = mixture_whole(g2, plan)
+        realized = GroupData("B", scores, labels)
+        expected = {
+            "g2_cost": cost(rate_point(realized), spec),
+            "g2_gap": calibration_gap(realized).gap,
+            "withheld_fraction": float(withheld.mean()),
+        }
+        assert code == 0 and json.loads(out)["realized"] == {k: float(cli._number(v)) for k, v in expected.items()}
+        write_csv_rows([g1, realized], tmp_path / "expected.csv", {"B": withheld})
+        assert out_csv.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_mc_requires_seed(self, tmp_path, capsys):
         path = write_fixture(tmp_path, feasible_pair())
@@ -698,7 +733,7 @@ class TestSamples:
             (["postprocess-eo", "--output", "OUT"], "A"),
             (["postprocess-calibrated", "--weighted-cost", "1,3", "--output", "OUT"], "A"),
         ],
-        ids=["realize_mixture", "flipped_scores", "write_csv"],
+        ids=["calibrated-mc", "eo-output", "calibrated-output"],
     )
     def test_rows_missing_is_one_line(self, tmp_path, capsys, monkeypatch, argv, gid):
         # Were the rows not loaded, each reader of them fails by name, not on None.

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from calparity import dataset
 from calparity.dataset import CsvFormatError, GroupData, SynthSpec, load_csv, synth, write_csv
-from calparity.eo import flipped_scores
 from calparity.metrics import analytic_rates, calibration_gap, linearity_residual, rate_point
 from calparity.parity import MODE_MONTE_CARLO, InterpolationPlan, realize_mixture
 
@@ -159,17 +158,11 @@ class TestGroupData:
         g = GroupData("g", np.array([0.2, 0.5]), np.array(labels))
         assert g.labels.dtype == np.int64 and g.labels.tolist() == [0, 1]
 
-    def test_shares_only_arrays_a_group_froze(self):
-        g = GroupData("g", np.array([0.2, 0.5]), np.array([0, 1]))
-        again = GroupData("h", g.scores, g.labels)
-        assert again.scores is g.scores and again.labels is g.labels
+    def test_copies_a_read_only_array(self):
         # A caller's read-only array could be made writable again, so it is copied.
         frozen_by_caller = np.array([0, 1])
         frozen_by_caller.setflags(write=False)
-        assert not np.shares_memory(GroupData("g", g.scores, frozen_by_caller).labels, frozen_by_caller)
-        # Frozen int64 labels given as scores are cast to float64, so copied.
-        cast = GroupData("h", g.labels, g.labels)
-        assert cast.labels is g.labels and not np.shares_memory(cast.scores, g.labels)
+        assert not np.shares_memory(GroupData("g", np.array([0.2, 0.5]), frozen_by_caller).labels, frozen_by_caller)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="no samples"):
@@ -236,10 +229,9 @@ class TestAtomTableOnly:
         "use",
         [
             lambda g, tmp: realize_mixture(g, InterpolationPlan(0.5, g.base_rate, MODE_MONTE_CARLO, 1)),
-            lambda g, tmp: flipped_scores(g, 0.1, 0.2),
             lambda g, tmp: write_csv([g], tmp / "out.csv"),
         ],
-        ids=["realize_mixture", "flipped_scores", "write_csv"],
+        ids=["realize_mixture", "write_csv"],
     )
     def test_sample_readers_name_the_group(self, tmp_path, use):
         g = GroupData("A", table=([0.1, 0.5], [2, 1], [1, 3]))

@@ -81,7 +81,7 @@ class TestDerivedRates:
 
     def test_half_score_is_flip_invariant(self):
         g = make_group([0.5, 0.5], [0, 1])
-        assert np.all(flipped_scores(g, 1.0, 1.0) == 0.5)
+        assert np.all(flipped_scores(g.scores, 1.0, 1.0) == 0.5)
 
     def test_rejects_bad_probabilities(self, rng):
         g = random_group(rng)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from calparity import dataset
 from calparity.dataset import GroupData
 from calparity.metrics import RatePoint, calibration_gap, rate_point
 from calparity.cost import CostSpec, cost, trivial_cost
@@ -20,6 +21,7 @@ from calparity.parity import (
     realize_mixture,
 )
 from conftest import calibrated_distribution, distribution_rates, make_group, random_group
+from oracles import mixture_whole
 
 EXACT = 1e-12
 
@@ -131,11 +133,25 @@ class TestMonteCarloApplication:
         g = self.base_group(200)
         plan = InterpolationPlan(0.6, 0.4, MODE_MONTE_CARLO, seed=11)
         mixture = realize_mixture(g, plan)
-        assert np.shares_memory(mixture.realized.labels, g.labels)  # not copied again
         assert not mixture.realized.labels.flags.writeable
         changed = mixture.realized.scores != g.scores
         assert np.all(mixture.realized.scores[changed] == 0.4)
         assert np.all(changed <= mixture.withheld)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize(
+        "n, chunk", [(2, None), (5, 1), (65535, None), (65536, None), (65537, None), (2 * 65536 + 3, None)]
+    )
+    def test_matches_whole_array_draw(self, monkeypatch, n, chunk, alpha):
+        if chunk is not None:
+            monkeypatch.setattr(dataset, "_WRITE_CHUNK", chunk)
+        g = GroupData("g", np.linspace(0.0, 1.0, n), np.arange(n) % 2)
+        plan = InterpolationPlan(alpha, 0.4, MODE_MONTE_CARLO, seed=n)
+        mixture = realize_mixture(g, plan)
+        scores, withheld = mixture_whole(g, plan)
+        assert mixture.realized.scores.tobytes() == scores.tobytes()
+        assert mixture.withheld.tobytes() == withheld.tobytes()
+        assert mixture.realized.labels.tobytes() == g.labels.tobytes()
 
     def test_requires_monte_carlo_mode(self):
         g = self.base_group()
