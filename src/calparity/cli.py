@@ -25,7 +25,6 @@ from .metrics import analytic_rates, calibration_gap, linearity_residual, rate_p
 from .parity import (
     MODE_DETERMINISTIC,
     MODE_MONTE_CARLO,
-    REASON_COST_ORDER,
     AlreadyTrivialError,
     InterpolationPlan,
     compute_alpha,
@@ -230,16 +229,11 @@ def cmd_postprocess_calibrated(args) -> int:
         raise ValueError("--mode mc requires --seed")
 
     costs = {g.group_id: cost(rate_point(g), specs[g.group_id]) for g in (g1, g2)}
-
-    def verdict_for(g1: GroupData, g2: GroupData):
-        trivial2 = trivial_cost(g2.base_rate, specs[g2.group_id])
-        return feasibility(costs[g1.group_id], costs[g2.group_id], trivial2)
-
-    verdict = verdict_for(g1, g2)
-    swapped = verdict.reason == REASON_COST_ORDER
+    swapped = costs[g1.group_id] < costs[g2.group_id]
     if swapped:
         g1, g2 = g2, g1
-        verdict = verdict_for(g1, g2)
+    trivial2 = trivial_cost(g2.base_rate, specs[g2.group_id])
+    verdict = feasibility(costs[g1.group_id], costs[g2.group_id], trivial2)
 
     report = {
         "group1": g1.group_id,
@@ -384,6 +378,13 @@ def _real(value) -> float:
     return float(value)
 
 
+def _string(value) -> str:
+    """A JSON string as it is; ``str()`` would turn ``null`` or ``5`` into an id."""
+    if not isinstance(value, str):
+        raise ValueError(f"not a string: {value!r}")
+    return value
+
+
 def cmd_synth(args) -> int:
     text = args.spec
     if text.startswith("@"):
@@ -400,7 +401,7 @@ def cmd_synth(args) -> int:
         if not isinstance(entry, dict):
             raise ValueError(f"synth spec groups[{i}] must be an object, got {entry!r}")
         # load_csv strips ids and merges equal ones, so those would not read back.
-        gid = _spec_field(entry, i, "id", str)
+        gid = _spec_field(entry, i, "id", _string)
         if gid != gid.strip():
             raise ValueError(f"synth spec groups[{i}].id {gid!r} has surrounding whitespace")
         if gid in first_index:

@@ -8,6 +8,8 @@ rates across two groups while minimizing the summed thresholded 0/1 loss
 is a small linear program. It is solved exactly by enumerating the
 vertices of the feasible polytope (box facets intersected with the two
 equality constraints), which is trivially auditable against a grid search.
+Vertices whose objectives agree within ``RATE_MATCH_TOL`` tie, and the
+tie goes to the lexicographically smallest flip vector.
 """
 
 from __future__ import annotations
@@ -163,53 +165,33 @@ def _affine(g: GroupData) -> tuple[np.ndarray, np.ndarray]:
     return constant, coef
 
 
-def _independent_rows(
-    A: np.ndarray, b: np.ndarray, feas_tol: float
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Row-reduce, dropping dependent rows; None when the system is inconsistent."""
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for i in range(A.shape[0]):
-        r = A[i].astype(float).copy()
-        v = float(b[i])
-        for kept, kept_rhs in zip(rows, rhs):
-            j = int(np.argmax(np.abs(kept)))
-            factor = r[j] / kept[j]
-            r = r - factor * kept
-            v = v - factor * kept_rhs
-        if np.max(np.abs(r)) > _PIVOT_TOL:
-            rows.append(r)
-            rhs.append(v)
-        elif abs(v) > feas_tol:
-            return None
-    return np.array(rows).reshape(len(rows), A.shape[1]), np.array(rhs)
-
-
 def _enumerate_vertices(A: np.ndarray, b: np.ndarray, feas_tol: float = RATE_MATCH_TOL) -> list[np.ndarray]:
     """Vertices of {q in [0,1]^n : A q = b}.
 
-    Every vertex has at least n - rank(A) coordinates at a box bound; the
-    remaining coordinates come from solving the reduced equality system.
+    A feasible q is a vertex exactly when the columns of A at its
+    coordinates strictly inside (0, 1) are independent. So with r =
+    rank(A), each vertex is found from r independent columns, solved by
+    least squares, with every other coordinate at 0 or 1; an inconsistent
+    system leaves a residual and is rejected. A coordinate within
+    ``feas_tol`` of 0 or 1 is snapped onto that bound, so no ``-0.0`` or
+    rounding noise is returned.
     """
     n = A.shape[1]
-    reduced = _independent_rows(A, b, feas_tol)
-    if reduced is None:
-        return []
-    R, d = reduced
-    r = R.shape[0]
+    r = int(np.linalg.matrix_rank(A, tol=_PIVOT_TOL))
     vertices: list[np.ndarray] = []
-    for fixed in combinations(range(n), n - r):
-        free = [j for j in range(n) if j not in fixed]
-        square = R[:, free]
-        if r > 0 and abs(np.linalg.det(square)) <= _PIVOT_TOL:
+    for free in map(list, combinations(range(n), r)):
+        fixed = [j for j in range(n) if j not in free]
+        # r = 0 gets no linalg call on a zero-column matrix, which numpy versions treat differently.
+        if r > 0 and np.linalg.matrix_rank(A[:, free], tol=_PIVOT_TOL) < r:
             continue
         for values in product((0.0, 1.0), repeat=n - r):
             q = np.empty(n)
-            q[list(fixed)] = values
+            q[fixed] = values
             if r > 0:
-                q[free] = np.linalg.solve(square, d - R[:, list(fixed)] @ np.array(values))
+                q[free] = np.linalg.lstsq(A[:, free], b - A[:, fixed] @ np.array(values), rcond=None)[0]
             if np.all(q >= -feas_tol) and np.all(q <= 1.0 + feas_tol):
-                q = np.clip(q, 0.0, 1.0)
+                q[q <= feas_tol] = 0.0  # this snap also clips onto the box
+                q[q >= 1.0 - feas_tol] = 1.0
                 if np.max(np.abs(A @ q - b)) <= feas_tol:
                     vertices.append(q)
     return vertices
@@ -220,8 +202,11 @@ def solve_eo(g1: GroupData, g2: GroupData) -> EOSolution:
 
     Constraints equalize the generalized FP and FN rates across the two
     groups; the objective is the sum of the groups' thresholded losses.
-    Ties are broken toward the lexicographically smallest flip vector so
-    the result is deterministic.
+    Every vertex whose objective is within ``RATE_MATCH_TOL`` of the
+    least ties with it, and the tie goes to the lexicographically smallest
+    flip vector (q_n2p, q_p2n of the first group, then of the second),
+    compared after rounding to 9 decimals, so float noise in the objective
+    never decides the plan.
     """
     if g1.group_id == g2.group_id:
         raise ValueError("the two groups must have distinct ids")
@@ -236,7 +221,10 @@ def solve_eo(g1: GroupData, g2: GroupData) -> EOSolution:
     vertices = _enumerate_vertices(A, b)
     if not vertices:
         return EOSolution(STATUS_INFEASIBLE, None, None, None)
-    best = min(vertices, key=lambda q: (float(c @ q), tuple(q)))
+    objectives = [float(c @ q) for q in vertices]
+    least = min(objectives)
+    tied = [q for q, o in zip(vertices, objectives) if o <= least + RATE_MATCH_TOL]
+    best = min(tied, key=lambda q: tuple(np.round(q, 9)))
     objective = c0 + float(c @ best)
     flips = {g.group_id: (float(best[2 * i]), float(best[2 * i + 1])) for i, g in enumerate((g1, g2))}
     plan = FlipPlan({gid: GroupFlip(*q) for gid, q in flips.items()})

@@ -9,8 +9,10 @@ bit, ``write_csv_rows`` is the row-by-row writer that ``dataset.write_csv``
 must match byte for byte, ``dump_json`` is the dict-per-bin JSON writer
 that the CLI's ``_emit`` must match byte for byte, ``synth_whole`` is
 the whole-array generator whose groups the chunked ``dataset.SynthGroup``
-must draw value for value, and ``mixture_whole`` is the whole-array
-Monte Carlo draw that ``parity.mixture_chunks`` must give bit for bit.
+must draw value for value, ``mixture_whole`` is the whole-array
+Monte Carlo draw that ``parity.mixture_chunks`` must give bit for bit, and
+``vertices_by_row_reduction`` is the row-reduction vertex enumeration whose
+feasibility and vertices ``eo._enumerate_vertices`` must reproduce.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from itertools import repeat
+from itertools import combinations, product, repeat
 
 import numpy as np
 
@@ -173,3 +175,53 @@ def eo_grid_oracle(g1: GroupData, g2: GroupData, steps: int = 101):
         bounds.append(step * gain)
     # Coverage is only guaranteed for one direction, so keep the looser bound.
     return best, (max(bounds) if bounds else np.inf)
+
+
+def _independent_rows(A: np.ndarray, b: np.ndarray, feas_tol: float, pivot_tol: float):
+    """Row-reduce, dropping dependent rows; None when the system is inconsistent."""
+    rows: list[np.ndarray] = []
+    rhs: list[float] = []
+    for i in range(A.shape[0]):
+        r = A[i].astype(float).copy()
+        v = float(b[i])
+        for kept, kept_rhs in zip(rows, rhs):
+            j = int(np.argmax(np.abs(kept)))
+            factor = r[j] / kept[j]
+            r = r - factor * kept
+            v = v - factor * kept_rhs
+        if np.max(np.abs(r)) > pivot_tol:
+            rows.append(r)
+            rhs.append(v)
+        elif abs(v) > feas_tol:
+            return None
+    return np.array(rows).reshape(len(rows), A.shape[1]), np.array(rhs)
+
+
+def vertices_by_row_reduction(A: np.ndarray, b: np.ndarray, feas_tol: float = 1e-9, pivot_tol: float = 1e-12):
+    """Vertices of {q in [0,1]^n : A q = b}: row-reduce, then solve each nonsingular square subsystem.
+
+    Every vertex has at least n - rank(A) coordinates at a box bound; the
+    remaining coordinates come from solving the reduced equality system.
+    """
+    n = A.shape[1]
+    reduced = _independent_rows(A, b, feas_tol, pivot_tol)
+    if reduced is None:
+        return []
+    R, d = reduced
+    r = R.shape[0]
+    vertices: list[np.ndarray] = []
+    for fixed in combinations(range(n), n - r):
+        free = [j for j in range(n) if j not in fixed]
+        square = R[:, free]
+        if r > 0 and abs(np.linalg.det(square)) <= pivot_tol:
+            continue
+        for values in product((0.0, 1.0), repeat=n - r):
+            q = np.empty(n)
+            q[list(fixed)] = values
+            if r > 0:
+                q[free] = np.linalg.solve(square, d - R[:, list(fixed)] @ np.array(values))
+            if np.all(q >= -feas_tol) and np.all(q <= 1.0 + feas_tol):
+                q = np.clip(q, 0.0, 1.0)
+                if np.max(np.abs(A @ q - b)) <= feas_tol:
+                    vertices.append(q)
+    return vertices

@@ -317,6 +317,25 @@ class TestPostprocessEO:
         for flips in doc["plan"].values():
             assert flips == {"q_n2p": 0.0, "q_p2n": 0.0}
 
+    @pytest.mark.parametrize(
+        "a, b, objective",
+        [
+            # No flips for B tie with flipping all of B: both reach objective 2.4 at the same rates.
+            ([(0.8, 0), (0.8, 1)], [(0.5, 0), (0.8, 1), (0.2, 1), (0.2, 1), (0.8, 1), (0.5, 0), (0.5, 1)], 2.4),
+            # Equal groups: B's plan is solved, not fixed, and must not come out as -0.0.
+            ([(0.2, 0), (0.7, 1), (0.4, 1)], [(0.2, 0), (0.7, 1), (0.4, 1)], 1.0),
+        ],
+        ids=["tie", "equal-groups"],
+    )
+    def test_ties_go_to_the_fewest_flips(self, tmp_path, capsys, a, b, objective):
+        groups = [make_group(*zip(*rows), gid=gid) for gid, rows in (("A", a), ("B", b))]
+        path = write_fixture(tmp_path, groups)
+        code, out, _ = run(capsys, "postprocess-eo", "--input", str(path))
+        assert code == 0 and "-0.0" not in out
+        doc = json.loads(out)
+        assert doc["plan"]["B"] == {"q_n2p": 0.0, "q_p2n": 0.0}
+        assert doc["objective"] == objective
+
     def test_rates_matched_and_damage_reported(self, tmp_path, capsys):
         g1 = make_group([0.1] * 4 + [0.9] * 4, [1, 0, 0, 0, 1, 1, 1, 0], gid="A")
         g2 = make_group([0.3] * 5 + [0.7] * 5, [1, 1, 0, 0, 0, 1, 1, 1, 1, 0], gid="B")
@@ -566,11 +585,14 @@ class TestRejections:
             ([{"n": "3"}], "synth spec groups[0].n has invalid value '3'"),
             ([{"seed": 2.5}], "synth spec groups[0].seed has invalid value 2.5"),
             ([{"seed": True}], "synth spec groups[0].seed has invalid value True"),
+            ([{"id": None}], "synth spec groups[0].id has invalid value None"),
+            ([{"id": 5}], "synth spec groups[0].id has invalid value 5"),
+            ([{"id": ["x"]}], "synth spec groups[0].id has invalid value ['x']"),
         ],
         ids=["repeated-id", "padded-id", "nan-shift", "huge-bins", "inf-k", "huge-k", "huge-n", "inf-n",
              "inf-seed", "negative-seed", "inf-a", "inf-b", "fractional-bins", "fractional-k", "bool-k",
              "string-param", "string-shift", "bool-shift", "fractional-n",
-             "bool-n", "string-n", "fractional-seed", "bool-seed"],
+             "bool-n", "string-n", "fractional-seed", "bool-seed", "null-id", "number-id", "list-id"],
     )
     def test_synth_spec_must_read_back(self, tmp_path, capsys, groups, message):
         base = {"id": "A", "n": 50, "family": "grid", "params": [0.1, 0.9, 3]}

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from calparity.dataset import GroupData
 from calparity.eo import (
     STATUS_OPTIMAL,
     FlipPlan,
     GroupFlip,
+    _affine,
     _enumerate_vertices,
     derived_rates,
     eo_calibration_damage,
@@ -14,7 +17,7 @@ from calparity.eo import (
 )
 from calparity.metrics import calibration_gap, rate_point
 from conftest import make_group, random_group
-from oracles import eo_grid_oracle, expected_loss
+from oracles import eo_grid_oracle, expected_loss, vertices_by_row_reduction
 
 EXACT = 1e-12
 RATE_TOL = 1e-9
@@ -171,6 +174,69 @@ class TestVertexEnumeration:
         b = np.zeros(1)
         vertices = {tuple(v) for v in _enumerate_vertices(A, b)}
         assert len(vertices) == 16
+
+
+# Score kinds: continuous, 0/1, three levels with 0.5 itself, and one decimal.
+SCORE_KINDS = [
+    st.floats(0.0, 1.0, allow_nan=False),
+    st.sampled_from([0.0, 1.0]),
+    st.sampled_from([0.2, 0.5, 0.8]),
+    st.integers(0, 10).map(lambda i: i / 10),
+]
+
+
+@st.composite
+def group_pairs(draw):
+    """Two groups with scores of one kind; one pair in about seven is two equal groups."""
+    kind = draw(st.sampled_from(SCORE_KINDS))
+    rows = st.lists(st.tuples(kind, st.integers(0, 1)), min_size=2, max_size=12).filter(
+        lambda r: 0 < sum(y for _, y in r) < len(r)
+    )
+    first = draw(rows)
+    second = first if draw(st.integers(0, 6)) == 0 else draw(rows)
+    return tuple(make_group(*zip(*r), gid=gid) for gid, r in (("A", first), ("B", second)))
+
+
+def snapped(q: np.ndarray) -> np.ndarray:
+    return np.where(q <= RATE_TOL, 0.0, np.where(q >= 1.0 - RATE_TOL, 1.0, q))
+
+
+def tolerance(A: np.ndarray, q: np.ndarray) -> float:
+    """1e-9, widened by the forward error any two solves may differ by at q's interior columns."""
+    interior = (q > 0.0) & (q < 1.0)
+    cond = np.linalg.cond(A[:, interior]) if interior.any() else 1.0
+    return RATE_TOL + 16 * np.finfo(float).eps * cond
+
+
+def same_points(A, xs, ys) -> bool:
+    return all(min(np.max(np.abs(x - y)) for y in ys) <= tolerance(A, x) for x in xs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_pairs())
+# Interior columns of condition ~2e9: the two solves differ by 6e-8, within `tolerance` only.
+@example((make_group([0.0, 0.0], [0, 1], gid="A"), make_group([0.0, 1e-9], [0, 1], gid="B")))
+def test_matches_row_reduction_enumeration(pair):
+    """Same feasibility and vertices as the row-reduction reference, and the plan its vertices' tie rule picks."""
+    g1, g2 = pair
+    (const1, coef1), (const2, coef2) = _affine(g1), _affine(g2)
+    A = np.hstack([coef1[:2], -coef2[:2]])
+    b = const2[:2] - const1[:2]
+    c = np.concatenate([coef1[2], coef2[2]])
+    got = _enumerate_vertices(A, b)
+    want = [snapped(q) for q in vertices_by_row_reduction(A, b)]
+    assert bool(got) == bool(want)
+    assert same_points(A, got, want) and same_points(A, want, got)
+    solution = solve_eo(g1, g2)
+    assert (solution.status == STATUS_OPTIMAL) == bool(want)
+    if want:
+        # The tie rule on the reference's vertices: least objective, then least rounded q.
+        objectives = [float(c @ q) for q in want]
+        tied = [q for q, o in zip(want, objectives) if o <= min(objectives) + RATE_TOL]
+        best = min(tied, key=lambda q: tuple(np.round(q, 9)))
+        flips = [solution.plan.for_group(gid) for gid in ("A", "B")]
+        chosen = np.array([v for f in flips for v in (f.q_n2p, f.q_p2n)])
+        assert np.max(np.abs(chosen - best)) <= tolerance(A, best)
 
 
 class TestCalibrationDamage:
