@@ -1,96 +1,52 @@
-"""Calibration-preserving cost-parity post-processing for binary classifiers."""
+"""Calibration-preserving cost-parity post-processing for binary classifiers.
 
-from .cost import CostPair, CostSpec, Segment, calibrated_line, cost, level_curve, trivial_cost, weighted_cost_spec
-from .dataset import CsvFormatError, GroupData, SynthSpec, load_csv, synth, write_csv
-from .eo import EOSolution, FlipPlan, GroupFlip, derived_rates, eo_calibration_damage, solve_eo
-from .impossibility import (
-    ConstraintMatrix,
-    ExactCheck,
-    ImpossibilityBound,
-    approximate_bound,
-    build_matrix,
-    exact_impossibility_check,
-)
-from .metrics import (
-    CalibrationReport,
-    MomentRates,
-    RatePoint,
-    analytic_rates,
-    calibration_gap,
-    generalized_fn,
-    generalized_fp,
-    linearity_residual,
-    rate_point,
-)
-from .parity import (
-    AlreadyTrivialError,
-    AuditVerdict,
-    FeasibilityVerdict,
-    InfeasibleError,
-    InterpolationPlan,
-    MixtureGroup,
-    compute_alpha,
-    feasibility,
-    mixture_calibration_gap,
-    mixture_cost,
-    mixture_rate_point,
-    optimality_audit,
-    realize_mixture,
-)
-from .scene import PlaneScene, ScenePoint, build_scene
+``import calparity`` loads no submodule: each public name is imported from
+the submodule that defines it the first time it is used, so a caller, the
+CLI included, pays only for the modules it runs.
+"""
+
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlreadyTrivialError",
-    "AuditVerdict",
-    "CalibrationReport",
-    "ConstraintMatrix",
-    "CostPair",
-    "CostSpec",
-    "CsvFormatError",
-    "EOSolution",
-    "ExactCheck",
-    "FeasibilityVerdict",
-    "FlipPlan",
-    "GroupData",
-    "GroupFlip",
-    "ImpossibilityBound",
-    "InfeasibleError",
-    "InterpolationPlan",
-    "MixtureGroup",
-    "MomentRates",
-    "PlaneScene",
-    "RatePoint",
-    "ScenePoint",
-    "Segment",
-    "SynthSpec",
-    "analytic_rates",
-    "approximate_bound",
-    "build_matrix",
-    "build_scene",
-    "calibrated_line",
-    "calibration_gap",
-    "compute_alpha",
-    "cost",
-    "derived_rates",
-    "eo_calibration_damage",
-    "exact_impossibility_check",
-    "feasibility",
-    "generalized_fn",
-    "generalized_fp",
-    "level_curve",
-    "linearity_residual",
-    "load_csv",
-    "mixture_calibration_gap",
-    "mixture_cost",
-    "mixture_rate_point",
-    "optimality_audit",
-    "rate_point",
-    "realize_mixture",
-    "solve_eo",
-    "synth",
-    "trivial_cost",
-    "weighted_cost_spec",
-    "write_csv",
-]
+# Public name -> the submodule that defines it.
+_SUBMODULE = {
+    name: module
+    for module, names in {
+        "cost": "CostPair CostSpec Segment calibrated_line cost level_curve trivial_cost weighted_cost_spec",
+        "dataset": "CsvFormatError GroupData SynthSpec load_csv synth write_csv",
+        "eo": "EOSolution FlipPlan GroupFlip derived_rates eo_calibration_damage solve_eo",
+        "impossibility": "ConstraintMatrix ExactCheck ImpossibilityBound approximate_bound build_matrix "
+        "exact_impossibility_check",
+        "metrics": "CalibrationReport MomentRates RatePoint analytic_rates calibration_gap generalized_fn "
+        "generalized_fp linearity_residual rate_point",
+        "parity": "AlreadyTrivialError FeasibilityVerdict InfeasibleError InterpolationPlan MixtureGroup "
+        "compute_alpha feasibility mixture_calibration_gap mixture_cost mixture_rate_point realize_mixture",
+        "scene": "PlaneScene ScenePoint build_scene",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+class _Package(types.ModuleType):
+    """Loading a submodule binds it on the package; ``cost`` must stay the function of that name."""
+
+    def __setattr__(self, name, value):
+        if not (name in _SUBMODULE and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

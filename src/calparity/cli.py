@@ -14,26 +14,17 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import eo as eo_mod
-from .cost import CostPair, CostSpec, cost, trivial_cost, weighted_cost_spec
+# Every command but synth reads a CSV and reports its metrics. The other
+# modules are imported by the commands that run them.
 from .dataset import GroupData, SynthGroup, SynthSpec, _whole, atom_table, load_csv, row_chunks, write_rows
-from .impossibility import approximate_bound, build_matrix, exact_impossibility_check
 from .metrics import analytic_rates, calibration_gap, linearity_residual, rate_point
-from .parity import (
-    MODE_DETERMINISTIC,
-    MODE_MONTE_CARLO,
-    AlreadyTrivialError,
-    InterpolationPlan,
-    compute_alpha,
-    feasibility,
-    mixture_calibration_gap,
-    mixture_chunks,
-    mixture_rate_point,
-)
-from .scene import build_scene
+
+if TYPE_CHECKING:
+    from .cost import CostSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -179,14 +170,23 @@ def _two_groups(groups: list[GroupData], group1: str | None) -> tuple[GroupData,
     return ids[group1], other
 
 
-def _resolve_specs(args, g1: GroupData, g2: GroupData) -> dict[str, CostSpec]:
-    """Per-group cost specs; --cost binds a1,b1 to G1 as currently assigned."""
+def _cost_weights(args) -> list[float]:
+    """The numbers of the one cost form given: a1,b1,a2,b2 of --cost or rfp,rfn of --weighted-cost."""
     if (args.cost is None) == (args.weighted_cost is None):
         raise ValueError("provide exactly one of --cost a1,b1,a2,b2 or --weighted-cost rfp,rfn")
     if args.cost is not None:
-        a1, b1, a2, b2 = _parse_floats(args.cost, 4, "--cost")
+        return _parse_floats(args.cost, 4, "--cost")
+    return _parse_floats(args.weighted_cost, 2, "--weighted-cost")
+
+
+def _resolve_specs(weights: list[float], g1: GroupData, g2: GroupData) -> dict[str, CostSpec]:
+    """Per-group cost specs from ``_cost_weights``; --cost binds a1,b1 to G1 as currently assigned."""
+    from .cost import CostSpec, weighted_cost_spec
+
+    if len(weights) == 4:
+        a1, b1, a2, b2 = weights
         return {g1.group_id: CostSpec(a1, b1), g2.group_id: CostSpec(a2, b2)}
-    r_fp, r_fn = _parse_floats(args.weighted_cost, 2, "--weighted-cost")
+    r_fp, r_fn = weights
     return {
         g1.group_id: weighted_cost_spec(r_fp, r_fn, g1.base_rate),
         g2.group_id: weighted_cost_spec(r_fp, r_fn, g2.base_rate),
@@ -198,8 +198,8 @@ def _rates_dict(p) -> dict:
 
 
 def cmd_stats(args) -> int:
-    groups = load_csv(args.input, samples=False)
     binning, bins = _parse_binning(args.binning)
+    groups = load_csv(args.input, samples=False)
     report = {"groups": []}
     for g in groups:
         calibration = calibration_gap(g, binning, bins)
@@ -219,14 +219,28 @@ def cmd_stats(args) -> int:
 
 
 def cmd_postprocess_calibrated(args) -> int:
-    # Rows are kept only to realize a Monte Carlo mixture or to write them back.
-    groups = load_csv(args.input, samples=args.mode == "mc" or args.output is not None)
-    g1, g2 = _two_groups(groups, args.group1)
-    specs = _resolve_specs(args, g1, g2)
+    from .cost import cost, trivial_cost
+    from .parity import (
+        MODE_DETERMINISTIC,
+        MODE_MONTE_CARLO,
+        AlreadyTrivialError,
+        InterpolationPlan,
+        compute_alpha,
+        feasibility,
+        mixture_calibration_gap,
+        mixture_chunks,
+        mixture_rate_point,
+    )
+
+    weights = _cost_weights(args)
     binning, bins = _parse_binning(args.binning)
     mode = MODE_MONTE_CARLO if args.mode == "mc" else MODE_DETERMINISTIC
     if mode == MODE_MONTE_CARLO and args.seed is None:
         raise ValueError("--mode mc requires --seed")
+    # Rows are kept only to realize a Monte Carlo mixture or to write them back.
+    groups = load_csv(args.input, samples=mode == MODE_MONTE_CARLO or args.output is not None)
+    g1, g2 = _two_groups(groups, args.group1)
+    specs = _resolve_specs(weights, g1, g2)
 
     costs = {g.group_id: cost(rate_point(g), specs[g.group_id]) for g in (g1, g2)}
     swapped = costs[g1.group_id] < costs[g2.group_id]
@@ -301,6 +315,8 @@ def cmd_postprocess_calibrated(args) -> int:
 
 
 def cmd_postprocess_eo(args) -> int:
+    from . import eo as eo_mod
+
     groups = load_csv(args.input, samples=args.output is not None)
     g1, g2 = _two_groups(groups, args.group1)
     solution = eo_mod.solve_eo(g1, g2)
@@ -325,11 +341,14 @@ def cmd_postprocess_eo(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    from .cost import CostPair, CostSpec
+    from .impossibility import approximate_bound, build_matrix, exact_impossibility_check
+
+    a1, b1, a2, b2 = _parse_floats(args.cost, 4, "--cost")
+    a1p, b1p, a2p, b2p = _parse_floats(args.cost2, 4, "--cost2")
     groups = load_csv(args.input, samples=False)
     g1, g2 = _two_groups(groups, args.group1)
-    a1, b1, a2, b2 = _parse_floats(args.cost, 4, "--cost")
     pair = CostPair(CostSpec(a1, b1), CostSpec(a2, b2))
-    a1p, b1p, a2p, b2p = _parse_floats(args.cost2, 4, "--cost2")
     pair_prime = CostPair(CostSpec(a1p, b1p), CostSpec(a2p, b2p))
     matrix = build_matrix(g1.base_rate, g2.base_rate, pair, pair_prime)
     p1, p2 = rate_point(g1), rate_point(g2)
@@ -351,9 +370,12 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
+    from .scene import build_scene
+
+    weights = _cost_weights(args)
     groups = load_csv(args.input, samples=False)
     g1, g2 = _two_groups(groups, args.group1)
-    specs = _resolve_specs(args, g1, g2)
+    specs = _resolve_specs(weights, g1, g2)
     _emit(build_scene([g1, g2], specs).to_json_dict(), args.output)
     return EXIT_OK
 

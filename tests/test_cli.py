@@ -2,7 +2,9 @@ import argparse
 import copy
 import csv
 import json
+import os
 import pickle
+import subprocess
 import sys
 from pathlib import Path
 
@@ -701,6 +703,28 @@ class TestRejections:
         assert code == 1 and out == ""
         assert err == "error: L is not finite (inf)\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stats", "--binning", "fixed:x"], "binning must be 'exact' or 'fixed:B', got 'fixed:x'"),
+            (["postprocess-calibrated", "--cost", "1,1,1,1", "--binning", "fixed"],
+             "binning must be 'exact' or 'fixed:B', got 'fixed'"),
+            (["postprocess-calibrated", "--cost", "1,1,1,1", "--mode", "mc"], "--mode mc requires --seed"),
+            (["postprocess-calibrated"], "provide exactly one of --cost a1,b1,a2,b2 or --weighted-cost rfp,rfn"),
+            (["plot-data", "--cost", "1,1,1,1", "--weighted-cost", "1,3"],
+             "provide exactly one of --cost a1,b1,a2,b2 or --weighted-cost rfp,rfn"),
+            (["postprocess-calibrated", "--cost", "1,1,1"],
+             "--cost expects 4 comma-separated numbers, got '1,1,1'"),
+            (["plot-data", "--weighted-cost", "3"], "--weighted-cost expects 2 comma-separated numbers, got '3'"),
+            (["postprocess-calibrated", "--weighted-cost", "1,x"], "could not convert string to float: 'x'"),
+            (["diagnose", *DIAGNOSE_ARGS, "--cost", "1,1"], "--cost expects 4 comma-separated numbers, got '1,1'"),
+            (["diagnose", *DIAGNOSE_ARGS, "--cost2", "1,2,2"], "--cost2 expects 4 comma-separated numbers, got '1,2,2'"),
+        ],
+    )  # fmt: skip
+    def test_flags_are_checked_before_the_input_is_read(self, tmp_path, capsys, argv, message):
+        code, out, err = run(capsys, *argv, "--input", str(tmp_path / "missing.csv"))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_emit_leaves_report_and_checks_before_writing(self, tmp_path, capsys):
         per_bin = np.rec.fromarrays([[0.1, 0.123456789012345], [0.0, 1.0], [0.25, 0.75]],
                                     names="mean_score,positive_fraction,weight")  # fmt: skip
@@ -834,3 +858,32 @@ def test_every_declared_flag_is_read(tmp_path, command):
         assert args.handler(recorder) == 0, argv
         read |= recorder.read
     assert sorted(f for f, dest in flags.items() if dest not in read) == []
+
+
+# A command on a golden input (or a usage error), its exit code, and the modules it loads beyond these.
+BASE_MODULES = {"calparity", "calparity.cli", "calparity.dataset", "calparity.metrics"}
+LOADED = {
+    "stats": (["stats", "--input", str(GOLDEN_MIXED)], 0, set()),
+    "synth": (["synth", "--spec", FLAG_VALUES["--spec"], "--output", "OUT"], 0, set()),
+    "calibrated": (["postprocess-calibrated", "--input", str(GOLDEN_MIXED), "--weighted-cost", "1,3"], 0,
+                   {"cost", "parity"}),
+    "eo": (["postprocess-eo", "--input", str(GOLDEN_MIXED)], 0, {"eo"}),
+    "diagnose": (["diagnose", "--input", str(GOLDEN_MIXED), *DIAGNOSE_ARGS], 0, {"cost", "impossibility"}),
+    "plot-data": (["plot-data", "--input", str(GOLDEN_MIXED), "--weighted-cost", "1,3"], 0, {"cost", "scene"}),
+    "usage-error": (["postprocess-calibrated", "--weighted-cost", "1,3"], 1, set()),  # no --input
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("argv, exit_code, extra", LOADED.values(), ids=LOADED)
+def test_each_command_loads_only_its_modules(tmp_path, argv, exit_code, extra):
+    """In a fresh interpreter, a command imports the package, cli, dataset, metrics and what it runs."""
+    code = (
+        "import sys; from calparity.cli import main; rc = main(sys.argv[1:]); "
+        "print(rc, *sorted(m for m in sys.modules if m.partition('.')[0] == 'calparity'), file=sys.stderr)"
+    )
+    argv = [str(tmp_path / "out.csv") if a == "OUT" else a for a in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    r = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+    rc, *modules = r.stderr.splitlines()[-1].split()
+    assert int(rc) == exit_code
+    assert set(modules) == BASE_MODULES | {f"calparity.{m}" for m in extra}
