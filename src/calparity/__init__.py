@@ -17,7 +17,7 @@ _SUBMODULE = {
     for module, names in {
         "cost": "CostPair CostSpec Segment calibrated_line cost level_curve trivial_cost weighted_cost_spec",
         "dataset": "CsvFormatError GroupData SynthSpec load_csv synth write_csv",
-        "eo": "EOSolution FlipPlan GroupFlip derived_rates eo_calibration_damage solve_eo",
+        "eo": "EOSolution GroupFlip derived_rates eo_calibration_damage solve_eo",
         "impossibility": "ConstraintMatrix ExactCheck ImpossibilityBound approximate_bound build_matrix "
         "exact_impossibility_check",
         "metrics": "CalibrationReport MomentRates RatePoint analytic_rates calibration_gap generalized_fn "

@@ -13,6 +13,7 @@ import contextlib
 import json
 import math
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -51,13 +52,19 @@ def _number(x: float) -> str:
     return repr(float(f"{x:.12g}"))
 
 
+def _fields(obj) -> dict:
+    """A dataclass instance as the dict of its fields, in declaration order; values as they are."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _encode(obj, depth: int = 0, key: str = "report"):
     """Yield the text ``json.dump(obj, indent=2)`` writes for ``obj``, floats through ``_number``.
 
     Dicts with string keys, lists, tuples, strings, numbers, booleans and
-    None give exactly json's bytes. A NaN or infinity raises ValueError
-    naming its nearest dict ``key``. A record array is checked whole here;
-    its text comes as one more iterator, ``_encode_records``, made as it is
+    None give exactly json's bytes; a dataclass instance is written as the
+    dict of its fields. A NaN or infinity raises ValueError naming its
+    nearest dict key or field. A record array is checked whole here; its
+    text comes as one more iterator, ``_encode_records``, made as it is
     written.
     """
     if isinstance(obj, float):
@@ -70,6 +77,8 @@ def _encode(obj, depth: int = 0, key: str = "report"):
             if bad.any():
                 raise ValueError(f"{_JSON_KEYS.get(field, field)} is not finite ({float(obj[field][bad][0])})")
         yield _encode_records(obj, depth) if len(obj) else "[]"
+    elif is_dataclass(obj):
+        yield from _encode(_fields(obj), depth, key)
     elif isinstance(obj, (dict, list, tuple)) and obj:
         is_dict = isinstance(obj, dict)
         inner = "\n" + "  " * (depth + 1)
@@ -146,7 +155,10 @@ def _parse_floats(text: str, count: int, flag: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != count:
         raise ValueError(f"{flag} expects {count} comma-separated numbers, got {text!r}")
-    return [float(p) for p in parts]
+    try:
+        return [_finite_float(p) for p in parts]
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"{flag} expects finite numbers, got {text!r}") from None
 
 
 def _parse_binning(text: str) -> tuple[str, int]:
@@ -254,7 +266,7 @@ def cmd_postprocess_calibrated(args) -> int:
         "group2": g2.group_id,
         "swapped": swapped,
         "cost_specs": {gid: {"a": s.a, "b": s.b} for gid, s in specs.items()},
-        "feasibility": verdict.to_json_dict(),
+        "feasibility": verdict,
         "pre": {
             "g1_cost": verdict.g1_cost,
             "g2_cost": verdict.g2_cost,
@@ -280,7 +292,7 @@ def cmd_postprocess_calibrated(args) -> int:
         plan = InterpolationPlan(alpha, g2.base_rate, mode, args.seed)
         report["status"] = "ok"
         report["alpha"] = alpha
-        report["plan"] = plan.to_json_dict()
+        report["plan"] = plan
         post_rates = mixture_rate_point(g2, plan)
         report["post"] = {
             "g1_cost": verdict.g1_cost,
@@ -321,17 +333,23 @@ def cmd_postprocess_eo(args) -> int:
     g1, g2 = _two_groups(groups, args.group1)
     solution = eo_mod.solve_eo(g1, g2)
     if solution.status != eo_mod.STATUS_OPTIMAL:
-        _emit(solution.to_json_dict())
+        _emit({"status": solution.status})
         return EXIT_INFEASIBLE
     plan = solution.plan
-    report = solution.to_json_dict()
-    report["pre_gaps"] = {g.group_id: calibration_gap(g).gap for g in (g1, g2)}
-    report["calibration_damage"] = {
-        g.group_id: eo_mod.eo_calibration_damage(g, plan) for g in (g1, g2)
+    report = {
+        "status": solution.status,
+        "plan": plan,
+        "rates": {gid: _rates_dict(p) for gid, p in solution.rates.items()},
+        "objective": solution.objective,
+        "pre_gaps": {g.group_id: calibration_gap(g).gap for g in (g1, g2)},
+        "calibration_damage": {
+            g.group_id: eo_mod.eo_calibration_damage(g, plan[g.group_id].q_n2p, plan[g.group_id].q_p2n)
+            for g in (g1, g2)
+        },
     }
     if args.output:
         # Checked before the file is opened; each chunk's scores are flipped as it is written.
-        rows = [(g.group_id, plan.for_group(g.group_id), row_chunks(*g.samples())) for g in groups]
+        rows = [(g.group_id, plan[g.group_id], row_chunks(*g.samples())) for g in groups]
         write_rows(args.output, (
             (gid, ((eo_mod.flipped_scores(s, f.q_n2p, f.q_p2n), labels, mask) for s, labels, mask in chunks))
             for gid, f, chunks in rows
@@ -361,8 +379,8 @@ def cmd_diagnose(args) -> int:
             "matrix": [list(row) for row in matrix.rows],
             "distinct": matrix.distinct,
             "rates": {g1.group_id: _rates_dict(p1), g2.group_id: _rates_dict(p2)},
-            "exact": exact.to_json_dict(),
-            "bound": bound.to_json_dict(),
+            "exact": exact,
+            "bound": bound,
             "rate_bound_respected": bool(max(rates) <= bound.rate_bound),
         }
     )
@@ -375,8 +393,14 @@ def cmd_plot_data(args) -> int:
     weights = _cost_weights(args)
     groups = load_csv(args.input, samples=False)
     g1, g2 = _two_groups(groups, args.group1)
-    specs = _resolve_specs(weights, g1, g2)
-    _emit(build_scene([g1, g2], specs).to_json_dict(), args.output)
+    scene = build_scene([g1, g2], _resolve_specs(weights, g1, g2))
+    report = {
+        "points": scene.points,
+        "lines": [{"group": gid, **_fields(s)} for gid, s in scene.calibrated_lines],
+        "level_curves": [{"a": spec.a, "b": spec.b, "c": c, **_fields(s)} for spec, c, s in scene.level_curves],
+        "diagonal": scene.diagonal,
+    }
+    _emit(report, args.output)
     return EXIT_OK
 
 

@@ -45,26 +45,11 @@ class GroupFlip:
 
 
 @dataclass(frozen=True)
-class FlipPlan:
-    """One GroupFlip per group id."""
-
-    by_group: Mapping[str, GroupFlip]
-
-    def __post_init__(self) -> None:
-        if not self.by_group:
-            raise ValueError("flip plan needs at least one group")
-
-    def for_group(self, group_id: str) -> GroupFlip:
-        try:
-            return self.by_group[group_id]
-        except KeyError:
-            raise KeyError(f"no flip pair for group {group_id!r}") from None
-
-
-@dataclass(frozen=True)
 class EOSolution:
+    """The LP's status and, when optimal, the flip pair and derived rates of each group id."""
+
     status: str
-    plan: FlipPlan | None
+    plan: dict[str, GroupFlip] | None
     rates: Mapping[str, RatePoint] | None
     objective: float | None
 
@@ -75,21 +60,6 @@ class EOSolution:
                 raise ValueError("optimal solution does not match FP rates")
             if abs(points[0].c_fn - points[1].c_fn) > RATE_MATCH_TOL:
                 raise ValueError("optimal solution does not match FN rates")
-
-    def to_json_dict(self) -> dict:
-        if self.status != STATUS_OPTIMAL:
-            return {"status": self.status}
-        return {
-            "status": self.status,
-            "plan": {
-                gid: {"q_n2p": f.q_n2p, "q_p2n": f.q_p2n}
-                for gid, f in self.plan.by_group.items()
-            },
-            "rates": {
-                gid: {"fp": p.c_fp, "fn": p.c_fn} for gid, p in self.rates.items()
-            },
-            "objective": self.objective,
-        }
 
 
 def flipped_scores(scores: np.ndarray, q_n2p: float, q_p2n: float) -> np.ndarray:
@@ -115,7 +85,7 @@ def derived_rates(g: GroupData, q_n2p: float, q_p2n: float) -> RatePoint:
     return RatePoint(_exact_mean(t, negatives), _exact_mean(1.0 - t, positives))
 
 
-def eo_calibration_damage(g: GroupData, plan: FlipPlan) -> float:
+def eo_calibration_damage(g: GroupData, q_n2p: float, q_p2n: float) -> float:
     """Exact-unique calibration gap of the flipped-output distribution.
 
     Each atom v splits its mass between the kept score v, weight 1 - q,
@@ -123,9 +93,9 @@ def eo_calibration_damage(g: GroupData, plan: FlipPlan) -> float:
     mixes atoms with different conditional positive rates into shared
     score values.
     """
-    pair = plan.for_group(g.group_id)
+    GroupFlip(q_n2p, q_p2n)
     values, negatives, positives = g.atoms
-    q = np.where(values >= 0.5, pair.q_p2n, pair.q_n2p)
+    q = np.where(values >= 0.5, q_p2n, q_n2p)
     split = np.concatenate([1.0 - q, q]) / len(g)
     return _pooled_gap(
         np.concatenate([values, 1.0 - values]),
@@ -226,7 +196,6 @@ def solve_eo(g1: GroupData, g2: GroupData) -> EOSolution:
     tied = [q for q, o in zip(vertices, objectives) if o <= least + RATE_MATCH_TOL]
     best = min(tied, key=lambda q: tuple(np.round(q, 9)))
     objective = c0 + float(c @ best)
-    flips = {g.group_id: (float(best[2 * i]), float(best[2 * i + 1])) for i, g in enumerate((g1, g2))}
-    plan = FlipPlan({gid: GroupFlip(*q) for gid, q in flips.items()})
-    rates = {g.group_id: derived_rates(g, *flips[g.group_id]) for g in (g1, g2)}
+    plan = {g.group_id: GroupFlip(float(best[2 * i]), float(best[2 * i + 1])) for i, g in enumerate((g1, g2))}
+    rates = {g.group_id: derived_rates(g, f.q_n2p, f.q_p2n) for g, f in zip((g1, g2), plan.values())}
     return EOSolution(STATUS_OPTIMAL, plan, rates, objective)

@@ -11,7 +11,7 @@ denominator of the (caller-asserted rational) constraint-matrix entries.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,9 +48,6 @@ class ExactCheck:
     residuals: tuple[float, float, float, float]
     tol: float
 
-    def to_json_dict(self) -> dict:
-        return {"satisfied": self.satisfied, "residuals": list(self.residuals), "tol": self.tol}
-
 
 @dataclass(frozen=True)
 class ImpossibilityBound:
@@ -66,9 +63,6 @@ class ImpossibilityBound:
     def __post_init__(self) -> None:
         if self.L != 16.0 * self.M**3 * self.D**4:
             raise ValueError("L must equal 16 * M^3 * D^4 exactly")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def build_matrix(mu1: float, mu2: float, pair: CostPair, pair_prime: CostPair) -> ConstraintMatrix:

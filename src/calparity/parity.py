@@ -13,7 +13,7 @@ calibration gap: the mixture's gap is (1 - alpha) times the original.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -50,9 +50,6 @@ class FeasibilityVerdict:
     trivial2_cost: float
     reason: str
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class InterpolationPlan:
@@ -78,9 +75,6 @@ class InterpolationPlan:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == MODE_MONTE_CARLO and self.seed is None:
             raise ValueError("monte_carlo mode requires a seed")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,9 +186,6 @@ class AuditVerdict:
     flagged: bool
     fp_floor: float
     fn_floor: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def optimality_audit(

@@ -1,8 +1,8 @@
-"""FP/FN-plane geometry assembled into a JSON-ready plot document."""
+"""FP/FN-plane plot geometry: classifier points, calibrated lines, level curves, the diagonal."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .cost import CostSpec, Segment, calibrated_line, cost, level_curve
@@ -26,16 +26,6 @@ class PlaneScene:
     calibrated_lines: tuple[tuple[str, Segment], ...]
     level_curves: tuple[tuple[CostSpec, float, Segment], ...]
     diagonal: Segment
-
-    def to_json_dict(self) -> dict:
-        return {
-            "points": [asdict(p) for p in self.points],
-            "lines": [{"group": gid, **asdict(s)} for gid, s in self.calibrated_lines],
-            "level_curves": [
-                {"a": spec.a, "b": spec.b, "c": c, **asdict(s)} for spec, c, s in self.level_curves
-            ],
-            "diagonal": asdict(self.diagonal),
-        }
 
 
 def _as_segment(points: tuple[tuple[float, float], ...]) -> Segment | None:

@@ -18,6 +18,7 @@ feasibility and vertices ``eo._enumerate_vertices`` must reproduce.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from itertools import combinations, product, repeat
@@ -69,7 +70,9 @@ def mixture_whole(g: GroupData, plan) -> tuple[np.ndarray, np.ndarray]:
     return np.where(withheld, plan.trivial_output, g.scores), withheld
 
 def _dict_form(obj):
-    """Record arrays as lists of bin dicts, floats rounded to 12 significant digits."""
+    """Record arrays as lists of bin dicts, dataclasses as ``asdict``, floats rounded to 12 significant digits."""
+    if dataclasses.is_dataclass(obj):
+        return _dict_form(dataclasses.asdict(obj))
     if isinstance(obj, np.ndarray):  # a per_bin array: one dict per bin, keyed as the CLI prints them
         return _dict_form([{"score": m, "positive_fraction": f, "weight": w} for m, f, w in obj.tolist()])
     if isinstance(obj, float):

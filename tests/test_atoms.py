@@ -176,5 +176,4 @@ def test_flip_damage(rows, q_n2p, q_p2n):
         q = q_p2n if s >= 0.5 else q_n2p
         weighted.append((s, (1.0 - q) / n, y))
         weighted.append((1.0 - s, q / n, y))
-    plan = eo.FlipPlan({"g": eo.GroupFlip(q_n2p, q_p2n)})
-    assert eo.eo_calibration_damage(g, plan) == pytest.approx(loop_gap(weighted), abs=TOL)
+    assert eo.eo_calibration_damage(g, q_n2p, q_p2n) == pytest.approx(loop_gap(weighted), abs=TOL)

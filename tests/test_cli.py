@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calparity import cli, metrics
+from calparity import cli, eo, metrics
 from calparity.cli import _emit, build_parser, main
 from calparity.cost import CostSpec, cost, trivial_cost
 from calparity.dataset import GroupData, load_csv, write_csv
@@ -369,6 +369,17 @@ class TestPostprocessEO:
         if any(f["q_n2p"] > 0 or f["q_p2n"] > 0 for f in flips.values()):
             assert max(doc["calibration_damage"].values()) > 0.0
 
+    def test_infeasible_report_is_the_status_alone(self, tmp_path, capsys, monkeypatch):
+        # Flipping every score of both groups to 0.5 matches their rates, so two
+        # valid groups always have a feasible LP: the solver is patched here.
+        infeasible = eo.EOSolution(eo.STATUS_INFEASIBLE, None, None, None)
+        monkeypatch.setattr(eo, "solve_eo", lambda g1, g2: infeasible)
+        path = write_fixture(tmp_path, feasible_pair())
+        out_csv = tmp_path / "flipped.csv"
+        code, out, err = run(capsys, "postprocess-eo", "--input", str(path), "--output", str(out_csv))
+        assert (code, out, err) == (2, '{\n  "status": "infeasible"\n}\n', "")
+        assert not out_csv.exists()
+
 
 class TestDiagnose:
     def perfect_fixture(self, tmp_path):
@@ -716,9 +727,15 @@ class TestRejections:
             (["postprocess-calibrated", "--cost", "1,1,1"],
              "--cost expects 4 comma-separated numbers, got '1,1,1'"),
             (["plot-data", "--weighted-cost", "3"], "--weighted-cost expects 2 comma-separated numbers, got '3'"),
-            (["postprocess-calibrated", "--weighted-cost", "1,x"], "could not convert string to float: 'x'"),
+            (["postprocess-calibrated", "--weighted-cost", "1,x"], "--weighted-cost expects finite numbers, got '1,x'"),
             (["diagnose", *DIAGNOSE_ARGS, "--cost", "1,1"], "--cost expects 4 comma-separated numbers, got '1,1'"),
             (["diagnose", *DIAGNOSE_ARGS, "--cost2", "1,2,2"], "--cost2 expects 4 comma-separated numbers, got '1,2,2'"),
+            (["postprocess-calibrated", "--cost", "1,1,nan,1"], "--cost expects finite numbers, got '1,1,nan,1'"),
+            (["plot-data", "--cost", "inf,1,1,1"], "--cost expects finite numbers, got 'inf,1,1,1'"),
+            (["postprocess-calibrated", "--weighted-cost", "1,-inf"], "--weighted-cost expects finite numbers, got '1,-inf'"),
+            (["plot-data", "--weighted-cost", "NaN,3"], "--weighted-cost expects finite numbers, got 'NaN,3'"),
+            (["diagnose", *DIAGNOSE_ARGS, "--cost", "1,1,inf,1"], "--cost expects finite numbers, got '1,1,inf,1'"),
+            (["diagnose", *DIAGNOSE_ARGS, "--cost2", "1,nan,2,1"], "--cost2 expects finite numbers, got '1,nan,2,1'"),
         ],
     )  # fmt: skip
     def test_flags_are_checked_before_the_input_is_read(self, tmp_path, capsys, argv, message):

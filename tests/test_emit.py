@@ -3,10 +3,11 @@
 ``cli._emit`` writes a report with ``_encode``, one walk that checks every
 value and formats every float through ``_number``, and that streams each
 record array of calibration bins column by column in chunks of
-``_RECORD_CHUNK`` rows. ``oracles.dump_json`` turns every bin into a dict,
-rounds every float and calls ``json.dump(indent=2)``. For any report of the
-shapes the CLI prints, both must write the same bytes, and a NaN or
-infinity anywhere must raise before the first byte.
+``_RECORD_CHUNK`` rows. ``oracles.dump_json`` turns every bin into a dict
+and every dataclass into ``dataclasses.asdict``, rounds every float and
+calls ``json.dump(indent=2)``. For any report of the shapes the CLI
+prints, both must write the same bytes, and a NaN or infinity anywhere
+must raise before the first byte.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from hypothesis import strategies as st
 
 from calparity import cli
 from calparity.cli import _emit, main
+from calparity.cost import Segment
+from calparity.eo import GroupFlip
+from calparity.parity import FeasibilityVerdict
 from oracles import dump_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -70,9 +74,16 @@ def stats_reports(draw):
 
 
 scalars = st.one_of(st.none(), st.booleans(), ints, finite, ids)
-# Plot-data-like and other nested documents, record arrays among the leaves.
+unit = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 0.1, 1 - 1e-13, 1.0]), st.floats(0.0, 1.0))
+# Report values the CLI writes as the dict of their fields.
+records = st.one_of(
+    st.builds(GroupFlip, unit, unit),
+    st.builds(Segment, finite, finite, finite, finite),
+    st.builds(FeasibilityVerdict, st.booleans(), finite, finite, finite, ids),
+)
+# Plot-data-like and other nested documents, record arrays and dataclasses among the leaves.
 documents = st.recursive(
-    st.one_of(scalars, bins(max_rows=5)),
+    st.one_of(scalars, bins(max_rows=5), records),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=3).map(tuple),
@@ -143,6 +154,10 @@ def test_non_finite_scalar_names_its_key(bad):
     report = {"groups": [{"calibration": {"gap": bad, "bins": np.rec.fromarrays([[0.5]] * 3, names=FIELDS)}}]}
     out = io.StringIO()
     with contextlib.redirect_stdout(out), pytest.raises(ValueError, match=rf"^gap is not finite \({bad}\)$"):
+        _emit(report)
+    # In a dataclass the field, not the dict key holding it, is named.
+    report = {"pre": 0.5, "feasibility": [FeasibilityVerdict(True, 0.5, bad, 1.0, "ok")]}
+    with contextlib.redirect_stdout(out), pytest.raises(ValueError, match=rf"^g2_cost is not finite \({bad}\)$"):
         _emit(report)
     assert out.getvalue() == ""
 

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from calparity.dataset import GroupData
 from calparity.eo import (
     STATUS_OPTIMAL,
-    FlipPlan,
-    GroupFlip,
     _affine,
     _enumerate_vertices,
     derived_rates,
@@ -100,7 +98,7 @@ class TestSolveEO:
         g2 = make_group(scores, labels, gid="B")
         solution = solve_eo(g1, g2)
         assert solution.status == STATUS_OPTIMAL
-        for flip in solution.plan.by_group.values():
+        for flip in solution.plan.values():
             assert flip.q_n2p == 0.0 and flip.q_p2n == 0.0
         assert solution.objective == pytest.approx(
             expected_loss(g1, 0, 0) + expected_loss(g2, 0, 0), abs=EXACT
@@ -121,8 +119,7 @@ class TestSolveEO:
             g1 = eo_group(rng, "A")
             g2 = eo_group(rng, "B")
             solution = solve_eo(g1, g2)
-            f1 = solution.plan.for_group("A")
-            f2 = solution.plan.for_group("B")
+            f1, f2 = solution.plan["A"], solution.plan["B"]
             independent = expected_loss(g1, f1.q_n2p, f1.q_p2n) + expected_loss(
                 g2, f2.q_n2p, f2.q_p2n
             )
@@ -234,31 +231,26 @@ def test_matches_row_reduction_enumeration(pair):
         objectives = [float(c @ q) for q in want]
         tied = [q for q, o in zip(want, objectives) if o <= min(objectives) + RATE_TOL]
         best = min(tied, key=lambda q: tuple(np.round(q, 9)))
-        flips = [solution.plan.for_group(gid) for gid in ("A", "B")]
+        flips = [solution.plan[gid] for gid in ("A", "B")]
         chosen = np.array([v for f in flips for v in (f.q_n2p, f.q_p2n)])
         assert np.max(np.abs(chosen - best)) <= tolerance(A, best)
 
 
 class TestCalibrationDamage:
-    def plan_for(self, g, q_n2p, q_p2n):
-        return FlipPlan({g.group_id: GroupFlip(q_n2p, q_p2n)})
-
     def test_zero_flips_keep_the_gap(self, rng):
         g = random_group(rng)
-        plan = self.plan_for(g, 0.0, 0.0)
-        assert eo_calibration_damage(g, plan) == pytest.approx(
+        assert eo_calibration_damage(g, 0.0, 0.0) == pytest.approx(
             calibration_gap(g).gap, abs=EXACT
         )
 
     def test_matches_materialized_mixture_at_half(self, rng):
         g = random_group(rng)
-        plan = self.plan_for(g, 0.5, 0.5)
         concrete = GroupData(
             g.group_id,
             np.concatenate([g.scores, 1.0 - g.scores]),
             np.concatenate([g.labels, g.labels]),
         )
-        assert eo_calibration_damage(g, plan) == pytest.approx(
+        assert eo_calibration_damage(g, 0.5, 0.5) == pytest.approx(
             calibration_gap(concrete).gap, abs=EXACT
         )
 
@@ -266,29 +258,21 @@ class TestCalibrationDamage:
         # q_n2p = 1/2 on the negative side, q_p2n = 1/4 on the positive
         # side; materialize with denominator 4.
         g = random_group(rng)
-        plan = self.plan_for(g, 0.5, 0.25)
         pieces_s, pieces_y = [], []
         for s, y in zip(g.scores, g.labels):
             flips = 2 if s < 0.5 else 1
             pieces_s.extend([s] * (4 - flips) + [1.0 - s] * flips)
             pieces_y.extend([y] * 4)
         concrete = GroupData(g.group_id, np.array(pieces_s), np.array(pieces_y))
-        assert eo_calibration_damage(g, plan) == pytest.approx(
+        assert eo_calibration_damage(g, 0.5, 0.25) == pytest.approx(
             calibration_gap(concrete).gap, abs=EXACT
         )
 
     def test_flipping_calibrated_data_hurts(self, rng):
         for _ in range(20):
             g = random_group(rng, calibrated=True)
-            plan = self.plan_for(g, 0.3, 0.3)
-            assert eo_calibration_damage(g, plan) > calibration_gap(g).gap
+            assert eo_calibration_damage(g, 0.3, 0.3) > calibration_gap(g).gap
 
     def test_full_reflection_of_calibrated_data(self, rng):
         g = random_group(rng, calibrated=True)
-        plan = self.plan_for(g, 1.0, 1.0)
-        assert eo_calibration_damage(g, plan) > 0.0
-
-    def test_unknown_group(self, rng):
-        g = random_group(rng, gid="A")
-        with pytest.raises(KeyError, match="B"):
-            eo_calibration_damage(random_group(rng, gid="B"), self.plan_for(g, 0, 0))
+        assert eo_calibration_damage(g, 1.0, 1.0) > 0.0

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from calparity.cli import main
 from calparity.cost import CostSpec, cost
 from calparity.metrics import rate_point
 from calparity.parity import InterpolationPlan, compute_alpha, mixture_rate_point
@@ -10,6 +12,8 @@ from calparity.scene import build_scene
 from conftest import make_group, random_group
 
 EXACT = 1e-12
+
+GOLDEN_MIXED = Path(__file__).parent / "golden" / "inputs" / "mixed.csv"
 
 
 def trivial_group(gid, mu, n=20):
@@ -94,19 +98,6 @@ class TestBuildScene:
         scene = build_scene(groups, specs)
         assert len(scene.level_curves) == 2
 
-    def test_json_document_is_stable(self, rng):
-        groups = [random_group(rng, gid=f"G{i}") for i in range(2)]
-        specs = {g.group_id: CostSpec(2.0, 1.0) for g in groups}
-        first = json.dumps(build_scene(groups, specs).to_json_dict(), sort_keys=False)
-        second = json.dumps(build_scene(groups, specs).to_json_dict(), sort_keys=False)
-        assert first == second
-        doc = json.loads(first)
-        assert set(doc) == {"points", "lines", "level_curves", "diagonal"}
-        assert set(doc["points"][0]) == {"label", "group", "fp", "fn"}
-        assert set(doc["lines"][0]) == {"group", "x0", "y0", "x1", "y1"}
-        if doc["level_curves"]:
-            assert set(doc["level_curves"][0]) == {"a", "b", "c", "x0", "y0", "x1", "y1"}
-
     def test_all_coordinates_inside_unit_square(self, rng):
         for _ in range(20):
             groups = [random_group(rng, gid=f"G{i}") for i in range(2)]
@@ -119,3 +110,18 @@ class TestBuildScene:
                 coords += [(seg.x0, seg.y0), (seg.x1, seg.y1)]
             for x, y in coords:
                 assert -EXACT <= x <= 1 + EXACT and -EXACT <= y <= 1 + EXACT
+
+
+def test_plot_data_document_is_stable(capsys):
+    argv = ["plot-data", "--input", str(GOLDEN_MIXED), "--cost", "2,1,2,1"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    doc = json.loads(first)
+    assert list(doc) == ["points", "lines", "level_curves", "diagonal"]
+    assert doc["level_curves"]
+    assert all(list(p) == ["label", "group", "fp", "fn"] for p in doc["points"])
+    assert all(list(line) == ["group", "x0", "y0", "x1", "y1"] for line in doc["lines"])
+    assert all(list(c) == ["a", "b", "c", "x0", "y0", "x1", "y1"] for c in doc["level_curves"])
+    assert list(doc["diagonal"]) == ["x0", "y0", "x1", "y1"]
