@@ -561,6 +561,18 @@ class TestRejections:
         assert err.count("\n") == 1 and field in err
 
     @pytest.mark.parametrize(
+        "spec",
+        ["{groups", "", "[" * 100000, "[1]", '{"groups": []}', "@MISSING"],
+        ids=["not-json", "empty", "nested", "top-level-list", "no-groups", "missing-file"],
+    )
+    def test_malformed_synth_spec_is_one_line(self, tmp_path, capsys, spec):
+        spec = spec.replace("MISSING", str(tmp_path / "missing.json"))
+        out_csv = tmp_path / "s.csv"
+        code, out, err = run(capsys, "synth", "--spec", spec, "--output", str(out_csv))
+        assert code == 1 and out == "" and not out_csv.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "groups, message",
         [
             ([{"id": "A"}, {"id": "A", "n": 60}], "synth spec groups[1].id 'A' repeats groups[0].id"),

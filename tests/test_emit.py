@@ -1,12 +1,14 @@
 """Differential test: the CLI's JSON writer against the dict-per-bin oracle.
 
 ``cli._emit`` writes a report with ``_encode``, one walk that checks every
-value and formats every float through ``_number``, and that streams each
+value, formats every scalar float through ``_number``, and streams each
 record array of calibration bins column by column in chunks of
-``_RECORD_CHUNK`` rows. ``oracles.dump_json`` turns every bin into a dict
-and every dataclass into ``dataclasses.asdict``, rounds every float and
-calls ``json.dump(indent=2)``. For any report of the shapes the CLI
-prints, both must write the same bytes, and a NaN or infinity anywhere
+``_RECORD_CHUNK`` rows; a column's values that pass its "plain" mask are
+formatted by ``%.12g`` and the rest by ``_number``. ``oracles.dump_json``
+turns every bin into a dict and every dataclass into
+``dataclasses.asdict``, rounds every float and calls
+``json.dump(indent=2)``. For any report of the shapes the CLI prints,
+both must write the same bytes, and a NaN or infinity anywhere
 must raise before the first byte.
 """
 
@@ -15,6 +17,8 @@ from __future__ import annotations
 import contextlib
 import copy
 import io
+import math
+import struct
 from pathlib import Path
 from unittest import mock
 
@@ -32,10 +36,22 @@ from oracles import dump_json
 
 GOLDEN = Path(__file__).parent / "golden"
 FIELDS = "mean_score,positive_fraction,weight"
-SPECIAL = [-0.0, 0.0, 5e-324, 1e-05, 1 - 1e-13, 0.1, 1.0, 0.5]
+# Edges of the plain mask in cli._encode_records: values about 1e-4 and 2e-4,
+# large values, near-integers whose 12 digits print as integers, and the
+# smallest normal and subnormal doubles.
+SPECIAL = [
+    -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1 - 1e-13, 0.1, 1.0, 0.5, 2.5,
+    9.999999999999999e-05, 1e-4, 0.00010000000000000002, 9.9999999999995e-05,
+    0.00019999999999999998, 2e-4, 0.00020000000000000004,
+    49999999999.99999, 1e11, 999999999999.9999, 999999999999.5,
+    0.99999999999995, 1.0000000000049, 123456.0000000001,
+]  # fmt: skip
 IDS = ['"', "\\", "\n", "\x00", "é", "µ-群", "", "A", 'B, "west"']
 
-finite = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+raw = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+finite = st.one_of(
+    st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False), raw.filter(math.isfinite)
+)
 ids = st.one_of(st.sampled_from(IDS), st.text(max_size=5))
 ints = st.one_of(st.integers(-(2**70), 2**70), st.sampled_from([0, 2**63, -(2**53) - 1]))
 
@@ -114,6 +130,11 @@ def _oracle(report) -> str:
         [np.array([-0.0, 0.0, 5e-324]), np.array([1e-05, 1 - 1e-13, 0.1]), np.array([1.0, 1.0, 0.5])],
         names=FIELDS)}}]},
     2,
+)
+@example(
+    {"groups": [{"group": "A", "calibration": {"gap": 0.5, "bins": np.rec.fromarrays(
+        [np.array(SPECIAL), -np.array(SPECIAL), np.array(SPECIAL[::-1])], names=FIELDS)}}]},
+    cli._RECORD_CHUNK,
 )  # fmt: skip
 def test_matches_oracle(report, chunk):
     expected = _oracle(copy.deepcopy(report))
