@@ -21,7 +21,7 @@ import numpy as np
 
 # Every command but synth reads a CSV and reports its metrics. The other
 # modules are imported by the commands that run them.
-from .dataset import GroupData, SynthGroup, SynthSpec, _whole, atom_table, load_csv, row_chunks, write_rows
+from .dataset import GroupData, SynthGroup, SynthSpec, _whole, load_csv, row_chunks, write_rows
 from .metrics import analytic_rates, calibration_gap, linearity_residual, rate_point
 
 if TYPE_CHECKING:
@@ -251,8 +251,8 @@ def cmd_postprocess_calibrated(args) -> int:
         compute_alpha,
         feasibility,
         mixture_calibration_gap,
-        mixture_chunks,
         mixture_rate_point,
+        realize_mixture,
     )
 
     weights = _cost_weights(args)
@@ -293,7 +293,7 @@ def cmd_postprocess_calibrated(args) -> int:
 
     # Unless Monte Carlo mode realizes the plan, scores pass through: the
     # analytic plan in the report is the deliverable.
-    drawn = None  # the Monte Carlo plan whose draws replace G2's rows
+    drawn = None  # the Monte Carlo draw whose rows replace G2's
     try:
         alpha = compute_alpha(verdict.g1_cost, verdict.g2_cost, verdict.trivial2_cost)
     except AlreadyTrivialError:
@@ -312,26 +312,16 @@ def cmd_postprocess_calibrated(args) -> int:
             "g2_rates": _rates_dict(post_rates),
         }
         if mode == MODE_MONTE_CARLO:
-            drawn = plan
-            withheld = 0
-
-            def counted():
-                nonlocal withheld
-                for chunk in mixture_chunks(g2, plan):
-                    withheld += int(np.count_nonzero(chunk[2]))
-                    yield chunk
-
-            # The draws are made twice, here for the report and again as they are written.
-            realized = GroupData(g2.group_id, table=atom_table(counted()))
+            drawn = realize_mixture(g2, plan)
             report["realized"] = {
-                "g2_cost": cost(rate_point(realized), specs[g2.group_id]),
-                "g2_gap": calibration_gap(realized, binning, bins).gap,
-                "withheld_fraction": withheld / len(g2),
+                "g2_cost": cost(rate_point(drawn.realized), specs[g2.group_id]),
+                "g2_gap": calibration_gap(drawn.realized, binning, bins).gap,
+                "withheld_fraction": int(np.count_nonzero(drawn.withheld)) / len(g2),
             }
     if args.output:
-        rows = {g.group_id: row_chunks(*g.samples()) for g in groups}  # checked before the file is opened
+        rows = {g.group_id: row_chunks(*g.rows()) for g in groups}  # checked before the file is opened
         if drawn is not None:
-            rows[g2.group_id] = mixture_chunks(g2, drawn)
+            rows[g2.group_id] = row_chunks(*drawn.realized.rows(), drawn.withheld)
         write_rows(args.output, rows.items(), drawn is not None)
     _emit(report)
     return EXIT_OK
@@ -359,11 +349,11 @@ def cmd_postprocess_eo(args) -> int:
         },
     }
     if args.output:
-        # Checked before the file is opened; each chunk's scores are flipped as it is written.
-        rows = [(g.group_id, plan[g.group_id], row_chunks(*g.samples())) for g in groups]
+        # Checked before the file is opened; each group's bit table is flipped once, and its codes are kept.
+        rows = [(g.group_id, plan[g.group_id], g.rows()) for g in groups]
         write_rows(args.output, (
-            (gid, ((eo_mod.flipped_scores(s, f.q_n2p, f.q_p2n), labels, mask) for s, labels, mask in chunks))
-            for gid, f, chunks in rows
+            (gid, row_chunks(eo_mod.flipped_scores(table, f.q_n2p, f.q_p2n), codes, labels))
+            for gid, f, (table, codes, labels) in rows
         ))
     _emit(report)
     return EXIT_OK
@@ -445,16 +435,22 @@ def _string(value) -> str:
 def cmd_synth(args) -> int:
     text = args.spec
     if text.startswith("@"):
-        text = Path(text[1:]).read_text(encoding="utf-8")
+        try:
+            text = Path(text[1:]).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ValueError(f"--spec file {text[1:]!r} cannot be read: {reason}") from None
     try:
         doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--spec is not valid JSON: {exc}") from None
     except RecursionError:
-        raise ValueError("synth spec is nested too deeply to parse") from None
+        raise ValueError("--spec is nested too deeply to parse") from None
     entries = doc.get("groups") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
-        raise ValueError("synth spec must be an object with a 'groups' list")
+        raise ValueError("--spec must be an object with a 'groups' list")
     if not entries:
-        raise ValueError("synth spec needs at least one group entry")
+        raise ValueError("--spec needs at least one group entry")
     derived = np.random.SeedSequence(args.seed).generate_state(len(entries), dtype=np.uint64)
     specs, first_index = [], {}
     for i, entry in enumerate(entries):

@@ -4,11 +4,11 @@ A group's scores are probabilistic classifier outputs in [0, 1] and its
 labels the observed binary outcomes. Both classes must be present in every
 group so the base rate stays strictly inside (0, 1). Every group statistic
 depends on the samples only through the group's atom table: its distinct
-scores, each with a count of negatives and positives. Each group builds
-that table once, at construction, through ``atom_table``, chunk by chunk.
-So ``load_csv`` can keep just the table and drop the rows; only the
-per-row transforms (a Monte Carlo draw, an equalized-odds flip) and
-writing rows need them, and those go to ``write_rows`` as chunks.
+scores, each with a count of negatives and positives. A group that keeps
+its rows holds each as a code into its table of distinct score bit
+patterns, and a bool label; the atom table is that bit table pooled by
+value. A Monte Carlo draw or an equalized-odds flip maps the bit table,
+and ``write_rows`` formats rows from a table and codes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import io
 import os
 import warnings
 from collections import Counter
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
@@ -48,73 +48,130 @@ def pool_atoms(values: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ..
     return (merged, *(np.bincount(inverse, weights=w, minlength=merged.size) for w in weights))
 
 
-@dataclass(frozen=True, eq=False)
-class GroupData:
-    """One population group: its atom table, and its samples where they are kept.
+def _code_dtype(size: int) -> np.dtype:
+    """The smallest unsigned dtype that holds every code into a table of ``size`` entries."""
+    return np.min_scalar_type(max(size - 1, 0))
 
-    ``atoms`` is the table ``(values, negatives, positives)``: the distinct
-    scores in ascending order and the count of samples of each class at
-    each, as floats. Every group statistic depends on the samples only
-    through it. Built from ``scores`` and ``labels``, a group keeps its own
-    frozen copy of its samples, in order, and tallies the table from them
-    at construction. Labels must equal 0 or 1 as given, so 0.5 or NaN is
-    rejected, not truncated by the cast. Built from ``table`` alone, the
-    group holds no samples: ``scores`` and ``labels`` are None and
-    ``samples()`` raises. Both forms make the same checks with the same
-    messages and give the same ``base_rate``, the mean label. Every array
-    is frozen, so instances are safe to share across threads.
+
+def _bit_codes(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct bit patterns of ``scores``, ascending, as floats, and each score's code into them."""
+    bits, codes = np.unique(scores.view(np.uint64), return_inverse=True)
+    return bits.view(np.float64), codes.astype(_code_dtype(len(bits)))
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class GroupData:
+    """One population group: its atom table, and its rows where they are kept.
+
+    ``atoms`` is ``(values, negatives, positives)``: the distinct scores,
+    ascending, and the count of samples of each class at each, as floats;
+    every group statistic depends on the samples only through it. Built
+    from ``scores`` and ``labels``, or loaded with its samples, a group
+    keeps ``rows()``: its distinct score bit patterns as a float table,
+    each row's code into it (the smallest unsigned dtype that fits) and
+    each row's bool label. The atom table is that table plus ``0.0``,
+    pooled by value, so a ``-0.0`` row counts at ``0.0`` but keeps its
+    text. ``scores`` (float64) and ``labels`` (int64) are built from the
+    rows on each read. Labels must equal 0 or 1 as given, so 0.5 or NaN is
+    rejected, not truncated. Built from ``table`` alone, a group holds no
+    rows: ``scores`` and ``labels`` are None and ``rows()`` and
+    ``samples()`` raise. Both forms make the same checks with the same
+    messages. Every array is frozen, so instances are safe to share.
     """
 
     group_id: str
-    scores: np.ndarray | None = None
-    labels: np.ndarray | None = None
-    table: InitVar[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = None
-    atoms: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
-    base_rate: float = field(init=False)
-    _size: int = field(init=False, repr=False)
+    atoms: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    base_rate: float
+    _rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(repr=False)
+    _size: int = field(repr=False)
 
-    def __post_init__(self, table) -> None:
+    def __init__(self, group_id: str, scores=None, labels=None, table=None) -> None:
         if table is None:
-            scores, labels = np.asarray(self.scores, dtype=float), np.asarray(self.labels)
+            # Labels are copied: a bool array would be kept, and its owner could write to it.
+            scores, labels = np.asarray(scores, dtype=float), np.array(labels)
             if scores.ndim != 1 or labels.shape != scores.shape:
                 raise ValueError("scores and labels must be 1-d arrays of equal length")
-            values, size = scores, scores.size
-        else:
-            if self.scores is not None or self.labels is not None:
-                raise ValueError("give a group samples or an atom table, not both")
-            table = values, negatives, positives = tuple(np.array(a, dtype=float) for a in table)
-            if values.ndim != 1 or negatives.shape != values.shape or positives.shape != values.shape:
-                raise ValueError("atom table columns must be 1-d arrays of equal length")
-            if np.any(values[1:] <= values[:-1]):
-                raise ValueError("atom table values must be distinct and ascending")
-            size = int(negatives.sum() + positives.sum())
+            table, codes = _bit_codes(scores)
+            self._fill(group_id, table, len(codes), rows=(codes, labels))
+            return
+        if scores is not None or labels is not None:
+            raise ValueError("give a group samples or an atom table, not both")
+        table = values, negatives, positives = tuple(np.array(a, dtype=float) for a in table)
+        if values.ndim != 1 or negatives.shape != values.shape or positives.shape != values.shape:
+            raise ValueError("atom table columns must be 1-d arrays of equal length")
+        if np.any(values[1:] <= values[:-1]):
+            raise ValueError("atom table values must be distinct and ascending")
+        self._fill(group_id, values, int(negatives.sum() + positives.sum()), atoms=table)
+
+    @classmethod
+    def _coded(cls, group_id: str, table: np.ndarray, codes: np.ndarray, labels: np.ndarray) -> GroupData:
+        """A group of rows given as codes into ``table``, whose values may repeat, and their labels."""
+        g = cls.__new__(cls)
+        g._fill(group_id, table, len(codes), rows=(codes, labels))
+        return g
+
+    def _fill(self, group_id: str, values: np.ndarray, size: int, atoms=None, rows=None) -> None:
+        """Check ``size`` samples scored at ``values``; set the fields, counting ``rows`` into atoms."""
+        object.__setattr__(self, "group_id", group_id)
         if size == 0:
-            raise ValueError(f"group {self.group_id!r} has no samples")
+            raise ValueError(f"group {group_id!r} has no samples")
         if not np.all((values >= 0.0) & (values <= 1.0)):  # NaN fails too
-            raise ValueError(f"group {self.group_id!r} has scores outside [0, 1]")
-        if table is None:
-            if not _binary(labels):
-                raise ValueError(f"group {self.group_id!r} has non-binary labels")
-            table = atom_table(row_chunks(scores, labels))  # before the copies, so its pools never sit beside them
-            scores, labels = scores.astype(np.float64), labels.astype(np.int64)
-            for a in (scores, labels):
+            raise ValueError(f"group {group_id!r} has scores outside [0, 1]")
+        if rows is not None:
+            codes, labels = rows
+            if labels.dtype != bool:
+                if not _binary(labels):
+                    raise ValueError(f"group {group_id!r} has non-binary labels")
+                labels = labels == 1
+            rows, atoms = (values, codes, labels), _count(values, codes, labels)
+            for a in rows:
                 a.setflags(write=False)
-            object.__setattr__(self, "scores", scores)
-            object.__setattr__(self, "labels", labels)
-        for a in table:
+        for a in atoms:
             a.setflags(write=False)
-        object.__setattr__(self, "atoms", table)
-        object.__setattr__(self, "base_rate", _base_rate(self.group_id, table[2].sum(), size))
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "base_rate", _base_rate(group_id, atoms[2].sum(), size))
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_size", size)
 
     def __len__(self) -> int:
         return self._size
 
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(table, codes, labels)``; ValueError naming the group if only its atom table was kept."""
+        if self._rows is None:
+            raise ValueError(f"group {self.group_id!r} was loaded without its samples, which this needs")
+        return self._rows
+
+    @property
+    def scores(self) -> np.ndarray | None:
+        return None if self._rows is None else _frozen(self._rows[0][self._rows[1]])
+
+    @property
+    def labels(self) -> np.ndarray | None:
+        return None if self._rows is None else _frozen(self._rows[2].astype(np.int64))
+
     def samples(self) -> tuple[np.ndarray, np.ndarray]:
         """``(scores, labels)``; ValueError naming the group if only its atom table was kept."""
-        if self.scores is None:
-            raise ValueError(f"group {self.group_id!r} was loaded without its samples, which this needs")
+        self.rows()
         return self.scores, self.labels
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _count(table: np.ndarray, codes: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The atom table of rows coded into ``table``: one ``np.bincount`` of ``code * 2 + label``, pooled by value."""
+    pair = codes.astype(np.intp)
+    pair *= 2
+    pair += labels
+    counts = np.bincount(pair, minlength=2 * len(table)).reshape(-1, 2).T.astype(float, order="C")
+    del pair
+    values, seen = table + 0.0, counts.any(axis=0)
+    if seen.all() and np.all(values[1:] > values[:-1]):
+        return values, *counts
+    return pool_atoms(values[seen], *counts[:, seen])  # a zero of each sign, an unused or a repeated entry
 
 
 def _binary(a: np.ndarray) -> bool:
@@ -181,42 +238,39 @@ class _Tally:
             self.atoms, self.pieces, self.waiting = new, [], 0
         return self.atoms
 
-    def args(self) -> tuple:
-        """``GroupData`` arguments after the id."""
-        return None, None, self.table()
+    def group(self, group_id: str) -> GroupData:
+        return GroupData(group_id, table=self.table())
 
 
-def atom_table(chunks: Iterable[Chunk]) -> tuple[np.ndarray, ...]:
-    """The atom table ``(values, negatives, positives)`` of a group's rows, given as ``write_rows`` chunks.
+class _Coded:
+    """A group's rows as read: uint32 codes into a table of score bit patterns, and bool labels.
 
-    The rows are pooled ``_ATOM_CHUNK`` at a time, as the CSV loader pools
-    them, so building the table holds one pool and the distinct scores,
-    and the table is the same however the rows are cut. Masks are ignored.
-    """
-    tally = _Tally()
-    for scores, labels, _ in chunks:
-        tally.add(scores, labels == 1)
-    return tally.table()
-
-
-class _Rows:
-    """A group's samples, appended piece by piece into growing buffers.
-
-    One buffer per column instead of a list of pieces: concatenating a list
-    leaves each freed piece as a hole in the heap, which kept about 6 MB
-    more resident on a 1e6-row load.
+    The table holds one pattern per entry (a distinct line, or a row of a
+    block parsed whole); ``group`` renumbers the rows against the distinct
+    patterns by one sort of the table and one gather. Buffers grow in
+    place: a list of pieces left freed holes, ~6 MB on 1e6 rows.
     """
 
     def __init__(self) -> None:
-        self.scores, self.labels = bytearray(), bytearray()
+        self.table, self.codes, self.labels = bytearray(), bytearray(), bytearray()
 
-    def add(self, scores: np.ndarray, labels: np.ndarray) -> None:
-        self.scores += scores.tobytes()
+    def extend(self, bits: np.ndarray) -> np.ndarray:
+        """Add entries' score bit patterns to the table; their codes."""
+        start = len(self.table) // 8
+        if start + len(bits) > 2**32:  # past uint32 codes: the reference parser reads it
+            raise _Unclean
+        self.table += bits.tobytes()
+        return np.arange(start, start + len(bits))
+
+    def add(self, codes: np.ndarray, labels: np.ndarray) -> None:
+        self.codes += codes.tobytes()
         self.labels += labels.tobytes()
 
-    def args(self) -> tuple:
-        """``GroupData`` arguments after the id."""
-        return np.frombuffer(self.scores, float), np.frombuffer(self.labels, bool)
+    def group(self, group_id: str) -> GroupData:
+        keys, rank = np.unique(np.frombuffer(self.table, np.uint64), return_inverse=True)
+        codes = rank.astype(_code_dtype(len(keys)))[np.frombuffer(self.codes, np.uint32)]
+        self.table = self.codes = None  # freed before the group counts its rows
+        return GroupData._coded(group_id, keys.view(np.float64), codes, np.frombuffer(self.labels, bool))
 
 
 def load_csv(path: str | Path, samples: bool = True) -> list[GroupData]:
@@ -235,7 +289,8 @@ def load_csv(path: str | Path, samples: bool = True) -> list[GroupData]:
     ``_load_reference``, which also produces every row error. Both end in
     ``_groups``, which reports a single-class group. A chunk whose lines
     mostly repeat, as a classifier's few distinct scores make them, has
-    each distinct line text parsed once, under the same checks.
+    each distinct line text parsed once, under the same checks. Kept rows
+    are codes into their group's bit table, never floats.
     """
     groups = _load_columnar(path, samples)
     if groups is None:
@@ -260,7 +315,7 @@ _ROW = np.dtype([("group", "i4"), ("score", "f8"), ("label", "S2"), (WITHHELD, "
 
 
 class _Codes(dict):
-    """Maps each group id to a dense int in first-seen order."""
+    """Maps each key (a group id, a line) to a dense int in first-seen order."""
 
     def __missing__(self, key: str) -> int:
         code = self[key] = len(self)
@@ -317,17 +372,15 @@ def _load_columnar(path: str | Path, samples: bool = True) -> list[GroupData] | 
     parsed by ``_parse_distinct``: one ``np.loadtxt`` pass over its
     distinct lines, which a clean block passes exactly when all its lines
     do. Other blocks, such as those of nearly distinct scores, go to
-    ``_parse_block`` whole. Each block is then split by group. With
-    ``samples`` each group's pieces are appended to its rows (``_Rows``);
-    without, each piece goes into the group's ``_Tally``, with each
-    distinct line's count where the lines were counted, and the rows are
-    dropped, so memory follows one block and the distinct scores, not the
-    file.
+    ``_parse_block`` whole. With ``samples`` each row's code and label
+    go to its group's ``_Coded``; without, each group's piece goes into
+    its ``_Tally``, with each distinct line's count where the lines were
+    counted, so memory follows one block and the distinct scores.
     """
     if not os.path.isfile(path):  # a pipe can be read only once
         return None
     codes = _Codes()
-    groups: list[_Rows | _Tally] = []  # per group code
+    groups: list[_Coded | _Tally] = []  # per group code
     rows = 0
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -341,19 +394,24 @@ def _load_columnar(path: str | Path, samples: bool = True) -> list[GroupData] | 
                 if not block.strip("\n"):  # numpy skips empty lines, and warns if that is all
                     continue
                 if _repetitive(block):
-                    group, *columns = _parse_distinct(block, dtype, codes, samples)
+                    group, scores, labels, extra = _parse_distinct(block, dtype, codes, samples)
                 else:
-                    group, *columns = _parse_block(block, dtype, codes)
+                    (group, scores, labels), extra = _parse_block(block, dtype, codes), None
                 rows += len(group)
-                groups.extend(_Rows() if samples else _Tally() for _ in range(len(codes) - len(groups)))
-                _add_block(group, columns, groups)
+                groups.extend(_Coded() if samples else _Tally() for _ in range(len(codes) - len(groups)))
+                if samples:
+                    group, columns = _code_rows(group, scores, labels, extra, groups)
+                else:
+                    columns = [scores, labels] if extra is None else [scores, labels, extra]
+                for acc, pieces in _by_group(group, columns, groups):
+                    acc.add(*pieces)
     except (_Unclean, ValueError, Warning):  # invalid UTF-8 is a ValueError too
         return None
     if not rows or any(gid != gid.strip() for gid in codes):
         return None
-    # Pop each accumulator as its group is built, so its row buffers are freed once the group has copied them.
+    # Pop each accumulator as its group is built, so its buffers are freed before the next one's group.
     groups.reverse()
-    return _groups((gid, *groups.pop().args()) for gid in codes)
+    return _groups(groups.pop().group(gid) for gid in codes)
 
 
 # Lines of a block the probe reads; a parse of many thousand lines costs far more.
@@ -367,18 +425,21 @@ def _repetitive(block: str) -> bool:
 
 
 def _parse_distinct(block: str, dtype: np.dtype, codes: _Codes, samples: bool) -> list[np.ndarray]:
-    """``_parse_block`` of the block's distinct lines: each line text is parsed once.
+    """``_parse_block`` of the block's distinct lines, each parsed once, and a fourth column.
 
-    With ``samples`` the parsed columns are expanded back to the block's
-    rows; without, a fourth column holds each distinct line's count. Empty
-    lines are dropped first, as numpy skips them. The distinct lines keep
-    first-seen order, so the group ids are coded in the same order.
+    With ``samples`` it gives each row its distinct line, numbered in one
+    hashing pass; without, each distinct line's count. Empty lines are
+    dropped, as numpy skips them. The distinct lines keep first-seen
+    order, so the group ids are coded in the same order.
     """
     if samples:
-        lines = list(filter(None, block.split("\n")))
-        index = {line: i for i, line in enumerate(dict.fromkeys(lines))}
-        at = np.fromiter(map(index.__getitem__, lines), np.intp, len(lines))
-        return [c[at] for c in _parse_block("\n".join(index), dtype, codes)]
+        index = _Codes()
+        at = np.fromiter(map(index.__getitem__, block.split("\n")), np.int32, block.count("\n") + 1)
+        empty = index.pop("", None)
+        if empty is not None:  # the lines after it in first-seen order move down one
+            at = at[at != empty]
+            at -= at > empty
+        return [*_parse_block("\n".join(index), dtype, codes), at]
     counts = Counter(block.split("\n"))
     del counts[""]
     return [*_parse_block("\n".join(counts), dtype, codes), np.fromiter(counts.values(), np.intp, len(counts))]
@@ -407,15 +468,25 @@ def _parse_block(block: str, dtype: np.dtype, codes: _Codes) -> tuple[np.ndarray
     return table["group"], scores, flags[0] == 0x31
 
 
-def _add_block(group: np.ndarray, columns: list[np.ndarray], groups: list[_Rows | _Tally]) -> None:
-    """Add each group's rows of a block (scores, labels and maybe counts) to that group, in file order."""
+def _by_group(group: np.ndarray, columns: list[np.ndarray], groups: list) -> Iterator[tuple]:
+    """``(groups[g], pieces)`` for each group ``g`` present: its part of each column, in file order."""
     if np.any(group[1:] < group[:-1]):  # the groups interleave
         order = np.argsort(group, kind="stable")
         columns = [c[order] for c in columns]
     ends = np.cumsum(np.bincount(group, minlength=len(groups))).tolist()
     for acc, lo, hi in zip(groups, [0, *ends], ends):
         if lo < hi:
-            acc.add(*(c[lo:hi] for c in columns))
+            yield acc, [c[lo:hi] for c in columns]
+
+
+def _code_rows(group: np.ndarray, scores: np.ndarray, labels: np.ndarray, at, groups: list[_Coded]) -> tuple:
+    """A block's ``(group, [codes, labels])`` per row; its entries (rows, or lines that ``at`` indexes) coded first."""
+    code = np.empty(len(group), np.uint32)
+    for acc, (bits, index) in _by_group(group, [scores.view(np.uint64), np.arange(len(group))], groups):
+        code[index] = acc.extend(bits)
+    if at is None:
+        return group, [code, labels]
+    return group[at], [code[at], labels[at]]
 
 
 def _load_reference(path: str | Path) -> list[GroupData]:
@@ -451,13 +522,13 @@ def _load_reference(path: str | Path) -> list[GroupData]:
             labels.append(int(label_text))
         if not by_group:
             raise CsvFormatError("no data rows")
-    return _groups((gid, np.array(scores), np.array(labels)) for gid, (scores, labels) in by_group.items())
+    return _groups(GroupData(gid, np.array(scores), np.array(labels)) for gid, (scores, labels) in by_group.items())
 
 
-def _groups(parts: Iterable[tuple]) -> list[GroupData]:
-    """One ``GroupData(*args)`` per part; its checks become CsvFormatError."""
+def _groups(made: Iterable[GroupData]) -> list[GroupData]:
+    """The groups ``made`` builds, in order; a failed GroupData check becomes CsvFormatError."""
     try:
-        return [GroupData(*args) for args in parts]
+        return list(made)
     except ValueError as exc:
         raise CsvFormatError(str(exc)) from None
 
@@ -481,16 +552,16 @@ def _numbered_rows(fh: TextIO) -> Iterator[tuple[int, list[str]]]:
 # overhead, small enough that the chunk's strings never set the peak memory.
 _WRITE_CHUNK = 1 << 16
 
-# One piece of a group's rows: scores, labels and, with a ``withheld``
-# column, the mask (None reads 0), each a 1-d array of the same, non-zero length.
-Chunk = tuple[np.ndarray, np.ndarray, "np.ndarray | None"]
+# One piece of a group's rows: a float table, each row's code into it, the
+# labels and, with a ``withheld`` column, the mask (None reads 0).
+Chunk = tuple[np.ndarray, np.ndarray, np.ndarray, "np.ndarray | None"]
 
 
-def row_chunks(scores: np.ndarray, labels: np.ndarray, mask: np.ndarray | None = None) -> Iterator[Chunk]:
-    """A group's columns in pieces of ``_WRITE_CHUNK`` rows, for ``write_rows``."""
-    for lo in range(0, len(scores), _WRITE_CHUNK):
+def row_chunks(table: np.ndarray, codes: np.ndarray, labels: np.ndarray, mask=None) -> Iterator[Chunk]:
+    """A group's rows in pieces of ``_WRITE_CHUNK``, for ``write_rows``; each piece holds the whole table."""
+    for lo in range(0, len(codes), _WRITE_CHUNK):
         chunk = slice(lo, lo + _WRITE_CHUNK)
-        yield scores[chunk], labels[chunk], None if mask is None else mask[chunk]
+        yield table, codes[chunk], labels[chunk], None if mask is None else mask[chunk]
 
 
 def write_rows(
@@ -498,42 +569,48 @@ def write_rows(
 ) -> None:
     """Write each ``(group_id, chunks)`` pair's rows as CSV, chunk by chunk.
 
-    This is the one row writer: ``write_csv`` and ``synth`` both feed it,
-    and it holds one chunk's text at a time, however the chunks are made.
-    Labels are 0/1 or bool; with ``withheld`` a fourth column holds each
-    chunk's mask as 0/1. Nothing is checked here: callers check before
-    they call, so that a bad input leaves no file behind.
-
-    Each chunk formats each distinct score once: ``np.unique`` over the
-    score bits (so ``-0.0`` and ``0.0`` keep their own text), one ``repr``
-    per distinct value, and a table of whole lines that the rows index,
-    one per (score, line ending) pair the chunk's rows use. So a chunk
-    makes at most one line per row, however many line endings there
-    are. ``repr`` is the shortest string that
-    parses back to the identical float, and the bytes are those
-    ``csv.writer`` writes with one ``repr`` per row; the id field comes
-    from ``csv.writer`` itself, so ids are quoted as it quotes them.
+    This is the one row writer, and it holds one chunk's text at a time.
+    A chunk is ``(table, codes, labels, mask)``: row i scores
+    ``table[codes[i]]``; labels are bool or 0/1, and with ``withheld`` the
+    mask is written as a fourth 0/1 column. Nothing is checked here:
+    callers check first, so a bad input leaves no file behind. The bytes
+    are those ``csv.writer`` writes with one ``repr`` per row; the id field
+    comes from ``csv.writer`` itself, so ids are quoted as it quotes them.
     """
     suffixes = (",0", ",1") if withheld else ("",)
-    ends = np.array([f",{label}{w}\r\n" for label in "01" for w in suffixes], dtype=object)
+    ends = np.array([f",{label}{w}\r\n" for w in suffixes for label in "01"], dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(CSV_HEADER + (WITHHELD,) if withheld else CSV_HEADER)
         for group_id, chunks in groups:
             prefix = _row_prefix(group_id)
-            for scores, labels, mask in chunks:
-                keys, pair = np.unique(scores.view(np.uint64), return_inverse=True)
-                text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-                pair *= len(ends)  # each row's (score, line ending) pair, flattened
-                pair += labels * len(suffixes)
-                if mask is not None:
-                    pair += mask
-                used = np.zeros(len(keys) * len(ends), bool)
-                used[pair] = True
-                slots = np.flatnonzero(used)
-                lines = text[slots // len(ends)] + ends[slots % len(ends)]  # each line after the id field
-                rank = np.cumsum(used) - 1  # a used pair's place in lines
+            for chunk in chunks:
                 fh.write(prefix)
-                fh.write(prefix.join(lines[rank[pair]].tolist()))
+                fh.write(prefix.join(_lines(ends, *chunk)))
+
+
+def _lines(ends: np.ndarray, table: np.ndarray, codes: np.ndarray, labels: np.ndarray, mask) -> list[str]:
+    """Each row's text after the id field; each (table entry, line ending) pair used is formatted once.
+
+    Used pairs are marked in an array over the table when it is no longer
+    than the chunk, else found by ``np.unique``, so a chunk costs its own
+    rows. ``repr`` is the shortest text that parses back to the same
+    float, and keeps ``-0.0`` apart from ``0.0``.
+    """
+    pair = codes.astype(np.intp)  # each row's (entry, label, mask) pair, flattened
+    pair *= len(ends)
+    pair += labels
+    if mask is not None:
+        pair += 2 * mask
+    if len(table) <= len(pair):
+        used = np.zeros(len(table) * len(ends), bool)
+        used[pair] = True
+        slots, pair = np.flatnonzero(used), (np.cumsum(used) - 1)[pair]
+    else:
+        slots, pair = np.unique(pair, return_inverse=True)
+    lines = np.array(list(map(repr, table[slots // len(ends)].tolist())), dtype=object) + ends[slots % len(ends)]
+    lines = lines[pair]
+    del pair
+    return lines.tolist()
 
 
 def write_csv(
@@ -541,7 +618,7 @@ def write_csv(
 ) -> None:
     """Write groups back to the CSV schema, round-tripping values exactly.
 
-    Each group's samples go through ``write_rows`` in chunks of
+    Each group's rows go through ``write_rows`` in chunks of
     ``_WRITE_CHUNK`` rows. With ``withheld`` a fourth column holds each
     group's Monte Carlo withholding mask as 0/1; groups missing from the
     mapping were not post-processed and read 0. A mask whose length
@@ -549,7 +626,7 @@ def write_csv(
     (such as 0.5 or NaN), raises ValueError before the file is opened, as
     does a group that holds only its atom table.
     """
-    rows = [g.samples() for g in groups]
+    rows = [g.rows() for g in groups]
     masks = [None if withheld is None else _withheld_mask(g, withheld) for g in groups]
     parts = ((g.group_id, row_chunks(*r, mask)) for g, r, mask in zip(groups, rows, masks))
     write_rows(path, parts, withheld is not None)
@@ -721,16 +798,20 @@ class SynthGroup:
         scores.setflags(write=False)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "_label_rng", rng)
-        positives = sum(int(np.count_nonzero(labels)) for _, labels, _ in self.chunks())
+        positives = sum(int(np.count_nonzero(labels)) for _, labels in self._draws())
         object.__setattr__(self, "base_rate", _base_rate(spec.group_id, positives, spec.n))
 
-    def chunks(self) -> Iterator[Chunk]:
-        """``(scores, labels, None)`` in pieces of ``_WRITE_CHUNK`` rows, for ``write_rows``."""
+    def _draws(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``(scores, labels)`` in pieces of ``_WRITE_CHUNK`` rows, the labels drawn again from the kept state."""
         rng = copy.deepcopy(self._label_rng)
         for lo in range(0, self.spec.n, _WRITE_CHUNK):
             scores = self.scores[lo : lo + _WRITE_CHUNK]
-            probs = _label_probs(scores, self.spec.miscalibration_shift)
-            yield scores, rng.random(len(scores)) < probs, None
+            yield scores, rng.random(len(scores)) < _label_probs(scores, self.spec.miscalibration_shift)
+
+    def chunks(self) -> Iterator[Chunk]:
+        """``write_rows`` chunks of ``_WRITE_CHUNK`` rows, each coded against its own distinct score bits."""
+        for scores, labels in self._draws():
+            yield *_bit_codes(scores), labels, None
 
 
 def synth(spec: SynthSpec) -> GroupData:
@@ -743,5 +824,5 @@ def synth(spec: SynthSpec) -> GroupData:
     which ``calparity synth`` writes without building a GroupData.
     """
     drawn = SynthGroup(spec)
-    labels = np.concatenate([labels for _, labels, _ in drawn.chunks()])
+    labels = np.concatenate([labels for _, labels in drawn._draws()])
     return GroupData(spec.group_id, drawn.scores, labels)

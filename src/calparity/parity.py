@@ -14,12 +14,11 @@ calibration gap: the mixture's gap is (1 - alpha) times the original.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .cost import CostSpec, _require_base_rate, cost
-from .dataset import Chunk, GroupData, row_chunks
+from .dataset import GroupData, _code_dtype, row_chunks
 from .metrics import RatePoint, _pooled_gap, rate_point
 
 REASON_OK = "ok"
@@ -83,7 +82,9 @@ class MixtureGroup:
 
     ``withheld`` marks the samples whose prediction was replaced by the
     trivial output, as drawn, even where the original score already equals
-    the trivial output.
+    the trivial output. The realized group shares the original's labels;
+    its bit table is the original's with the trivial output inserted where
+    its bits sort, and a withheld row's code points at that entry.
     """
 
     realized: GroupData
@@ -122,25 +123,25 @@ def compute_alpha(g1_cost: float, g2_cost: float, trivial2_cost: float) -> float
     return min(max((g1_cost - g2_cost) / denom, 0.0), 1.0)
 
 
-def mixture_chunks(g: GroupData, plan: InterpolationPlan) -> Iterator[Chunk]:
-    """One Monte Carlo draw of the plan: ``(scores, labels, withheld)`` per ``_WRITE_CHUNK`` rows.
+def realize_mixture(g: GroupData, plan: InterpolationPlan) -> MixtureGroup:
+    """Draw the withholding mask and realize the mixed rows as codes into the bit table plus the trivial output.
 
-    ``withheld`` marks the samples whose prediction is replaced by the
-    trivial output, even where the score already equals it. The draws are
-    one stream in sample order: the whole-array ``rng.random(len(g)) < alpha``.
+    The draws are one stream in row order, taken a ``write_rows`` chunk at
+    a time: the whole-array ``rng.random(len(g)) < alpha``. The table stays
+    in bit order, so its atoms need no sort unless the trivial output
+    repeats a score.
     """
     if plan.mode != MODE_MONTE_CARLO:
         raise ValueError("a Monte Carlo draw requires a monte_carlo plan")
+    table, codes, labels = g.rows()
     rng = np.random.default_rng(plan.seed)
-    for scores, labels, _ in row_chunks(*g.samples()):
-        withheld = rng.random(len(scores)) < plan.alpha
-        yield np.where(withheld, plan.trivial_output, scores), labels, withheld
-
-
-def realize_mixture(g: GroupData, plan: InterpolationPlan) -> MixtureGroup:
-    """Draw the withholding mask and materialize the mixed scores: ``mixture_chunks``, joined."""
-    scores, labels, withheld = map(np.concatenate, zip(*mixture_chunks(g, plan)))
-    return MixtureGroup(GroupData(g.group_id, scores, labels), withheld)
+    withheld = np.concatenate([rng.random(len(c)) < plan.alpha for _, c, _, _ in row_chunks(table, codes, labels)])
+    at = int(np.searchsorted(table.view(np.uint64), np.float64(plan.trivial_output).view(np.uint64)))
+    mixed = codes.astype(_code_dtype(len(table) + 1))
+    mixed += codes >= at
+    mixed[withheld] = at
+    realized = GroupData._coded(g.group_id, np.insert(table, at, plan.trivial_output), mixed, labels)
+    return MixtureGroup(realized, withheld)
 
 
 def mixture_rate_point(g: GroupData, plan: InterpolationPlan) -> RatePoint:

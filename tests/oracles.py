@@ -10,7 +10,9 @@ must match byte for byte, ``dump_json`` is the dict-per-bin JSON writer
 that the CLI's ``_emit`` must match byte for byte, ``synth_whole`` is
 the whole-array generator whose groups the chunked ``dataset.SynthGroup``
 must draw value for value, ``mixture_whole`` is the whole-array
-Monte Carlo draw that ``parity.mixture_chunks`` must give bit for bit, and
+Monte Carlo draw that ``parity.realize_mixture`` must give bit for bit,
+``read_rows`` and ``rewrite_rows`` are the row-by-row reader and writer
+that the CLI's ``--output`` files must match byte for byte, and
 ``vertices_by_row_reduction`` is the row-reduction vertex enumeration whose
 feasibility and vertices ``eo._enumerate_vertices`` must reproduce.
 """
@@ -26,6 +28,7 @@ from itertools import combinations, product, repeat
 import numpy as np
 
 from calparity.dataset import CSV_HEADER, GroupData, SynthSpec
+from calparity.eo import flipped_scores
 from calparity.metrics import RatePoint
 
 
@@ -41,6 +44,43 @@ def write_csv_rows(groups, path, withheld=None) -> None:
                 columns.append(repeat(0) if mask is None else mask.astype(np.int64).tolist())
             writer.writerows(zip(*columns))
 
+
+
+def read_rows(path) -> dict[str, tuple[list[float], list[int]]]:
+    """Each group's scores and labels in file order, groups in first-seen order: one ``csv`` row at a time.
+
+    Empty rows are skipped, as ``load_csv`` skips them.
+    """
+    groups: dict[str, tuple[list[float], list[int]]] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for gid, score, label in filter(None, list(csv.reader(fh))[1:]):
+            scores, labels = groups.setdefault(gid, ([], []))
+            scores.append(float(score))
+            labels.append(int(label))
+    return groups
+
+
+def rewrite_rows(groups, path, flips=None, mc=None) -> None:
+    """``read_rows`` groups written back with ``csv.writer``, one ``repr`` per row.
+
+    ``flips`` maps each group to its ``(q_n2p, q_p2n)``, applied to one row
+    at a time by ``eo.flipped_scores``. ``mc`` is ``(group, alpha, trivial,
+    seed)``: that group's mask is the whole-array ``rng.random(n) < alpha``,
+    a withheld row scores ``trivial``, and a fourth column holds every mask.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER if mc is None else CSV_HEADER + ("withheld",))
+        for gid, (scores, labels) in groups.items():
+            mask = [False] * len(scores)
+            if mc is not None and gid == mc[0]:
+                mask = (np.random.default_rng(mc[3]).random(len(scores)) < mc[1]).tolist()
+            for score, label, withheld in zip(scores, labels, mask):
+                if flips is not None:
+                    score = float(flipped_scores(np.array([score]), *flips[gid])[0])
+                if withheld:
+                    score = mc[2]
+                writer.writerow([gid, repr(score), label] + ([] if mc is None else [int(withheld)]))
 
 
 def synth_whole(spec: SynthSpec) -> GroupData:

@@ -562,15 +562,16 @@ class TestRejections:
 
     @pytest.mark.parametrize(
         "spec",
-        ["{groups", "", "[" * 100000, "[1]", '{"groups": []}', "@MISSING"],
-        ids=["not-json", "empty", "nested", "top-level-list", "no-groups", "missing-file"],
+        ["{groups", "", "[" * 100000, "[1]", '{"groups": []}', "@MISSING", "@LATIN1"],
+        ids=["not-json", "empty", "nested", "top-level-list", "no-groups", "missing-file", "not-utf8-file"],
     )
     def test_malformed_synth_spec_is_one_line(self, tmp_path, capsys, spec):
-        spec = spec.replace("MISSING", str(tmp_path / "missing.json"))
+        (tmp_path / "latin1.json").write_bytes('{"groups": [{"id": "\xe9"}]}'.encode("latin-1"))
+        spec = spec.replace("MISSING", str(tmp_path / "missing.json")).replace("LATIN1", str(tmp_path / "latin1.json"))
         out_csv = tmp_path / "s.csv"
         code, out, err = run(capsys, "synth", "--spec", spec, "--output", str(out_csv))
         assert code == 1 and out == "" and not out_csv.exists()
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: --spec ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "groups, message",

@@ -164,6 +164,12 @@ class TestGroupData:
         frozen_by_caller.setflags(write=False)
         assert not np.shares_memory(GroupData("g", np.array([0.2, 0.5]), frozen_by_caller).labels, frozen_by_caller)
 
+    @pytest.mark.parametrize("labels", [[0, 1], [False, True]])
+    def test_rows_share_no_memory_with_the_caller(self, labels):
+        given = np.array(labels)
+        g = GroupData("g", np.array([0.2, 0.5]), given)
+        assert given.flags.writeable and not any(np.shares_memory(a, given) for a in g.rows())
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="no samples"):
             GroupData("g", np.array([]), np.array([]))
