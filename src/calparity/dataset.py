@@ -7,22 +7,24 @@ depends on the samples only through the group's atom table: its distinct
 scores, each with a count of negatives and positives. A group that keeps
 its rows holds each as a code into its table of distinct score bit
 patterns, and a bool label; the atom table is that bit table pooled by
-value. A Monte Carlo draw or an equalized-odds flip maps the bit table,
+value. ``load_csv`` reads any input, a pipe too, into those tables a block
+at a time. A Monte Carlo draw or an equalized-odds flip maps the bit table,
 and ``write_rows`` formats rows from a table and codes.
 """
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import copy
 import csv
 import io
-import os
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -245,10 +247,11 @@ class _Tally:
 class _Coded:
     """A group's rows as read: uint32 codes into a table of score bit patterns, and bool labels.
 
-    The table holds one pattern per entry (a distinct line, or a row of a
-    block parsed whole); ``group`` renumbers the rows against the distinct
-    patterns by one sort of the table and one gather. Buffers grow in
-    place: a list of pieces left freed holes, ~6 MB on 1e6 rows.
+    The table holds one pattern per entry (a block's distinct line or
+    ``csv`` record, or a row of a block parsed whole); ``group`` renumbers
+    the rows against the distinct patterns by one sort of the table and one
+    gather. Buffers grow in place: a list of pieces left freed holes, ~6 MB
+    on 1e6 rows.
     """
 
     def __init__(self) -> None:
@@ -257,8 +260,8 @@ class _Coded:
     def extend(self, bits: np.ndarray) -> np.ndarray:
         """Add entries' score bit patterns to the table; their codes."""
         start = len(self.table) // 8
-        if start + len(bits) > 2**32:  # past uint32 codes: the reference parser reads it
-            raise _Unclean
+        if start + len(bits) > 2**32:  # past uint32 codes; only a group of more rows than that gets here
+            raise CsvFormatError(f"a group has more than {2**32} rows, too many to keep")
         self.table += bits.tobytes()
         return np.arange(start, start + len(bits))
 
@@ -282,22 +285,30 @@ def load_csv(path: str | Path, samples: bool = True) -> list[GroupData]:
     Monte Carlo output has, must hold 0 or 1 in every row and is dropped.
     A leading UTF-8 byte order mark is skipped. Raises CsvFormatError with
     the offending row number for schema violations, out-of-range scores,
-    non-binary labels, and single-class groups.
+    non-binary labels, text that is not UTF-8, and single-class groups.
 
-    Clean input is parsed column-wise, chunk by chunk; anything the fast
-    path does not read exactly as the row parser would goes to
-    ``_load_reference``, which also produces every row error. Both end in
-    ``_groups``, which reports a single-class group. A chunk whose lines
-    mostly repeat, as a classifier's few distinct scores make them, has
-    each distinct line text parsed once, under the same checks. Kept rows
-    are codes into their group's bit table, never floats.
+    The input is read once, in chunks, so a pipe reads as a file does. Rows
+    reach their group a block at a time (``_entries``), so on every input
+    memory follows one block and the groups' tables. Kept rows are codes
+    into their group's bit table, never floats.
     """
-    groups = _load_columnar(path, samples)
-    if groups is None:
-        groups = _load_reference(path)
-        if not samples:
-            groups = [GroupData(g.group_id, table=g.atoms) for g in groups]
-    return groups
+    ids, accs = _Codes(), []  # each group id's code, in first-seen order, and its rows or tally
+    with open(path, "rb") as fh:
+        for group, scores, labels, at in _entries(_decoded(fh), ids):
+            accs.extend(_Coded() if samples else _Tally() for _ in range(len(ids) - len(accs)))
+            if samples:
+                group, columns = _code_rows(group, scores, labels, at, accs)
+            else:
+                columns = [scores, labels] + ([] if at is None else [np.bincount(at, minlength=len(scores))])
+            for acc, pieces in _by_group(group, columns, accs):
+                acc.add(*pieces)
+    if not ids:
+        raise CsvFormatError("no data rows")
+    accs.reverse()  # each is popped as its group is built, so its buffers go before the next group's
+    try:
+        return [accs.pop().group(gid) for gid in ids]
+    except ValueError as exc:  # a failed GroupData check
+        raise CsvFormatError(str(exc)) from None
 
 
 def _header_width(header: Sequence[str] | None) -> int | None:
@@ -306,7 +317,8 @@ def _header_width(header: Sequence[str] | None) -> int | None:
     return len(names) if names in (CSV_HEADER, CSV_HEADER + (WITHHELD,)) else None
 
 
-_CHUNK = 1 << 18  # characters of text read, checked and parsed at a time
+_CHUNK = 1 << 18  # bytes of input read, decoded and parsed at a time
+_ROW_CHUNK = 1 << 12  # records ``csv`` reads and checks at a time
 
 # Group ids are coded to dense ints through a converter, not read as a
 # fixed-width string column, which would truncate long ids silently and
@@ -317,7 +329,7 @@ _ROW = np.dtype([("group", "i4"), ("score", "f8"), ("label", "S2"), (WITHHELD, "
 class _Codes(dict):
     """Maps each key (a group id, a line) to a dense int in first-seen order."""
 
-    def __missing__(self, key: str) -> int:
+    def __missing__(self, key) -> int:
         code = self[key] = len(self)
         return code
 
@@ -326,92 +338,73 @@ class _Unclean(Exception):
     """The text holds something numpy would read differently from ``csv``."""
 
 
-def _blocks(fh: TextIO) -> Iterator[str]:
-    """Yield the text in blocks of whole lines, from chunks of ``_CHUNK`` characters.
+def _decoded(fh: BinaryIO) -> Iterator[str]:
+    """The input as text, ``_CHUNK`` bytes at a time, line ends as written and a leading BOM dropped."""
+    decoder = codecs.getincrementaldecoder("utf-8-sig")("surrogateescape")  # a byte not UTF-8: a lone surrogate
+    yield from map(decoder.decode, iter(partial(fh.read, _CHUNK), b""))  # holding no chunk's bytes
+    yield decoder.decode(b"", final=True)
 
-    Each chunk is cut at its last line end and the rest carried into the
-    next block. ``fh`` translates ``\\r\\n`` and a bare ``\\r`` to ``\\n``,
-    as ``csv`` also ends a line at either. Raises _Unclean at a chunk that
-    holds a non-ASCII character, a quote (which ``csv`` strips and numpy
-    keeps) or NUL (which numpy strips from byte strings), or at a line
-    longer than ``csv.field_size_limit()``, on which the reference parser
-    raises; so the carried text never outgrows that limit.
+
+def _entries(chunks: Iterator[str], ids: _Codes) -> Iterator[list]:
+    """The rows a block at a time: entries' group codes, scores and labels, and each row's entry (None: one each).
+
+    Blocks of whole lines parse column-wise (``_repetitive`` ones by their
+    distinct lines), to the rows ``csv`` reads, up to the first refused:
+    where ``_cut`` finds text only ``csv`` may read, the header is not ours,
+    a row is not plain ``id,float,0|1`` (``,0|1`` more under ``withheld``)
+    scored in [0, 1], or a new id has surrounding whitespace. Its new ids
+    are dropped; ``_read_rows`` reads it, from its first line, and the rest.
     """
-    limit = csv.field_size_limit()
-    tail = ""  # the unfinished line
-    while chunk := fh.read(_CHUNK):
-        if not chunk.isascii() or '"' in chunk or "\0" in chunk:
-            raise _Unclean
-        start, end = -len(tail), len(chunk)  # start of the current line, maybe in the tail
-        while end - start > limit:
-            newline = chunk.rfind("\n", max(start, 0), start + limit + 1)
-            if newline < 0:
+    lineno, dtype, tail = 1, None, ""  # the number of the line ``tail`` starts
+    for chunk in chain(chunks, [None]):  # None reads the last line
+        text, start, known = tail + (chunk or ""), lineno, len(ids)
+        try:
+            block, tail = _cut(text, final=chunk is None)
+            if start == 1 and (block or chunk is None):
+                header, _, block = block.partition("\n")
+                width = _header_width(header.split(","))
+                if width is None or "\r" in header[:-1]:  # numpy reads no header to refuse a bare \r
+                    raise _Unclean
+                dtype, lineno = _ROW if width == 4 else np.dtype(_ROW.descr[:3]), 2
+            if not block.strip("\r\n"):  # numpy skips empty lines, and warns if that is all
+                lineno += block.count("\n")
+                continue
+            if _repetitive(block):
+                lines, *entries = _parse_distinct(block, dtype, ids)
+            else:
+                lines, entries = block.count("\n"), [*_parse_block(block, dtype, ids), None]
+            if any(gid != gid.strip() for gid in islice(ids, known, None)):
                 raise _Unclean
-            start = newline + 1
-        cut = chunk.rfind("\n") + 1
-        if cut:
-            yield tail + chunk[:cut]
-            tail = chunk[cut:]
-        else:
-            tail += chunk
-    if tail:
-        yield tail
+        except (_Unclean, ValueError, Warning):
+            while len(ids) > known:
+                ids.popitem()
+            yield from _read_rows(chain([text], chunks), start, None if start == 1 else len(dtype), ids)
+            return
+        yield entries
+        lineno += lines
 
 
-def _load_columnar(path: str | Path, samples: bool = True) -> list[GroupData] | None:
-    """Parse clean input one ``np.loadtxt`` block at a time, or return None.
+def _cut(text: str, final: bool) -> tuple[str, str]:
+    """``text`` as whole lines and the rest (none if ``final``), or _Unclean where only ``csv`` may read it.
 
-    None means the reference parser must decide: the input is not a regular
-    file of clean text, the header or a row does not parse as plain
-    ``id,float,0|1`` (with ``,0|1`` after it under a ``withheld`` header),
-    an id carries surrounding whitespace, or a score lies outside [0, 1].
-    Whatever this accepts, the reference parser reads to the same groups,
-    in the same order, with the same bits, or rejects with the same error.
-
-    A block where at least half of the first ``_PROBE`` lines repeat is
-    parsed by ``_parse_distinct``: one ``np.loadtxt`` pass over its
-    distinct lines, which a clean block passes exactly when all its lines
-    do. Other blocks, such as those of nearly distinct scores, go to
-    ``_parse_block`` whole. With ``samples`` each row's code and label
-    go to its group's ``_Coded``; without, each group's piece goes into
-    its ``_Tally``, with each distinct line's count where the lines were
-    counted, so memory follows one block and the distinct scores.
+    Lines end at ``\\n``, or in text without one at a bare ``\\r`` but a last
+    (it may start a ``\\r\\n``), written ``\\n`` as numpy reads no bare one.
+    _Unclean at a non-ASCII character, a quote (which ``csv`` strips and
+    numpy keeps), NUL (which numpy strips from byte strings) or a line
+    longer than ``csv.field_size_limit()``, on which ``csv`` may raise.
     """
-    if not os.path.isfile(path):  # a pipe can be read only once
-        return None
-    codes = _Codes()
-    groups: list[_Coded | _Tally] = []  # per group code
-    rows = 0
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            blocks = _blocks(fh)
-            header, _, first = next(blocks, "").partition("\n")
-            width = _header_width(header.split(","))
-            if width is None:
-                return None
-            dtype = _ROW if width == 4 else np.dtype(_ROW.descr[:3])
-            for block in chain([first], blocks):
-                if not block.strip("\n"):  # numpy skips empty lines, and warns if that is all
-                    continue
-                if _repetitive(block):
-                    group, scores, labels, extra = _parse_distinct(block, dtype, codes, samples)
-                else:
-                    (group, scores, labels), extra = _parse_block(block, dtype, codes), None
-                rows += len(group)
-                groups.extend(_Coded() if samples else _Tally() for _ in range(len(codes) - len(groups)))
-                if samples:
-                    group, columns = _code_rows(group, scores, labels, extra, groups)
-                else:
-                    columns = [scores, labels] if extra is None else [scores, labels, extra]
-                for acc, pieces in _by_group(group, columns, groups):
-                    acc.add(*pieces)
-    except (_Unclean, ValueError, Warning):  # invalid UTF-8 is a ValueError too
-        return None
-    if not rows or any(gid != gid.strip() for gid in codes):
-        return None
-    # Pop each accumulator as its group is built, so its buffers are freed before the next one's group.
-    groups.reverse()
-    return _groups(groups.pop().group(gid) for gid in codes)
+    if not text.isascii() or '"' in text or "\0" in text:
+        raise _Unclean
+    cut = text.rfind("\n") + 1
+    if not cut and "\r" in text:
+        cut = text.rfind("\r", 0, len(text) - 1) + 1
+        text = text[:cut].replace("\r", "\n") + text[cut:]
+    limit, start = csv.field_size_limit(), 0  # the start of a line
+    while len(text) - start > limit:
+        start = text.rfind("\n", start, start + limit + 1) + 1
+        if not start:
+            raise _Unclean
+    return (text, "") if final else (text[:cut], text[cut:])
 
 
 # Lines of a block the probe reads; a parse of many thousand lines costs far more.
@@ -424,25 +417,18 @@ def _repetitive(block: str) -> bool:
     return 2 * len(set(head)) <= len(head)
 
 
-def _parse_distinct(block: str, dtype: np.dtype, codes: _Codes, samples: bool) -> list[np.ndarray]:
-    """``_parse_block`` of the block's distinct lines, each parsed once, and a fourth column.
+def _parse_distinct(block: str, dtype: np.dtype, codes: _Codes) -> list[np.ndarray]:
+    """The block's count of ``\\n``, ``_parse_block`` of its distinct lines, each parsed once, and each row's line.
 
-    With ``samples`` it gives each row its distinct line, numbered in one
-    hashing pass; without, each distinct line's count. Empty lines are
-    dropped, as numpy skips them. The distinct lines keep first-seen
-    order, so the group ids are coded in the same order.
+    One hashing pass numbers the lines in first-seen order, so the ids are
+    coded in that order. Empty lines (also ``\\r`` ones) go, as numpy skips them.
     """
-    if samples:
-        index = _Codes()
-        at = np.fromiter(map(index.__getitem__, block.split("\n")), np.int32, block.count("\n") + 1)
-        empty = index.pop("", None)
-        if empty is not None:  # the lines after it in first-seen order move down one
-            at = at[at != empty]
-            at -= at > empty
-        return [*_parse_block("\n".join(index), dtype, codes), at]
-    counts = Counter(block.split("\n"))
-    del counts[""]
-    return [*_parse_block("\n".join(counts), dtype, codes), np.fromiter(counts.values(), np.intp, len(counts))]
+    lines, index = block.split("\n"), _Codes()
+    at = np.fromiter(map(index.__getitem__, lines), np.int32, len(lines))
+    for empty in sorted([index.pop(e) for e in ("", "\r") if e in index], reverse=True):
+        at = at[at != empty]  # the lines after it in first-seen order move down one
+        at -= at > empty
+    return [len(lines) - 1, *_parse_block("\n".join(index), dtype, codes), at]
 
 
 def _parse_block(block: str, dtype: np.dtype, codes: _Codes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -480,7 +466,7 @@ def _by_group(group: np.ndarray, columns: list[np.ndarray], groups: list) -> Ite
 
 
 def _code_rows(group: np.ndarray, scores: np.ndarray, labels: np.ndarray, at, groups: list[_Coded]) -> tuple:
-    """A block's ``(group, [codes, labels])`` per row; its entries (rows, or lines that ``at`` indexes) coded first."""
+    """A block's ``(group, [codes, labels])`` per row; its entries (rows, or what ``at`` indexes) coded first."""
     code = np.empty(len(group), np.uint32)
     for acc, (bits, index) in _by_group(group, [scores.view(np.uint64), np.arange(len(group))], groups):
         code[index] = acc.extend(bits)
@@ -489,63 +475,76 @@ def _code_rows(group: np.ndarray, scores: np.ndarray, labels: np.ndarray, at, gr
     return group[at], [code[at], labels[at]]
 
 
-def _load_reference(path: str | Path) -> list[GroupData]:
-    """Row-by-row ``csv`` parser: the reference for what ``load_csv`` accepts."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = _numbered_rows(fh)
-        _, header = next(rows, (1, None))
-        width = _header_width(header)
-        if width is None:
-            raise CsvFormatError(
-                f"expected header {','.join(CSV_HEADER)!r} or {','.join(CSV_HEADER + (WITHHELD,))!r}, "
-                f"got {header!r}"
-            )
-        by_group: dict[str, tuple[list[float], list[int]]] = {}
-        for lineno, row in rows:
-            if not row:
-                continue
-            if len(row) != width:
-                raise CsvFormatError(f"row {lineno}: expected {width} columns, got {len(row)}")
-            gid, score_text, label_text, *withheld = (cell.strip() for cell in row)
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise CsvFormatError(f"row {lineno}: unparseable score {score_text!r}") from None
-            if not 0.0 <= score <= 1.0:
-                raise CsvFormatError(f"row {lineno}: score {score_text} outside [0, 1]")
-            if label_text not in ("0", "1"):
-                raise CsvFormatError(f"row {lineno}: label must be 0 or 1, got {label_text!r}")
-            if withheld and withheld[0] not in ("0", "1"):
-                raise CsvFormatError(f"row {lineno}: withheld must be 0 or 1, got {withheld[0]!r}")
-            scores, labels = by_group.setdefault(gid, ([], []))
-            scores.append(score)
-            labels.append(int(label_text))
-        if not by_group:
-            raise CsvFormatError("no data rows")
-    return _groups(GroupData(gid, np.array(scores), np.array(labels)) for gid, (scores, labels) in by_group.items())
-
-
-def _groups(made: Iterable[GroupData]) -> list[GroupData]:
-    """The groups ``made`` builds, in order; a failed GroupData check becomes CsvFormatError."""
-    try:
-        return list(made)
-    except ValueError as exc:
-        raise CsvFormatError(str(exc)) from None
-
-
-def _numbered_rows(fh: TextIO) -> Iterator[tuple[int, list[str]]]:
-    """``csv`` records numbered from 1; what ``csv`` rejects raises CsvFormatError."""
-    reader = csv.reader(fh)
-    lineno = 1
+def _read_rows(text: Iterable[str], lineno: int, width: int | None, ids: _Codes) -> Iterator[list]:
+    """``_entries`` of ``text``, from line ``lineno`` (the header if ``width`` is None), as ``csv.reader`` reads it."""
+    reader = csv.reader(chain.from_iterable(_split_lines(text)))
     while True:
+        rows: list[list[str]] = []
         try:
-            row = next(reader)
-        except StopIteration:
-            return
+            for row in islice(reader, 1 if width is None else _ROW_CHUNK):
+                rows.append(row)
         except csv.Error as exc:  # a field longer than csv.field_size_limit()
-            raise CsvFormatError(f"row {lineno}: {exc}") from None
-        yield lineno, row
-        lineno += 1
+            _fault(rows, lineno, width)  # a fault in an earlier row comes first
+            raise CsvFormatError(f"row {lineno + len(rows)}: {exc}") from None
+        if width is None:
+            width = _header_width(rows[0] if rows else None)
+            if width is None:
+                expected = " or ".join(repr(",".join(h)) for h in (CSV_HEADER, CSV_HEADER + (WITHHELD,)))
+                raise CsvFormatError(f"expected header {expected}, got {rows[0] if rows else None!r}")
+        elif not rows:
+            return
+        elif any(rows):
+            yield _columns(rows, lineno, width, ids)
+        lineno += len(rows)
+
+
+def _columns(rows: list[list[str]], lineno: int, width: int, ids: _Codes) -> list[np.ndarray]:
+    """``_entries`` of ``csv`` records, each distinct one checked a column at a time; else ``_fault`` raises."""
+    data = list(filter(None, rows))
+    if set(map(len, data)) == {width}:
+        index = _Codes()
+        at = np.fromiter(map(index.__getitem__, map(tuple, data)), np.intp, len(data))
+        gids, texts, *flags = [list(map(str.strip, column)) for column in zip(*index)]
+        with contextlib.suppress(ValueError):  # UnicodeEncodeError too: an id holds a byte that is not UTF-8
+            "".join(gids).encode()
+            scores = np.fromiter(map(float, texts), float, len(texts))
+            if np.all((scores >= 0.0) & (scores <= 1.0)) and all(set(f) <= {"0", "1"} for f in flags):
+                labels = np.frombuffer("".join(flags[0]).encode(), np.uint8) == ord("1")
+                return [np.fromiter(map(ids.__getitem__, gids), np.intp, len(gids)), scores, labels, at]
+    _fault(rows, lineno, width)
+
+
+def _fault(rows: list[list[str]], lineno: int, width: int | None) -> None:
+    """Raise CsvFormatError at the first of the ``csv`` records, numbered from ``lineno``, that is not a data row."""
+    for lineno, row in enumerate(rows, lineno):
+        if not row:
+            continue
+        if (text := "".join(row)).encode(errors="ignore").decode() != text:  # it holds a lone surrogate
+            raise CsvFormatError(f"row {lineno}: not valid UTF-8")
+        if len(row) != width:
+            raise CsvFormatError(f"row {lineno}: expected {width} columns, got {len(row)}")
+        _, score_text, label_text, *withheld = (cell.strip() for cell in row)
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise CsvFormatError(f"row {lineno}: unparseable score {score_text!r}") from None
+        if not 0.0 <= score <= 1.0:
+            raise CsvFormatError(f"row {lineno}: score {score_text} outside [0, 1]")
+        if label_text not in ("0", "1"):
+            raise CsvFormatError(f"row {lineno}: label must be 0 or 1, got {label_text!r}")
+        if withheld and withheld[0] not in ("0", "1"):
+            raise CsvFormatError(f"row {lineno}: withheld must be 0 or 1, got {withheld[0]!r}")
+
+
+def _split_lines(text: Iterable[str]) -> Iterator[io.StringIO]:
+    """Text given in pieces as streams of whole lines, ended as written; a last ``\\r`` waits for a ``\\n``."""
+    rest = ""
+    for piece in text:
+        piece = rest + piece
+        cut = max(piece.rfind("\n"), piece.rfind("\r", 0, len(piece) - 1)) + 1
+        rest = piece[cut:]
+        yield io.StringIO(piece[:cut], newline="")
+    yield io.StringIO(rest, newline="")
 
 
 # Rows per chunk: large enough that numpy calls dominate the per-chunk

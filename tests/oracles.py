@@ -1,9 +1,11 @@
-"""Independent oracles for the flip LP and the CSV writer.
+"""Independent oracles for the CSV reader and writer, the flip LP and the Monte Carlo draw.
 
 The flip LP solver under test enumerates vertices of the constrained box.
 These helpers never touch its internals: expected losses come from a scalar
 per-sample loop, and affine coefficients are recovered by probing the
-rate/loss evaluations at corner points. ``derived_rates`` is the
+rate/loss evaluations at corner points. ``load_reference`` is the
+whole-file row-by-row ``csv`` reader whose groups or error
+``dataset.load_csv`` must give for any bytes, ``derived_rates`` is the
 per-sample rate computation that ``eo.derived_rates`` must match bit for
 bit, ``write_csv_rows`` is the row-by-row writer that ``dataset.write_csv``
 must match byte for byte, ``dump_json`` is the dict-per-bin JSON writer
@@ -21,15 +23,71 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 from itertools import combinations, product, repeat
 
 import numpy as np
 
-from calparity.dataset import CSV_HEADER, GroupData, SynthSpec
+from calparity.dataset import CSV_HEADER, CsvFormatError, GroupData, SynthSpec
 from calparity.eo import flipped_scores
 from calparity.metrics import RatePoint
+
+
+def load_reference(path) -> list[GroupData]:
+    """The whole file decoded at once, then one ``csv`` row at a time: the reference for ``load_csv``.
+
+    Each group's samples are kept as Python lists until the end. A byte
+    that is not UTF-8 is decoded to a lone surrogate, and the row holding
+    one is reported before any other check of that row.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8-sig", "surrogateescape")
+    reader, lineno = csv.reader(io.StringIO(text, newline="")), 0
+
+    def next_row():
+        nonlocal lineno
+        lineno += 1
+        try:
+            return next(reader)
+        except StopIteration:
+            return None
+        except csv.Error as exc:  # a field longer than csv.field_size_limit()
+            raise CsvFormatError(f"row {lineno}: {exc}") from None
+
+    headers = (CSV_HEADER, CSV_HEADER + ("withheld",))
+    header = next_row()
+    if header is None or tuple(h.strip() for h in header) not in headers:
+        raise CsvFormatError(f"expected header {','.join(headers[0])!r} or {','.join(headers[1])!r}, got {header!r}")
+    width, by_group = len(header), {}
+    while (row := next_row()) is not None:
+        if not row:
+            continue
+        if any("\udc80" <= c <= "\udcff" for cell in row for c in cell):
+            raise CsvFormatError(f"row {lineno}: not valid UTF-8")
+        if len(row) != width:
+            raise CsvFormatError(f"row {lineno}: expected {width} columns, got {len(row)}")
+        gid, score_text, label_text, *withheld = (cell.strip() for cell in row)
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise CsvFormatError(f"row {lineno}: unparseable score {score_text!r}") from None
+        if not 0.0 <= score <= 1.0:
+            raise CsvFormatError(f"row {lineno}: score {score_text} outside [0, 1]")
+        if label_text not in ("0", "1"):
+            raise CsvFormatError(f"row {lineno}: label must be 0 or 1, got {label_text!r}")
+        if withheld and withheld[0] not in ("0", "1"):
+            raise CsvFormatError(f"row {lineno}: withheld must be 0 or 1, got {withheld[0]!r}")
+        scores, labels = by_group.setdefault(gid, ([], []))
+        scores.append(score)
+        labels.append(int(label_text))
+    if not by_group:
+        raise CsvFormatError("no data rows")
+    try:
+        return [GroupData(gid, np.array(scores), np.array(labels)) for gid, (scores, labels) in by_group.items()]
+    except ValueError as exc:
+        raise CsvFormatError(str(exc)) from None
 
 
 def write_csv_rows(groups, path, withheld=None) -> None:

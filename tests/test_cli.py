@@ -1,6 +1,7 @@
 import argparse
 import copy
 import csv
+import io
 import json
 import os
 import pickle
@@ -917,3 +918,32 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, exit_code, extra):
     rc, *modules = r.stderr.splitlines()[-1].split()
     assert int(rc) == exit_code
     assert set(modules) == BASE_MODULES | {f"calparity.{m}" for m in extra}
+
+
+def test_quoted_input_through_a_pipe(tmp_path):
+    """The golden ``mixed.csv`` with every field quoted, read from a pipe as ``/dev/stdin``: the golden bytes.
+
+    The quoted header hands the whole file to ``csv``, and a pipe is read
+    once, as a file is; neither changes a byte of the reports or of the
+    Monte Carlo output. The flags are the golden cases' own.
+    """
+    text = io.StringIO()
+    with open(GOLDEN_MIXED, newline="") as fh:
+        csv.writer(text, quoting=csv.QUOTE_ALL).writerows(csv.reader(fh))
+    quoted = text.getvalue().encode()
+    assert quoted.startswith(b'"group","score","label"\r\n"')
+    expected = GOLDEN_MIXED.parent.parent / "expected"
+    cases = {
+        "stats_exact": ["stats"],
+        "diagnose": ["diagnose", "--cost", "1,0,1,0", "--cost2", "0,1,0,1", "--delta-cal", "0.05",
+                     "--delta-cost", "0.05", "--matrix-max", "2", "--denominator", "12"],
+        "calibrated_mc": ["postprocess-calibrated", "--weighted-cost", "1,3", "--mode", "mc", "--seed", "4",
+                          "--output", "mc.csv"],
+    }  # fmt: skip
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    for name, (command, *flags) in cases.items():
+        argv = [sys.executable, "-m", "calparity.cli", command, "--input", "/dev/stdin", *flags]
+        r = subprocess.run(argv, input=quoted, capture_output=True, cwd=tmp_path, env=env)
+        assert (r.returncode, r.stderr) == (0, b""), name
+        assert r.stdout == (expected / f"{name}.stdout").read_bytes(), name
+    assert (tmp_path / "mc.csv").read_bytes() == (expected / "calibrated_mc.csv").read_bytes()

@@ -315,6 +315,40 @@ def test_samples_free_load_memory(tmp_path):
     assert peaks[False] < peaks[True] / 4, peaks
 
 
+def test_quoted_load_memory(tmp_path):
+    """A file that ``csv`` reads from its first row on loads row-free in about the memory of the same file unquoted.
+
+    Every id is quoted, so the columnar parse refuses the first block and
+    hands the whole file to ``csv``. Its records are checked and added to
+    the groups ``_ROW_CHUNK`` at a time, so the traced peak stays within
+    three times that of the columnar load of the unquoted file. A reader
+    that held every row as Python floats and ints, as a whole-file reader
+    does, peaks more than twenty times higher. The text chunk and tally
+    sizes are fixed here so that the bound tests the structure.
+    """
+    import tracemalloc
+
+    groups = [
+        synth(SynthSpec(100_000, "beta_grid", (2, 4, 20), seed=1, group_id="A")),
+        synth(SynthSpec(100_000, "grid", (0.1, 0.9, 9), seed=2, group_id="B")),
+    ]
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    write_csv(groups, plain)
+    quoted.write_bytes(plain.read_bytes().replace(b"\nA,", b'\n"A",').replace(b"\nB,", b'\n"B",'))
+    load_csv(quoted, samples=False)  # imports what a load first needs, untraced
+    peaks = {}
+    with mock.patch.object(dataset, "_CHUNK", 1 << 14), mock.patch.object(dataset, "_ATOM_CHUNK", 1 << 12):
+        for path in (plain, quoted):
+            tracemalloc.start()
+            try:
+                loaded = load_csv(path, samples=False)
+                peaks[path.name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert [(g.group_id, len(g)) for g in loaded] == [("A", 100_000), ("B", 100_000)]
+    assert peaks["quoted.csv"] < 3 * peaks["plain.csv"], peaks
+
+
 def test_distinct_line_parse_memory(tmp_path):
     """Parsing a block's distinct lines holds no more than parsing the block whole.
 

@@ -1,18 +1,22 @@
-"""Differential test: the chunked columnar CSV loader against the row-by-row reference.
+"""Differential test: the streaming CSV loader against the whole-file reference.
 
-``load_csv`` parses clean input in ``np.loadtxt`` blocks and hands anything
-else to ``_load_reference``. For any bytes, both must return the same
+``load_csv`` parses each block of whole lines column-wise until the first
+block that parse refuses, then reads that block and the rest of the input
+with ``csv``. ``oracles.load_reference`` decodes the whole file and reads
+it with ``csv`` one row at a time. For any bytes both must return the same
 groups or raise the same error. With samples kept that means the same ids,
 order, score bits and labels; without, the same ids, order, sizes, base
 rates and atom tables. A block whose lines mostly repeat parses only its
-distinct lines; the differential tests patch that choice (``PROBES``)
-so that every block takes one branch, or the two alternate, and check
-each input under each.
+distinct lines; the differential tests patch that choice (``PROBES``) so
+that every block takes one branch, or the two alternate, and check each
+input under each, with blocks of one to three rows, and every cut into
+chunks of a few small files.
 """
 
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
 import itertools
 from unittest import mock
@@ -24,6 +28,7 @@ from hypothesis import strategies as st
 
 from calparity import dataset
 from calparity.dataset import CsvFormatError, GroupData, SynthSpec, load_csv, synth, write_csv
+from oracles import load_reference
 
 GOLDEN_MIXED = "tests/golden/inputs/mixed.csv"
 
@@ -43,7 +48,7 @@ SCORES = st.one_of(
     st.sampled_from(["0", "1", "0.5", "-0", "1e-400", "+.5", "5e-1", "0.25", ".75", "1.0", "0.1e1"]),
     st.floats(0.0, 1.0).map(repr),
 )
-# Each mutation breaks one guard of the fast path, or is benign for both.
+# Each mutation breaks one guard of the columnar parse, or is benign for both.
 MUTATIONS = {
     "id": [" A", "A ", "A\t", "A\x0c", "A\x1f", "é", '"A"', "A\x00", "ABCDEFGHIJKLMNOPQRSTUVWXYZ"],
     "score": [
@@ -55,6 +60,8 @@ MUTATIONS = {
     "line": ["", " ", "\t", "\x0c", "A,0.5", "A,0.5,1,", "A,0.5,1,x", ",,", "#A,0.5,1", "A,0.5,1,0,1"],
     "header": HEADERS,
     "bytes": [b"\x00", b'"', "é".encode(), b"\xff", codecs.BOM_UTF8, b"\r", b"\n", b","],
+    # A group's id as a quoted field, holding what only csv reads: line ends, a quote, a comma.
+    "quoted": ["a\r\nb", "a\rb", "a\nb", 'say "hi"', "B, west", "A", " A "],
     "single": [None],
     "empty": [None],
 }  # fmt: skip
@@ -76,7 +83,8 @@ def csv_bytes(draw) -> bytes:
     for kind in draw(st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=2)):
         value = draw(st.sampled_from(MUTATIONS[kind]))
         at = draw(st.integers(0, len(rows) - 1))
-        if kind == "id":  # rename the whole group, so that it keeps both classes
+        if kind in ("id", "quoted"):  # rename the whole group, so that it keeps both classes
+            value = '"' + value.replace('"', '""') + '"' if kind == "quoted" else value
             rows = [[value if row[0] == rows[at][0] else row[0], *row[1:]] for row in rows]
         elif kind in ("score", "label", "withheld"):
             column = ("score", "label", "withheld").index(kind) + 1
@@ -126,6 +134,31 @@ def _outcome(loader, path, samples=True):
     return [(g.group_id, len(g), g.base_rate, *(a.tobytes() for a in g.atoms)) for g in groups]
 
 
+def _reference(path, samples):
+    """The reference's outcome: its groups, reduced to their atom tables without samples."""
+    if samples:
+        return _outcome(load_reference, path)
+    return _outcome(lambda p: [GroupData(g.group_id, table=g.atoms) for g in load_reference(p)], path, False)
+
+
+def _loaded(path, samples):
+    return _outcome(lambda p: load_csv(p, samples=samples), path, samples)
+
+
+@contextlib.contextmanager
+def _handoffs():
+    """The line number of each hand-off to the ``csv`` reader while the block runs."""
+    seen = []
+    read_rows = dataset._read_rows
+
+    def watched(text, lineno, *rest):
+        seen.append(lineno)
+        return read_rows(text, lineno, *rest)
+
+    with mock.patch.object(dataset, "_read_rows", watched):
+        yield seen
+
+
 def _line_chars(data: bytes) -> int:
     """Mean line length of ``data``, line ends included: the text a block of one row reads."""
     return max(1, len(data) // (1 + data.count(b"\n") + data.count(b"\r")))
@@ -165,16 +198,17 @@ def csv_path(tmp_path_factory):
 @example(b"group,score,label\nA,0.5,1\nB,0.5,0\nA,0.5,1\nB,0.2,1\nA,0.2,0\nB,0.5,0\nA,0.5,1\n")
 @example(b"group,score,label,withheld\nA,0.5,1,1\nA,0.5,1,0\nA,0.5,1,1\nA,0.2,0,0\nA,0.5,1,0\n")
 @example(b"group,score,label\n" + b"A,0.5,1\nA,0.2,0\n" * 520 + b"A,0.5,2\n")
+@example(b"\rgroup,score,label\nA,0,0\nA,0,1\n")
+@example(b"group,score,label\r\nA,0.5,1\r\n\r\nA,0.2,0\r\nA,0.5,1\r\n")
 def test_fast_path_matches_reference(csv_path, data):
     """With and without samples, every block parsed by its distinct lines or whole: the reference's outcome."""
     csv_path.write_bytes(data)
     for samples in (True, False):
-        reference = _outcome(dataset._load_reference if samples else _reference_tables, csv_path, samples)
+        reference = _reference(csv_path, samples)
         for probe in PROBES:
-            with mock.patch.object(dataset, "_repetitive", probe):
-                columnar = _outcome(lambda p: dataset._load_columnar(p, samples) or [], csv_path, samples)
-                event("reference" if columnar == [] else "columnar")
-                assert _outcome(lambda p: load_csv(p, samples=samples), csv_path, samples) == reference
+            with mock.patch.object(dataset, "_repetitive", probe), _handoffs() as seen:
+                assert _loaded(csv_path, samples) == reference
+            event("csv" if seen else "columnar")
 
 
 @settings(max_examples=300, deadline=None)
@@ -184,29 +218,71 @@ def test_fast_path_matches_reference(csv_path, data):
 @example(b"group,score,label\n\n\n\nA,0.5,1\n\n\n\n\n\nA,0.2,0\n\n\n", 1, False, 1)
 @example(b"group,score,label\nA,0.5,1\nA,0.5,1\n\nA,0.5,1\nA,0.2,0\n\nA,0.2,0\n", 3, False, 2)
 @example(b"group,score,label\nA,-0,1\nA,0,0\nA,0,1\nA,-0,0\nA,-0,1\nA,0.5,1\n", 2, False, 1)
+@example(b'group,score,label\r\nA,0.5,1\r\n"a\r\nb",0.5,1\r\n"a\r\nb",0.2,0\r\nA,0.2,0\r\n', 1, True, 1)
+@example(b'group,score,label\nA,0.5,1\nA,0.2,0\nA,0.5,1\n"x,""y""",0.5,1\n"x,""y""",0.2,0\n', 2, False, 1)
 def test_chunked_loader_matches_reference(csv_path, data, rows, samples, atom_chunk):
-    """Blocks of about 1, 2 or 3 rows, tallies pooled every few samples, each probe: same groups, same errors."""
+    """Blocks of about 1, 2 or 3 rows, tallies pooled and ``csv`` rows added every few rows, each probe: same outcome."""
     csv_path.write_bytes(data)
-    reference = _outcome(dataset._load_reference if samples else _reference_tables, csv_path, samples)
+    reference = _reference(csv_path, samples)
     for probe in [*PROBES, _alternating()]:
         with mock.patch.object(dataset, "_CHUNK", rows * _line_chars(data)), mock.patch.object(
             dataset, "_ATOM_CHUNK", atom_chunk
-        ), mock.patch.object(dataset, "_repetitive", probe):
-            assert _outcome(lambda p: load_csv(p, samples=samples), csv_path, samples) == reference
+        ), mock.patch.object(dataset, "_ROW_CHUNK", rows), mock.patch.object(dataset, "_repetitive", probe):
+            assert _loaded(csv_path, samples) == reference
 
 
-def _reference_tables(path):
-    """The reference parser's groups, reduced to their atom tables."""
-    return [GroupData(g.group_id, table=g.atoms) for g in dataset._load_reference(path)]
+# Small files read under every chunk size, so every cut falls everywhere: inside a quoted field
+# that holds a line end, between the \r and \n of a line end at the hand-off, inside a UTF-8
+# character, and with a bad row in the first, a middle or the last block.
+CUT_FILES = {
+    "crlf-quoted": b'group,score,label\r\nA,0.5,1\r\nA,0.2,0\r\n"B\r\n,x",0.5,1\r\n"B\r\n,x",0.25,0\r\n',
+    "cr-quoted": b'group,score,label\rA,0.5,1\rA,0.2,0\r"B\rx ""y""",0.5,1\r"B\rx ""y""",0.25,0',
+    "lf-quoted": b'group,score,label\nA,0.5,1\n"A\n",0.2,0\nA,0.25,0\n"A\n",0.5,1\n',
+    "mixed-ends": b"group,score,label\nA,0.5,1\r\nA,0.2,0\rA,0.5,0\n\r\nA,0.25,1\r",
+    "bad-first": b"group,score,label\r\nA,1.5,1\r\nA,0.2,0\r\nA,0.5,1\r\nA,0.2,0\r\nA,0.5,1\r\n",
+    "bad-middle": b"group,score,label\r\nA,0.5,1\r\nA,0.2,0\r\nA,0.5,2\r\nA,0.2,0\r\nA,0.5,1\r\n",
+    "bad-last": b"group,score,label\r\nA,0.5,1\r\nA,0.2,0\r\nA,0.5,1\r\nA,0.2,0\r\nA,0.5\r\n",
+    "crlf-quoted-bad": b'group,score,label\r\n"A",0.5,1\r\nA,0.2,0\r\nA,0.5,1\r\nA,0.5,2\r\n',
+    "crlf-blank-bad": b"group,score,label\r\nA,0.5,1\r\n\r\n\r\nA,0.2,0\r\nA,0.5,1\r\nA,0.5,2\r\n",
+    "lf-blank-bad": b"group,score,label\nA,0.5,1\n\n\nA,0.2,0\nA,0.5,1\nA,0.5,2\n",
+    "not-utf8": "group,score,label\nA,0.5,1\nÅ,0.2,0\n".encode() + b"\xc3,0.5,1\nA,1.5,0\n",
+    "utf8-cut": codecs.BOM_UTF8 + "group,score,label\nÅ,0.5,1\nÅ,0.2,0\n".encode() + b"\xf0\x9f\x98",
+}
+# The outcome some of them must have.
+CUT_ERRORS = {
+    "bad-first": (CsvFormatError, "row 2: score 1.5 outside [0, 1]"),
+    "bad-middle": (CsvFormatError, "row 4: label must be 0 or 1, got '2'"),
+    "bad-last": (CsvFormatError, "row 6: expected 3 columns, got 2"),
+    "crlf-quoted-bad": (CsvFormatError, "row 5: label must be 0 or 1, got '2'"),
+    "crlf-blank-bad": (CsvFormatError, "row 7: label must be 0 or 1, got '2'"),
+    "lf-blank-bad": (CsvFormatError, "row 7: label must be 0 or 1, got '2'"),
+    "not-utf8": (CsvFormatError, "row 4: not valid UTF-8"),  # before the bad score of row 5
+    "utf8-cut": (CsvFormatError, "row 4: not valid UTF-8"),  # a character cut short by the end of the file
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUT_FILES))
+def test_every_cut_matches_reference(csv_path, name):
+    """Every ``_CHUNK`` size, so every cut, each probe, with and without samples: the reference's outcome."""
+    data = CUT_FILES[name]
+    csv_path.write_bytes(data)
+    for samples in (True, False):
+        reference = _reference(csv_path, samples)
+        for chunk, probe in itertools.product(range(1, len(data) + 2), PROBES):
+            with mock.patch.object(dataset, "_CHUNK", chunk), mock.patch.object(
+                dataset, "_ROW_CHUNK", 1
+            ), mock.patch.object(dataset, "_repetitive", probe):
+                assert _loaded(csv_path, samples) == reference, chunk
+    assert reference == CUT_ERRORS.get(name, reference)
 
 
 @pytest.mark.parametrize("spare", [0, 1, 7])
 def test_long_lines_across_chunks(csv_path, spare):
     """Lines near the csv field limit, straddling a chunk boundary, read alike.
 
-    The fast path takes lines up to the limit and leaves longer ones to the
-    reference, which raises CsvFormatError naming the row once a single
-    field passes the limit.
+    The columnar parse takes lines up to the limit and hands longer ones to
+    ``csv``, which raises CsvFormatError naming the row once a single field
+    passes the limit.
     """
     limit = csv.field_size_limit()
     gid = "B" * (limit - 6 + spare)
@@ -215,31 +291,43 @@ def test_long_lines_across_chunks(csv_path, spare):
     pads = (dataset._CHUNK - len(head) - limit // 2) // 8
     assert pads > 0  # the long lines start in the first chunk and end in the second
     csv_path.write_text(head + "A,0.5,1\n" * pads + f"{gid},0.5,1\n{gid},0.5,0\n", encoding="ascii")
-    assert (dataset._load_columnar(csv_path) is None) == (spare > 0)
-    outcome = _outcome(load_csv, csv_path)
-    assert outcome == _outcome(dataset._load_reference, csv_path)
+    with _handoffs() as seen:
+        outcome = _outcome(load_csv, csv_path)
+    assert seen == ([1 + 2 * pairs + pads + 1] if spare > 0 else [])
+    assert outcome == _outcome(load_reference, csv_path)
     if len(gid) > limit:
         row = 1 + 2 * pairs + pads + 1
         assert outcome == (CsvFormatError, f"row {row}: field larger than field limit ({limit})")
 
 
+def test_bad_row_before_overlong_field(csv_path):
+    """A bad row is reported before a later field that ``csv`` cannot read, in the same piece of records."""
+    big = "B" * (csv.field_size_limit() + 1)
+    csv_path.write_text(f'group,score,label\n"A",0.5,1\nA,0.5,2\n{big},0.5,1\n', encoding="ascii")
+    for samples in (True, False):
+        assert _loaded(csv_path, samples) == (CsvFormatError, "row 3: label must be 0 or 1, got '2'")
+    assert _outcome(load_reference, csv_path) == (CsvFormatError, "row 3: label must be 0 or 1, got '2'")
+
+
 @pytest.mark.parametrize("samples", [True, False], ids=["samples", "atoms"])
 def test_bad_row_after_repeats_names_its_row(csv_path, samples):
-    """A block of repeated lines parses each text once, yet the error still names the row."""
+    """A block of repeated lines parses each text once, yet the error still names the row.
+
+    The file is one block, so ``csv`` reads it from its header on.
+    """
     csv_path.write_bytes(b"group,score,label\n" + b"A,0.5,1\nA,0.2,0\n" * 600 + b"A,0.5,2\nA,0.5,1\n")
-    with open(csv_path) as fh:
-        assert dataset._repetitive(next(dataset._blocks(fh)))
-    assert dataset._load_columnar(csv_path, samples) is None
-    with pytest.raises(CsvFormatError, match=r"^row 1202: label must be 0 or 1, got '2'$"):
+    assert csv_path.stat().st_size < dataset._CHUNK and dataset._repetitive(csv_path.read_text())
+    with _handoffs() as seen, pytest.raises(CsvFormatError, match=r"^row 1202: label must be 0 or 1, got '2'$"):
         load_csv(csv_path, samples=samples)
+    assert seen == [1]
 
 
-def _refuse(path):
-    raise AssertionError(f"{path} fell back to the reference parser")
+def _refuse(text, lineno, *rest):
+    raise AssertionError(f"line {lineno} was handed to the csv reader")
 
 
 def test_fast_path_serves_clean_input(tmp_path, monkeypatch):
-    """Clean files never reach the reference parser; a silent fallback would lose the gain."""
+    """Clean files, CRLF and bare CR among them, never reach the ``csv`` hand-off; a silent one would lose the gain."""
     a = synth(SynthSpec(300, "beta_grid", (2, 4, 20), seed=5, group_id="A"))
     b = synth(SynthSpec(200, "grid", (0.1, 0.9, 9), seed=6, group_id="B"))
     written = tmp_path / "synth.csv"
@@ -265,11 +353,11 @@ def test_fast_path_serves_clean_input(tmp_path, monkeypatch):
         repeated,
     )
     paths = (GOLDEN_MIXED, written, bom, cr, mc, repeated)
-    expected = {path: dataset._load_reference(path) for path in paths}
-    monkeypatch.setattr(dataset, "_load_reference", _refuse)
+    expected = {path: load_reference(path) for path in paths}
+    monkeypatch.setattr(dataset, "_read_rows", _refuse)
     distinct = []
     parse_distinct = dataset._parse_distinct
-    monkeypatch.setattr(dataset, "_parse_distinct", lambda *args: distinct.append(args[-1]) or parse_distinct(*args))
+    monkeypatch.setattr(dataset, "_parse_distinct", lambda *args: distinct.append(1) or parse_distinct(*args))
     for path, want in expected.items():
         got = load_csv(path)
         assert all(type(g.group_id) is str for g in got)
@@ -285,6 +373,5 @@ def test_fast_path_serves_clean_input(tmp_path, monkeypatch):
     assert [g.group_id for g in load_csv(written)] == ["A", "B"]
     distinct.clear()
     load_csv(repeated), load_csv(repeated, samples=False)
-    with open(repeated) as fh:
-        blocks = sum(1 for _ in dataset._blocks(fh))
-    assert blocks > 1 and distinct == [True] * blocks + [False] * blocks
+    blocks = -(-repeated.stat().st_size // dataset._CHUNK)
+    assert blocks > 1 and len(distinct) == 2 * blocks

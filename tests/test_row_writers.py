@@ -6,9 +6,10 @@ row's code. ``oracles.rewrite_rows`` reads the input one ``csv`` row at a
 time and writes one ``repr`` per row, flipping each score with
 ``eo.flipped_scores`` or withholding by one whole-array draw. The files
 must match byte for byte for signed zeros and subnormal scores, groups
-that interleave, empty lines, CRLF line ends and a quoted id (which the
-reference parser reads), whether each block is parsed by its distinct
-lines or whole, and however the rows are cut into blocks and chunks.
+that interleave, empty lines, CRLF line ends and a quoted id (which hands
+its block and the rest of the input to ``csv``), whether each block is
+parsed by its distinct lines or whole, and however the rows are cut into
+blocks and chunks.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from calparity.parity import AlreadyTrivialError, compute_alpha, feasibility
 from oracles import read_rows, rewrite_rows
 
 SPECIAL = [-0.0, 0.0, 5e-324, 1e-310, 0.5, 1.0]
-IDS = ["A", "B", "c d", 'say "hi"']  # only the last is quoted, which the reference parser reads
+IDS = ["A", "B", "c d", 'say "hi"']  # only the last is quoted, which the csv reader reads
 
 
 @st.composite
