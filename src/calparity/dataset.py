@@ -15,7 +15,6 @@ and ``write_rows`` formats rows from a table and codes.
 from __future__ import annotations
 
 import codecs
-import contextlib
 import copy
 import csv
 import io
@@ -318,7 +317,7 @@ def _header_width(header: Sequence[str] | None) -> int | None:
 
 
 _CHUNK = 1 << 18  # bytes of input read, decoded and parsed at a time
-_ROW_CHUNK = 1 << 12  # records ``csv`` reads and checks at a time
+_ROW_CHUNK = 1 << 10  # records ``csv`` reads and checks at a time
 
 # Group ids are coded to dense ints through a converter, not read as a
 # fixed-width string column, which would truncate long ids silently and
@@ -476,64 +475,58 @@ def _code_rows(group: np.ndarray, scores: np.ndarray, labels: np.ndarray, at, gr
 
 
 def _read_rows(text: Iterable[str], lineno: int, width: int | None, ids: _Codes) -> Iterator[list]:
-    """``_entries`` of ``text``, from line ``lineno`` (the header if ``width`` is None), as ``csv.reader`` reads it."""
-    reader = csv.reader(chain.from_iterable(_split_lines(text)))
-    while True:
-        rows: list[list[str]] = []
-        try:
-            for row in islice(reader, 1 if width is None else _ROW_CHUNK):
-                rows.append(row)
-        except csv.Error as exc:  # a field longer than csv.field_size_limit()
-            _fault(rows, lineno, width)  # a fault in an earlier row comes first
-            raise CsvFormatError(f"row {lineno + len(rows)}: {exc}") from None
+    """``_entries`` of ``text``, from line ``lineno`` (the header if ``width`` is None), as ``csv.reader`` reads it.
+
+    Each record is checked as it is read, so the first fault in file order
+    raises; the data rows reach their groups ``_ROW_CHUNK`` at a time.
+    """
+    rows = _numbered_rows(csv.reader(chain.from_iterable(_split_lines(text))), lineno)
+    if width is None:
+        header = next(rows, (lineno, None))[1]
+        width = _header_width(header)
         if width is None:
-            width = _header_width(rows[0] if rows else None)
-            if width is None:
-                expected = " or ".join(repr(",".join(h)) for h in (CSV_HEADER, CSV_HEADER + (WITHHELD,)))
-                raise CsvFormatError(f"expected header {expected}, got {rows[0] if rows else None!r}")
-        elif not rows:
-            return
-        elif any(rows):
-            yield _columns(rows, lineno, width, ids)
-        lineno += len(rows)
+            expected = " or ".join(repr(",".join(h)) for h in (CSV_HEADER, CSV_HEADER + (WITHHELD,)))
+            raise CsvFormatError(f"expected header {expected}, got {header!r}")
+    data = (_data_row(row, n, width) for n, row in rows if row)
+    for piece in iter(lambda: list(islice(data, _ROW_CHUNK)), []):
+        gids, scores, labels = zip(*piece)
+        group = np.fromiter(map(ids.__getitem__, gids), np.intp, len(gids))
+        yield [group, np.array(scores), np.array(labels), None]
 
 
-def _columns(rows: list[list[str]], lineno: int, width: int, ids: _Codes) -> list[np.ndarray]:
-    """``_entries`` of ``csv`` records, each distinct one checked a column at a time; else ``_fault`` raises."""
-    data = list(filter(None, rows))
-    if set(map(len, data)) == {width}:
-        index = _Codes()
-        at = np.fromiter(map(index.__getitem__, map(tuple, data)), np.intp, len(data))
-        gids, texts, *flags = [list(map(str.strip, column)) for column in zip(*index)]
-        with contextlib.suppress(ValueError):  # UnicodeEncodeError too: an id holds a byte that is not UTF-8
-            "".join(gids).encode()
-            scores = np.fromiter(map(float, texts), float, len(texts))
-            if np.all((scores >= 0.0) & (scores <= 1.0)) and all(set(f) <= {"0", "1"} for f in flags):
-                labels = np.frombuffer("".join(flags[0]).encode(), np.uint8) == ord("1")
-                return [np.fromiter(map(ids.__getitem__, gids), np.intp, len(gids)), scores, labels, at]
-    _fault(rows, lineno, width)
-
-
-def _fault(rows: list[list[str]], lineno: int, width: int | None) -> None:
-    """Raise CsvFormatError at the first of the ``csv`` records, numbered from ``lineno``, that is not a data row."""
-    for lineno, row in enumerate(rows, lineno):
-        if not row:
-            continue
-        if (text := "".join(row)).encode(errors="ignore").decode() != text:  # it holds a lone surrogate
-            raise CsvFormatError(f"row {lineno}: not valid UTF-8")
-        if len(row) != width:
-            raise CsvFormatError(f"row {lineno}: expected {width} columns, got {len(row)}")
-        _, score_text, label_text, *withheld = (cell.strip() for cell in row)
+def _numbered_rows(reader: Iterator[list[str]], lineno: int) -> Iterator[tuple[int, list[str]]]:
+    """``csv`` records numbered from ``lineno``; what ``csv`` rejects raises CsvFormatError."""
+    while True:
         try:
-            score = float(score_text)
-        except ValueError:
-            raise CsvFormatError(f"row {lineno}: unparseable score {score_text!r}") from None
-        if not 0.0 <= score <= 1.0:
-            raise CsvFormatError(f"row {lineno}: score {score_text} outside [0, 1]")
-        if label_text not in ("0", "1"):
-            raise CsvFormatError(f"row {lineno}: label must be 0 or 1, got {label_text!r}")
-        if withheld and withheld[0] not in ("0", "1"):
-            raise CsvFormatError(f"row {lineno}: withheld must be 0 or 1, got {withheld[0]!r}")
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:  # a field longer than csv.field_size_limit()
+            raise CsvFormatError(f"row {lineno}: {exc}") from None
+        yield lineno, row
+        lineno += 1
+
+
+def _data_row(row: list[str], lineno: int, width: int) -> tuple[str, float, bool]:
+    """A non-empty ``csv`` record's id, score and label; CsvFormatError naming row ``lineno`` if it is not a data row."""
+    try:
+        "".join(row).encode()
+    except UnicodeEncodeError:  # a lone surrogate, which stands for a byte that is not UTF-8
+        raise CsvFormatError(f"row {lineno}: not valid UTF-8") from None
+    if len(row) != width:
+        raise CsvFormatError(f"row {lineno}: expected {width} columns, got {len(row)}")
+    group_id, score_text, label_text, *withheld = map(str.strip, row)
+    try:
+        score = float(score_text)
+    except ValueError:
+        raise CsvFormatError(f"row {lineno}: unparseable score {score_text!r}") from None
+    if not 0.0 <= score <= 1.0:
+        raise CsvFormatError(f"row {lineno}: score {score_text} outside [0, 1]")
+    if label_text not in ("0", "1"):
+        raise CsvFormatError(f"row {lineno}: label must be 0 or 1, got {label_text!r}")
+    if withheld and withheld[0] not in ("0", "1"):
+        raise CsvFormatError(f"row {lineno}: withheld must be 0 or 1, got {withheld[0]!r}")
+    return group_id, score, label_text == "1"
 
 
 def _split_lines(text: Iterable[str]) -> Iterator[io.StringIO]:
