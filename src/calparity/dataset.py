@@ -8,8 +8,10 @@ scores, each with a count of negatives and positives. A group that keeps
 its rows holds each as a code into its table of distinct score bit
 patterns, and a bool label; the atom table is that bit table pooled by
 value. ``load_csv`` reads any input, a pipe too, into those tables a block
-at a time. A Monte Carlo draw or an equalized-odds flip maps the bit table,
-and ``write_rows`` formats rows from a table and codes.
+at a time. Without the rows, each code stands for a count of rows, and a
+group's codes fold into one count per distinct pattern as they come. A
+Monte Carlo draw or an equalized-odds flip maps the bit table, and
+``write_rows`` formats rows from a table and codes.
 """
 
 from __future__ import annotations
@@ -56,8 +58,15 @@ def _code_dtype(size: int) -> np.dtype:
 
 def _bit_codes(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct bit patterns of ``scores``, ascending, as floats, and each score's code into them."""
-    bits, codes = np.unique(scores.view(np.uint64), return_inverse=True)
-    return bits.view(np.float64), codes.astype(_code_dtype(len(bits)))
+    order = np.argsort(scores.view(np.uint64))  # np.unique's inverse, in about half its memory
+    bits = scores.view(np.uint64)[order]
+    new = np.ones(len(bits), bool)  # each pattern's first place
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    bits = bits[new]
+    new[:1] = False
+    codes = np.empty(len(order), _code_dtype(len(bits)))
+    codes[order] = np.cumsum(new, dtype=codes.dtype)
+    return bits.view(np.float64), codes
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -162,13 +171,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _count(table: np.ndarray, codes: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The atom table of rows coded into ``table``: one ``np.bincount`` of ``code * 2 + label``, pooled by value."""
+def _pair_counts(size: int, codes: np.ndarray, labels: np.ndarray, weights=None) -> np.ndarray:
+    """The rows of each (entry, label) pair, at ``code * 2 + label``: one ``np.bincount``, weighted if given."""
     pair = codes.astype(np.intp)
     pair *= 2
     pair += labels
-    counts = np.bincount(pair, minlength=2 * len(table)).reshape(-1, 2).T.astype(float, order="C")
-    del pair
+    return np.bincount(pair, weights, minlength=2 * size)
+
+
+def _count(table: np.ndarray, codes: np.ndarray, labels: np.ndarray, weights=None) -> tuple[np.ndarray, ...]:
+    """The atom table of coded rows, each standing for its weight if given: ``_pair_counts`` pooled by value."""
+    counts = _pair_counts(len(table), codes, labels, weights).reshape(-1, 2).T.astype(float, order="C")
     values, seen = table + 0.0, counts.any(axis=0)
     if seen.all() and np.all(values[1:] > values[:-1]):
         return values, *counts
@@ -188,73 +201,30 @@ def _base_rate(group_id: str, positives: float, size: int) -> float:
     return mu
 
 
-# Samples a group's atom table takes in before it pools them (or twice its
-# atoms, if more): large enough that sorting dominates the per-pool cost,
-# small enough that one pool's arrays stay a few MB.
-_ATOM_CHUNK = 1 << 17
-
-
-class _Tally:
-    """A group's atom table, built from pieces of its samples.
-
-    Pieces wait until they hold ``_ATOM_CHUNK`` entries, or twice the atoms
-    counted so far. They are then counted, one sort over their scores and
-    one over their positives' scores, and pooled with the table. So memory
-    follows the distinct scores, not the samples, and each sample is
-    sorted about once. An entry may stand for several samples, as a line
-    repeated in a block does; pieces with such counts are pooled instead,
-    each entry weighted by its count.
-    """
-
-    def __init__(self) -> None:
-        self.atoms: tuple[np.ndarray, ...] = (np.empty(0),) * 3
-        self.pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]] = []
-        self.waiting = 0
-
-    def add(self, scores: np.ndarray, positive: np.ndarray, count: np.ndarray | None = None) -> None:
-        """Add samples: scores, a bool array that marks the positives and, if given, each entry's count."""
-        self.pieces.append((scores, positive, count))
-        self.waiting += len(scores)
-        if self.waiting >= max(_ATOM_CHUNK, 2 * len(self.atoms[0])):
-            self.table()
-
-    def table(self) -> tuple[np.ndarray, ...]:
-        """The atom table of every sample added so far."""
-        if self.pieces:
-            scores, positive, weights = zip(*self.pieces)
-            scores, positive = np.concatenate(scores), np.concatenate(positive)
-            if any(w is not None for w in weights):
-                count = np.concatenate([np.ones(len(s), np.intp) if w is None else w for s, _, w in self.pieces])
-                values, negatives, positives = pool_atoms(scores, count * ~positive, count * positive)
-            else:  # no inverse index, as pool_atoms builds: lighter and faster on samples
-                values, counts = np.unique(scores, return_counts=True)
-                found, found_counts = np.unique(scores[positive], return_counts=True)
-                positives = np.zeros(values.size)
-                positives[np.searchsorted(values, found)] = found_counts
-                negatives = counts - positives
-            # ``+ 0.0`` writes a zero as ``0.0`` whether ``-0.0`` or ``0.0`` sorted first.
-            new = values + 0.0, negatives, positives
-            if len(self.atoms[0]):
-                new = pool_atoms(*map(np.concatenate, zip(self.atoms, new)))
-            self.atoms, self.pieces, self.waiting = new, [], 0
-        return self.atoms
-
-    def group(self, group_id: str) -> GroupData:
-        return GroupData(group_id, table=self.table())
+# Entries a row-free group takes in before it folds them (or twice its
+# distinct patterns, if more): large enough that sorting dominates the
+# per-fold cost, small enough that one fold's arrays stay about a MB.
+_ATOM_CHUNK = 1 << 16
 
 
 class _Coded:
     """A group's rows as read: uint32 codes into a table of score bit patterns, and bool labels.
 
     The table holds one pattern per entry (a block's distinct line or
-    ``csv`` record, or a row of a block parsed whole); ``group`` renumbers
-    the rows against the distinct patterns by one sort of the table and one
-    gather. Buffers grow in place: a list of pieces left freed holes, ~6 MB
-    on 1e6 rows.
+    ``csv`` record, or a row of a block parsed whole). With ``keep`` each
+    code is a row. Without, each stands for a count of rows, one unless
+    given (counts are stored from the first code given one), and every
+    ``_ATOM_CHUNK`` entries, or twice the distinct patterns if more, the
+    codes fold into one per distinct bit pattern and label present,
+    counting its rows, so memory follows the distinct scores. Folds and
+    ``group`` renumber the codes by one sort of the table and one gather,
+    and count them with ``_pair_counts``. Buffers grow in place: a list of
+    pieces left freed holes, ~6 MB on 1e6 rows.
     """
 
-    def __init__(self) -> None:
-        self.table, self.codes, self.labels = bytearray(), bytearray(), bytearray()
+    def __init__(self, keep: bool) -> None:
+        self.keep, self.folded = keep, 0  # the patterns the last fold left
+        self.table, self.codes, self.labels, self.counts = bytearray(), bytearray(), bytearray(), bytearray()
 
     def extend(self, bits: np.ndarray) -> np.ndarray:
         """Add entries' score bit patterns to the table; their codes."""
@@ -264,15 +234,38 @@ class _Coded:
         self.table += bits.tobytes()
         return np.arange(start, start + len(bits))
 
-    def add(self, codes: np.ndarray, labels: np.ndarray) -> None:
+    def add(self, codes: np.ndarray, labels: np.ndarray, counts: np.ndarray | None = None) -> None:
+        """Add codes, their labels and, row-free, the rows each stands for (None: one each)."""
+        if counts is not None:
+            self.counts += np.ones(len(self.labels) - len(self.counts) // 8).tobytes()
+            self.counts += counts.astype(float).tobytes()
         self.codes += codes.tobytes()
         self.labels += labels.tobytes()
+        if not self.keep and len(self.table) // 8 - self.folded >= max(_ATOM_CHUNK, 2 * self.folded):
+            table, *rows = self._rows()
+            per_pair = _pair_counts(len(table), *rows)
+            pair = np.flatnonzero(per_pair)  # the (pattern, label) pairs with rows, at 2 * pattern + label
+            self.table, self.folded = bytearray(table.tobytes()), len(table)
+            self.codes = bytearray((pair >> 1).astype(np.uint32).tobytes())
+            self.labels = bytearray((pair & 1).astype(bool).tobytes())
+            self.counts = bytearray(per_pair[pair].astype(float).tobytes())
+
+    def _rows(self) -> tuple[np.ndarray, ...]:
+        """Distinct patterns as floats, codes renumbered into them, labels, and each code's rows (None: one each)."""
+        table, rank = _bit_codes(np.frombuffer(self.table, np.float64))
+        codes = rank[np.frombuffer(self.codes, np.uint32)]
+        self.table = self.codes = None  # freed before the rows are counted
+        labels, weights = np.frombuffer(self.labels, bool), None
+        if self.counts:  # the codes past the stored counts stand for one row each
+            weights = np.ones(len(labels))
+            weights[: len(self.counts) // 8] = np.frombuffer(self.counts)
+        return table, codes, labels, weights
 
     def group(self, group_id: str) -> GroupData:
-        keys, rank = np.unique(np.frombuffer(self.table, np.uint64), return_inverse=True)
-        codes = rank.astype(_code_dtype(len(keys)))[np.frombuffer(self.codes, np.uint32)]
-        self.table = self.codes = None  # freed before the group counts its rows
-        return GroupData._coded(group_id, keys.view(np.float64), codes, np.frombuffer(self.labels, bool))
+        table, codes, labels, weights = self._rows()
+        if self.keep:
+            return GroupData._coded(group_id, table, codes, labels)
+        return GroupData(group_id, table=_count(table, codes, labels, weights))
 
 
 def load_csv(path: str | Path, samples: bool = True) -> list[GroupData]:
@@ -289,17 +282,15 @@ def load_csv(path: str | Path, samples: bool = True) -> list[GroupData]:
     The input is read once, in chunks, so a pipe reads as a file does. Rows
     reach their group a block at a time (``_entries``), so on every input
     memory follows one block and the groups' tables. Kept rows are codes
-    into their group's bit table, never floats.
+    into their group's bit table, never floats. Without ``samples`` each
+    code stands for an entry's rows, and one accumulator, ``_Coded``, folds
+    a group's codes into counts per distinct pattern as they come.
     """
-    ids, accs = _Codes(), []  # each group id's code, in first-seen order, and its rows or tally
+    ids, accs = _Codes(), []  # each group id's code, in first-seen order, and its codes
     with open(path, "rb") as fh:
-        for group, scores, labels, at in _entries(_decoded(fh), ids):
-            accs.extend(_Coded() if samples else _Tally() for _ in range(len(ids) - len(accs)))
-            if samples:
-                group, columns = _code_rows(group, scores, labels, at, accs)
-            else:
-                columns = [scores, labels] + ([] if at is None else [np.bincount(at, minlength=len(scores))])
-            for acc, pieces in _by_group(group, columns, accs):
+        for entries in _entries(_decoded(fh), ids):
+            accs.extend(_Coded(samples) for _ in range(len(ids) - len(accs)))
+            for acc, pieces in _by_group(*_code_rows(*entries, accs, samples), accs):
                 acc.add(*pieces)
     if not ids:
         raise CsvFormatError("no data rows")
@@ -464,14 +455,19 @@ def _by_group(group: np.ndarray, columns: list[np.ndarray], groups: list) -> Ite
             yield acc, [c[lo:hi] for c in columns]
 
 
-def _code_rows(group: np.ndarray, scores: np.ndarray, labels: np.ndarray, at, groups: list[_Coded]) -> tuple:
-    """A block's ``(group, [codes, labels])`` per row; its entries (rows, or what ``at`` indexes) coded first."""
+def _code_rows(group: np.ndarray, scores: np.ndarray, labels: np.ndarray, at, groups: list, keep: bool) -> tuple:
+    """A block's ``(group, [codes, labels])`` per row; its entries (rows, or what ``at`` indexes) coded first.
+
+    Without ``keep``, per entry instead, with the rows each distinct line stands for.
+    """
     code = np.empty(len(group), np.uint32)
     for acc, (bits, index) in _by_group(group, [scores.view(np.uint64), np.arange(len(group))], groups):
         code[index] = acc.extend(bits)
     if at is None:
         return group, [code, labels]
-    return group[at], [code[at], labels[at]]
+    if keep:
+        return group[at], [code[at], labels[at]]
+    return group, [code, labels, np.bincount(at, minlength=len(group))]
 
 
 def _read_rows(text: Iterable[str], lineno: int, width: int | None, ids: _Codes) -> Iterator[list]:

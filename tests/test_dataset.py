@@ -271,20 +271,60 @@ def _stats(g: GroupData):
     st.randoms(use_true_random=False),
 )
 def test_shuffled_chunks_give_equal_statistics(rows, atom_chunk, rng):
-    """An atom table tallied from chunks in any order gives ``==`` rates, moments and gaps."""
+    """A group's accumulator, fed its rows in chunks in any order, gives ``==`` rates, moments and gaps.
+
+    Each chunk goes through ``_code_rows`` as a load hands it on: row by
+    row, as a block parsed whole, or as its distinct (score, label)
+    entries and each row's entry, as a block parsed by its distinct
+    lines, so that row-free codes carry counts. ``_ATOM_CHUNK`` from 1 to
+    9 makes the row-free codes fold between chunks and within a group's
+    first few. Kept rows stay in the order the chunks came.
+    """
     scores = np.array([s for s, _ in rows])
     labels = np.array([label for _, label in rows])
     whole = _stats(GroupData("g", scores, labels))
     cuts = sorted(rng.sample(range(1, len(rows)), rng.randint(0, len(rows) - 1)))
     chunks = list(zip(np.split(scores, cuts), np.split(labels, cuts)))
     rng.shuffle(chunks)
-    with mock.patch.object(dataset, "_ATOM_CHUNK", atom_chunk):
-        tally = dataset._Tally()
-        for s, label in chunks:
-            tally.add(s, label)
-        assert _stats(GroupData("g", table=tally.table())) == whole
-        shuffled = [i for _, i in sorted(zip([rng.random() for _ in rows], range(len(rows))))]
-        assert _stats(GroupData("g", scores[shuffled], labels[shuffled])) == whole
+    by_entry = [rng.random() < 0.5 for _ in chunks]
+    for keep in (False, True):
+        with mock.patch.object(dataset, "_ATOM_CHUNK", atom_chunk):
+            acc = dataset._Coded(keep)
+            for (s, label), distinct in zip(chunks, by_entry):
+                at = None
+                if distinct:
+                    entries, at = np.unique(np.column_stack([s.view(np.uint64), label]), axis=0, return_inverse=True)
+                    s, label, at = entries[:, 0].view(np.float64), entries[:, 1] == 1, at.ravel()
+                _, pieces = dataset._code_rows(np.zeros(len(s), np.intp), s, label, at, [acc], keep)
+                acc.add(*pieces)
+            g = acc.group("g")
+        assert _stats(g) == whole
+        if keep:
+            expected = np.concatenate([s for s, _ in chunks])
+            assert np.array_equal(g.scores.view(np.uint64), expected.view(np.uint64))
+            assert np.array_equal(g.labels, np.concatenate([label for _, label in chunks]))
+    shuffled = [i for _, i in sorted(zip([rng.random() for _ in rows], range(len(rows))))]
+    assert _stats(GroupData("g", scores[shuffled], labels[shuffled])) == whole
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([0, 1, 2, 255, 256, 257, 65536, 65537]),
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, 5e-324]), max_size=4),
+    st.randoms(use_true_random=False),
+)
+def test_bit_codes_match_unique(distinct, extra, rng):
+    """``_bit_codes`` finds what ``np.unique`` with ``return_inverse`` finds, in the narrowest code dtype.
+
+    Tables of 256 and 65536 patterns are the last that fit 8 and 16 bits.
+    """
+    values = np.concatenate([np.linspace(0.0, 1.0, distinct), extra]) if distinct else np.array(extra)
+    scores = values[[rng.randrange(len(values)) for _ in range(3 * len(values))] + list(range(len(values)))]
+    table, codes = dataset._bit_codes(scores)
+    bits, inverse = np.unique(scores.view(np.uint64), return_inverse=True)
+    assert table.view(np.uint64).tobytes() == bits.tobytes()
+    assert codes.dtype == np.min_scalar_type(max(len(bits) - 1, 0))
+    assert np.array_equal(codes, inverse.ravel())
 
 
 def test_samples_free_load_memory(tmp_path):

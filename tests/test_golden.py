@@ -17,6 +17,7 @@ scores.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import io
@@ -25,8 +26,10 @@ import math
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from calparity import dataset
 from calparity.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -168,3 +171,47 @@ def test_replay_matches_corpus(name, tmp_path, monkeypatch):
         else:
             assert "\r\n" in got and got.count("\r\n") == want.count("\r\n")
             assert_csv_close(got, want)
+
+
+def _permuted(data: bytes) -> bytes:
+    """The rows in a seeded random order, each group's first row moved up so that the groups first appear as before."""
+    header, *rows = data.splitlines(keepends=True)
+    ids = list(dict.fromkeys(row.split(b",")[0] for row in rows))
+    rows = [rows[i] for i in np.random.default_rng(5).permutation(len(rows))]
+    heads = [next(i for i, row in enumerate(rows) if row.split(b",")[0] == gid) for gid in ids]
+    return b"".join([header, *(rows[i] for i in heads), *(row for i, row in enumerate(rows) if i not in heads)])
+
+
+def _line_ends_swapped(data: bytes) -> bytes:
+    return data.replace(b"\r\n", b"\n") if b"\r\n" in data else data.replace(b"\n", b"\r\n")
+
+
+# Changes of an input that leave every group's atom table as it is.
+CHANGES = {"permuted": _permuted, "bom": lambda data: codecs.BOM_UTF8 + data, "line_ends": _line_ends_swapped}
+# Cases whose reports depend on mixed.csv only through its atom tables.
+METAMORPHIC = ["stats_exact", "stats_fixed", "diagnose", "plot_stdout", "calibrated_fixed"]
+
+
+@pytest.mark.parametrize("change", sorted(CHANGES))
+@pytest.mark.parametrize("repetitive", [True, False], ids=["distinct-lines", "whole-blocks"])
+def test_changed_input_prints_the_corpus(change, repetitive, tmp_path, monkeypatch):
+    """mixed.csv with its rows permuted, a BOM prepended, or LF and CRLF swapped prints the recorded reports.
+
+    The input is read 64 bytes at a time and row-free codes fold every 7
+    entries, so folds fall inside each group and, once the rows are
+    permuted, between interleaved groups; every block is parsed by its
+    distinct lines, or every block whole.
+    """
+    original = (INPUTS / "mixed.csv").read_bytes()
+    changed = CHANGES[change](original)
+    assert changed != original
+    (tmp_path / "mixed.csv").write_bytes(changed)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(dataset, "_CHUNK", 64)
+    monkeypatch.setattr(dataset, "_ATOM_CHUNK", 7)
+    monkeypatch.setattr(dataset, "_repetitive", lambda block: repetitive)
+    exits = json.loads((EXPECTED / "exits.json").read_text(encoding="utf-8"))
+    for name in METAMORPHIC:
+        code, stdout, stderr = run_case(CASES[name][0])
+        assert (code, stderr) == (exits[name]["exit"], exits[name]["stderr"]), name
+        assert stdout == (EXPECTED / f"{name}.stdout").read_text(encoding="utf-8"), name

@@ -70,7 +70,11 @@ NEWLINES = ["\n", "\r\n", "\r"]
 
 @st.composite
 def csv_bytes(draw) -> bytes:
-    """A valid file, interleaved across groups, maybe with a ``withheld`` column, then up to two mutations."""
+    """A valid file, interleaved across groups, maybe with a ``withheld`` column, then up to two mutations.
+
+    Up to three empty lines go anywhere after the header, and each line
+    ends as the whole file does or as drawn for it alone.
+    """
     ids = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=3, unique=True))
     extra = draw(st.lists(st.tuples(st.sampled_from(ids), SCORES, st.sampled_from("01")), max_size=20))
     both = [(gid, draw(SCORES), label) for gid in ids for label in "01"]
@@ -104,8 +108,15 @@ def csv_bytes(draw) -> bytes:
     lines = [] if empty else [",".join(row) for row in rows]
     for at, line in inserts:
         lines.insert(at, line)
-    newline = draw(st.sampled_from(NEWLINES))
-    text = newline.join([header, *lines]) + draw(st.sampled_from(["", newline]))
+    for at in draw(st.lists(st.integers(0, len(lines)), max_size=3)):  # empty lines, which both readers skip
+        lines.insert(at, "")
+    lines = [header, *lines]
+    # One line end for the whole file, or one drawn for each line.
+    newline = st.just(draw(st.sampled_from(NEWLINES))) if draw(st.booleans()) else st.sampled_from(NEWLINES)
+    ends = [draw(newline) for _ in lines]
+    if draw(st.booleans()):  # no line end after the last line
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, ends))
     data = (codecs.BOM_UTF8 if draw(st.booleans()) else b"") + text.encode("utf-8")
     for offset, insert in raw:
         offset %= len(data) + 1
@@ -118,7 +129,7 @@ PROBES = (lambda block: True, lambda block: False)
 
 
 def _alternating():
-    """A probe that sends blocks to the two parsers in turn, so one group's tally gets both kinds of piece."""
+    """A probe that sends blocks to the two parsers in turn, so one group's accumulator gets both kinds of piece."""
     turns = itertools.cycle([True, False])
     return lambda block: next(turns)
 
@@ -221,7 +232,7 @@ def test_fast_path_matches_reference(csv_path, data):
 @example(b'group,score,label\r\nA,0.5,1\r\n"a\r\nb",0.5,1\r\n"a\r\nb",0.2,0\r\nA,0.2,0\r\n', 1, True, 1)
 @example(b'group,score,label\nA,0.5,1\nA,0.2,0\nA,0.5,1\n"x,""y""",0.5,1\n"x,""y""",0.2,0\n', 2, False, 1)
 def test_chunked_loader_matches_reference(csv_path, data, rows, samples, atom_chunk):
-    """Blocks of about 1, 2 or 3 rows, tallies pooled and ``csv`` rows added every few rows, each probe: same outcome."""
+    """Blocks of about 1, 2 or 3 rows, codes folded and ``csv`` rows added every few rows, each probe: same outcome."""
     csv_path.write_bytes(data)
     reference = _reference(csv_path, samples)
     for probe in [*PROBES, _alternating()]:
