@@ -21,7 +21,7 @@ import numpy as np
 
 # Every command but synth reads a CSV and reports its metrics. The other
 # modules are imported by the commands that run them.
-from .dataset import GroupData, SynthGroup, SynthSpec, _whole, load_csv, row_chunks, write_rows
+from .dataset import GroupData, SynthGroup, SynthSpec, _bit_codes, _whole, load_csv, row_chunks, write_rows
 from .metrics import analytic_rates, calibration_gap, linearity_residual, rate_point
 
 if TYPE_CHECKING:
@@ -97,7 +97,7 @@ def _encode_records(records: np.ndarray, depth: int):
 
     Each field is written under its ``_JSON_KEYS`` name. The rows go out in
     chunks of ``_RECORD_CHUNK``, one string per chunk, and each column of a
-    chunk formats each distinct value once: ``np.unique`` over the float
+    chunk formats each distinct value once: ``_bit_codes`` over the float
     bits (so ``-0.0`` keeps its own text). A value with ``|x| >= 1e-4`` and
     ``|x - round(x)| > 1e-11 * |x|`` is below 5e10 and farther from an
     integer than ``%.12g`` rounds, so ``"%.12g" % x`` is positional with a
@@ -116,8 +116,7 @@ def _encode_records(records: np.ndarray, depth: int):
         chunk = records[lo : lo + _RECORD_CHUNK]
         columns = []
         for head, field in zip(heads, records.dtype.names):
-            keys, inverse = np.unique(chunk[field].view(np.uint64), return_inverse=True)
-            values = keys.view(np.float64)
+            values, inverse = _bit_codes(chunk[field])
             size = np.abs(values)
             plain = (size >= 1e-4) & (np.abs(values - np.rint(values)) > 1e-11 * size)
             text = np.empty(len(values), dtype=object)

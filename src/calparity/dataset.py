@@ -46,9 +46,9 @@ class CsvFormatError(ValueError):
 
 
 def pool_atoms(values: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Merge equal values: the distinct values, ascending, and each weight summed per value."""
-    merged, inverse = np.unique(values, return_inverse=True)
-    return (merged, *(np.bincount(inverse, weights=w, minlength=merged.size) for w in weights))
+    """Merge equal non-negative values: the distinct ones, ascending (``-0.0`` as ``0.0``), and each weight summed."""
+    merged, codes = _bit_codes(values + 0.0)
+    return (merged, *(np.bincount(codes, weights=w, minlength=merged.size) for w in weights))
 
 
 def _code_dtype(size: int) -> np.dtype:
@@ -56,17 +56,17 @@ def _code_dtype(size: int) -> np.dtype:
     return np.min_scalar_type(max(size - 1, 0))
 
 
-def _bit_codes(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct bit patterns of ``scores``, ascending, as floats, and each score's code into them."""
-    order = np.argsort(scores.view(np.uint64))  # np.unique's inverse, in about half its memory
-    bits = scores.view(np.uint64)[order]
+def _bit_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct bit patterns of 8-byte ``keys``, ascending as uint64, in the keys' dtype, and each key's code."""
+    order = np.argsort(keys.view(np.uint64))  # numpy's unique and its inverse, in about half the memory
+    bits = keys.view(np.uint64)[order]
     new = np.ones(len(bits), bool)  # each pattern's first place
     np.not_equal(bits[1:], bits[:-1], out=new[1:])
     bits = bits[new]
     new[:1] = False
     codes = np.empty(len(order), _code_dtype(len(bits)))
     codes[order] = np.cumsum(new, dtype=codes.dtype)
-    return bits.view(np.float64), codes
+    return bits.view(keys.dtype), codes
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -85,7 +85,8 @@ class GroupData:
     rows on each read. Labels must equal 0 or 1 as given, so 0.5 or NaN is
     rejected, not truncated. Built from ``table`` alone, a group holds no
     rows: ``scores`` and ``labels`` are None and ``rows()`` and
-    ``samples()`` raise. Both forms make the same checks with the same
+    ``samples()`` raise, and its counts must be whole, non-negative and
+    total below 2**45. Both forms make the same checks with the same
     messages. Every array is frozen, so instances are safe to share.
     """
 
@@ -111,7 +112,10 @@ class GroupData:
             raise ValueError("atom table columns must be 1-d arrays of equal length")
         if np.any(values[1:] <= values[:-1]):
             raise ValueError("atom table values must be distinct and ascending")
-        self._fill(group_id, values, int(negatives.sum() + positives.sum()), atoms=table)
+        counts = np.concatenate([negatives, positives])
+        if not (np.all((counts >= 0) & (counts == np.floor(counts))) and counts.sum() < 2**45):  # NaN fails too
+            raise ValueError(f"group {group_id!r} needs whole, non-negative counts that total below 2**45")
+        self._fill(group_id, values, int(counts.sum()), atoms=table)
 
     @classmethod
     def _coded(cls, group_id: str, table: np.ndarray, codes: np.ndarray, labels: np.ndarray) -> GroupData:
@@ -580,11 +584,11 @@ def _lines(ends: np.ndarray, table: np.ndarray, codes: np.ndarray, labels: np.nd
     """Each row's text after the id field; each (table entry, line ending) pair used is formatted once.
 
     Used pairs are marked in an array over the table when it is no longer
-    than the chunk, else found by ``np.unique``, so a chunk costs its own
+    than the chunk, else found by ``_bit_codes``, so a chunk costs its own
     rows. ``repr`` is the shortest text that parses back to the same
     float, and keeps ``-0.0`` apart from ``0.0``.
     """
-    pair = codes.astype(np.intp)  # each row's (entry, label, mask) pair, flattened
+    pair = codes.astype(np.int64)  # each row's (entry, label, mask) pair, flattened
     pair *= len(ends)
     pair += labels
     if mask is not None:
@@ -594,7 +598,7 @@ def _lines(ends: np.ndarray, table: np.ndarray, codes: np.ndarray, labels: np.nd
         used[pair] = True
         slots, pair = np.flatnonzero(used), (np.cumsum(used) - 1)[pair]
     else:
-        slots, pair = np.unique(pair, return_inverse=True)
+        slots, pair = _bit_codes(pair)
     lines = np.array(list(map(repr, table[slots // len(ends)].tolist())), dtype=object) + ends[slots % len(ends)]
     lines = lines[pair]
     del pair

@@ -75,9 +75,9 @@ def flipped_scores(scores: np.ndarray, q_n2p: float, q_p2n: float) -> np.ndarray
 def derived_rates(g: GroupData, q_n2p: float, q_p2n: float) -> RatePoint:
     """Expected generalized rates of the flipped classifier, from the atom table.
 
-    Each atom's flipped score is summed exactly with its class counts, as
-    in ``metrics.rate_point``, so the rates are bit for bit the per-sample
-    means and zero flips give the rates of the group itself.
+    Each atom's flipped score is summed with its class counts by the one
+    exact sum, ``metrics._exact_mean``, so the rates are bit for bit the
+    per-sample means and zero flips give the rates of the group itself.
     """
     GroupFlip(q_n2p, q_p2n)
     values, negatives, positives = g.atoms

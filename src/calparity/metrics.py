@@ -8,7 +8,6 @@ the usual confusion-matrix rates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,8 +18,6 @@ from .dataset import GroupData, pool_atoms
 BINNING_MODES = ("exact-unique", "fixed-width")
 
 _COORD_SLACK = 1e-9
-
-_SPLITTER = 134217729.0  # 2**27 + 1: splits a double into two halves of at most 26 bits
 
 
 @dataclass(frozen=True)
@@ -74,26 +71,24 @@ def _pooled_gap(values: np.ndarray, mass: np.ndarray, positive_mass: np.ndarray)
     return float(np.abs(positive_mass - merged * mass).sum())
 
 
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    scaled = _SPLITTER * a
-    high = scaled - (scaled - a)
-    return high, a - high
-
-
 def _exact_mean(values: np.ndarray, counts: np.ndarray) -> float:
-    """Mean of ``values`` repeated ``counts`` times, with the sum correctly rounded.
+    """Mean of ``values`` in [0, 1] repeated ``counts`` times (whole, below 2**45 in all), the sum rounded once.
 
-    Each product is paired with its exact rounding error (Dekker's
-    two-product) and ``math.fsum`` adds them all exactly, so the result is
-    the same float as ``math.fsum`` over the samples divided by their
-    count, whatever the sample order.
+    Each value is an int64 mantissa of ``np.frexp`` times a power of two.
+    Limbs of the mantissas, narrow enough that no sum overflows, times the
+    counts are summed in int64 per run of equal exponent and the run sums
+    added as Python ints: one ``int / int`` rounds the sum as ``fsum`` does.
     """
-    product = values * counts
-    (v_high, v_low), (c_high, c_low) = _split(values), _split(counts)
-    error = ((v_high * c_high - product) + v_high * c_low + v_low * c_high) + v_low * c_low
-    terms = np.concatenate([product, error])
-    # Zero terms (empty classes, exact products) change no sum; fsum is the cost.
-    return math.fsum(terms[terms != 0.0].tolist()) / float(counts.sum())
+    mantissas, exponents = np.frexp(values)
+    mantissas = np.ldexp(mantissas, 53).astype(np.int64)  # each value is mantissa * 2**(exponent - 53)
+    counts = counts.astype(np.int64)
+    size = int(counts.sum())
+    width = 63 - size.bit_length()  # (2**width - 1) * size < 2**63
+    lows = np.arange(0, 53, width)[:, None]  # each limb's lowest bit
+    starts = np.append(0, np.flatnonzero(exponents[1:] != exponents[:-1]) + 1)
+    sums = np.add.reduceat((mantissas >> lows & (1 << width) - 1) * counts, starts, axis=1)
+    shifts = (lows + exponents[starts] + 1074).ravel().tolist()  # frexp's least exponent is -1073, at 5e-324
+    return sum(s << shift for s, shift in zip(sums.ravel().tolist(), shifts)) / (1 << 1127) / size
 
 
 def generalized_fp(g: GroupData) -> float:

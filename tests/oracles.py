@@ -16,7 +16,9 @@ Monte Carlo draw that ``parity.realize_mixture`` must give bit for bit,
 ``read_rows`` and ``rewrite_rows`` are the row-by-row reader and writer
 that the CLI's ``--output`` files must match byte for byte, and
 ``vertices_by_row_reduction`` is the row-reduction vertex enumeration whose
-feasibility and vertices ``eo._enumerate_vertices`` must reproduce.
+feasibility and vertices ``eo._enumerate_vertices`` must reproduce, and
+``exact_mean`` is the ``Fraction`` sum that ``metrics._exact_mean`` must
+give bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import dataclasses
 import io
 import json
 import math
+from fractions import Fraction
 from itertools import combinations, product, repeat
 
 import numpy as np
@@ -186,6 +189,12 @@ def dump_json(report, fh) -> None:
     """The report as ``json.dump(indent=2)`` writes its dict-per-bin form, plus a newline."""
     json.dump(_dict_form(report), fh, indent=2)
     fh.write("\n")
+
+
+def exact_mean(values, counts) -> float:
+    """The count-weighted sum of ``values`` as a ``Fraction``, rounded to a float once, over the total count."""
+    total = sum(Fraction(v) * int(c) for v, c in zip(values, counts))
+    return float(total) / int(sum(counts))
 
 
 def derived_rates(g: GroupData, q_n2p: float, q_p2n: float) -> RatePoint:

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -232,6 +233,29 @@ class TestAtomTableOnly:
             GroupData("A", table=table)
 
     @pytest.mark.parametrize(
+        "table",
+        [
+            ([0.1, 0.5], [0.5, 1.0], [0.5, 0.5]),
+            ([0.1, 0.5], [-1, 3], [1, 1]),
+            ([0.2, 0.6], [1e300, 1], [1, 1e300]),
+            ([0.2, 0.6], [2**44, 2**43], [2**43, 1]),
+            ([0.2, 0.6], [1, float("nan")], [1, 1]),
+        ],
+        ids=["fractional", "negative", "huge", "at-the-cap", "nan"],
+    )
+    def test_rejects_bad_counts(self, table):
+        """Counts must be whole, non-negative and total below 2**45: one ValueError, no warning on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = "^group 'A' needs whole, non-negative counts that total below 2\\*\\*45$"
+            with pytest.raises(ValueError, match=message):
+                GroupData("A", table=table)
+
+    def test_counts_one_below_the_cap(self):
+        g = GroupData("A", table=([0.2, 0.6], [2**44, 2**43 - 1], [2**43, 0]))
+        assert (len(g), g.base_rate) == (2**45 - 1, 2**43 / (2**45 - 1))
+
+    @pytest.mark.parametrize(
         "use",
         [
             lambda g, tmp: realize_mixture(g, InterpolationPlan(0.5, g.base_rate, MODE_MONTE_CARLO, 1)),
@@ -312,19 +336,34 @@ def test_shuffled_chunks_give_equal_statistics(rows, atom_chunk, rng):
     st.sampled_from([0, 1, 2, 255, 256, 257, 65536, 65537]),
     st.lists(st.sampled_from([0.0, -0.0, 1.0, 5e-324]), max_size=4),
     st.randoms(use_true_random=False),
+    st.booleans(),
 )
-def test_bit_codes_match_unique(distinct, extra, rng):
+def test_bit_codes_match_unique(distinct, extra, rng, as_int):
     """``_bit_codes`` finds what ``np.unique`` with ``return_inverse`` finds, in the narrowest code dtype.
 
     Tables of 256 and 65536 patterns are the last that fit 8 and 16 bits.
+    With ``as_int`` the keys are int64, some negative, which order as
+    their uint64 bit patterns do, and come back as int64.
     """
     values = np.concatenate([np.linspace(0.0, 1.0, distinct), extra]) if distinct else np.array(extra)
     scores = values[[rng.randrange(len(values)) for _ in range(3 * len(values))] + list(range(len(values)))]
-    table, codes = dataset._bit_codes(scores)
-    bits, inverse = np.unique(scores.view(np.uint64), return_inverse=True)
+    keys = (scores * 2 * distinct).astype(np.int64) - distinct if as_int else scores
+    table, codes = dataset._bit_codes(keys)
+    bits, inverse = np.unique(keys.view(np.uint64), return_inverse=True)
+    assert table.dtype == keys.dtype
     assert table.view(np.uint64).tobytes() == bits.tobytes()
     assert codes.dtype == np.min_scalar_type(max(len(bits) - 1, 0))
     assert np.array_equal(codes, inverse.ravel())
+
+
+@pytest.mark.parametrize(
+    "values, pooled", [([0.5, -0.0, 0.0], [5.0, 1.0]), ([0.0, 0.5, -0.0], [4.0, 2.0]), ([-0.0, 0.5], [1.0, 2.0])]
+)
+def test_pool_atoms_pools_signed_zeros(values, pooled):
+    """``-0.0`` and ``0.0`` are one value, ``0.0``, wherever the ``-0.0`` comes."""
+    merged, weights = dataset.pool_atoms(np.array(values), np.arange(1.0, len(values) + 1))
+    assert merged.tolist() == [0.0, 0.5] and not np.signbit(merged[0])
+    assert weights.tolist() == pooled
 
 
 def test_samples_free_load_memory(tmp_path):

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from calparity.dataset import GroupData, SynthSpec, synth
 from calparity.metrics import (
     MomentRates,
     RatePoint,
+    _exact_mean,
     analytic_rates,
     calibration_gap,
     generalized_fn,
@@ -15,6 +18,7 @@ from calparity.metrics import (
     rate_point,
 )
 from conftest import make_group, random_group
+from oracles import exact_mean
 
 EXACT = 1e-12
 
@@ -157,3 +161,54 @@ class TestRatePoint:
     def test_accepts_unit_square(self, fp, fn):
         p = RatePoint(fp, fn)
         assert p.c_fp == fp and p.c_fn == fn
+
+
+CAP = 2**45  # GroupData's bound on a group's total count
+# Subnormals, both ends, and full 53-bit mantissas on either side of 0.5.
+kernel_values = st.one_of(
+    st.sampled_from([5e-324, 1e-310, 0.0, 1.0, 1.0 - 2.0**-53, 0.5 - 2.0**-54, (2**53 - 1) / 2**54]),
+    st.floats(0.0, 1.0, allow_nan=False),
+)
+
+
+class TestExactMean:
+    """``_exact_mean`` against the ``Fraction`` oracle: the exact sum rounded once, then divided."""
+
+    @given(
+        st.lists(st.tuples(kernel_values, st.integers(0, CAP // 64)), min_size=1, max_size=60),
+        st.integers(0, 3),
+    )
+    @example([(5e-324, 1), (1e-310, 3), (0.0, 5), (1.0, 7)], 0)
+    @example([(0.7, 2), (1e-310, 1), (0.3, 2), (5e-324, 9), (0.9, 1)], 0)
+    @example([(1.0 - 2.0**-53, CAP // 64 - 1), (5e-324, 1)], 0)
+    def test_matches_fraction_oracle(self, pairs, top):
+        """Values come in no order; ``top`` more pairs bring the counts to one below the cap."""
+        values, counts = map(list, zip(*pairs))
+        if sum(counts) == 0:
+            counts[0] = 1
+        if top:
+            rest = CAP - 1 - sum(counts)
+            values += [(2**53 - 1) / 2**53, 5e-324, 0.5][:top]
+            counts += [rest // top + (i < rest % top) for i in range(top)]
+            assert sum(counts) == CAP - 1
+        got = _exact_mean(np.array(values), np.array(counts, dtype=float))
+        assert got == exact_mean(values, counts)
+
+    def test_one_long_exponent_run(self, rng):
+        """A run of equal binary exponent far longer than a fold of 2**16 entries, counts near the cap."""
+        values = rng.uniform(0.5, 1.0, 70_000)
+        counts = rng.integers(0, (CAP - 1) // 70_000, 70_000).astype(float)
+        want = exact_mean(values.tolist(), counts.tolist())
+        assert _exact_mean(values, counts) == want
+        assert _exact_mean(values[::-1], counts[::-1]) == want
+
+    def test_large_group_matches_per_sample_fsum(self):
+        """On 200k rows of ~170k distinct scores, the rates are the per-sample fsum means bit for bit."""
+        g = synth(SynthSpec(200_000, "beta_grid", (2, 4, 1e6), seed=3))
+        scores, labels = g.samples()
+        want = (
+            math.fsum(scores[labels == 0].tolist()) / int(np.sum(labels == 0)),
+            math.fsum((1.0 - scores[labels == 1]).tolist()) / int(np.sum(labels == 1)),
+        )
+        assert len(g.atoms[0]) > 150_000
+        assert (generalized_fp(g), generalized_fn(g)) == want
