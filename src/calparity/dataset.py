@@ -73,21 +73,21 @@ def _bit_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class GroupData:
     """One population group: its atom table, and its rows where they are kept.
 
-    ``atoms`` is ``(values, negatives, positives)``: the distinct scores,
-    ascending, and the count of samples of each class at each, as floats;
-    every group statistic depends on the samples only through it. Built
-    from ``scores`` and ``labels``, or loaded with its samples, a group
-    keeps ``rows()``: its distinct score bit patterns as a float table,
-    each row's code into it (the smallest unsigned dtype that fits) and
-    each row's bool label. The atom table is that table plus ``0.0``,
-    pooled by value, so a ``-0.0`` row counts at ``0.0`` but keeps its
-    text. ``scores`` (float64) and ``labels`` (int64) are built from the
-    rows on each read. Labels must equal 0 or 1 as given, so 0.5 or NaN is
-    rejected, not truncated. Built from ``table`` alone, a group holds no
-    rows: ``scores`` and ``labels`` are None and ``rows()`` and
-    ``samples()`` raise, and its counts must be whole, non-negative and
-    total below 2**45. Both forms make the same checks with the same
-    messages. Every array is frozen, so instances are safe to share.
+    ``atoms`` is ``(values, negatives, positives)``: the distinct scores
+    that hold samples, ascending, ``-0.0`` counted at ``0.0``, and the
+    count of samples of each class at each, as floats; every group
+    statistic depends on the samples only through it. Built from
+    ``scores`` and ``labels``, or loaded with its samples, a group keeps
+    ``rows()``: its distinct score bit patterns as a float table (a
+    ``-0.0`` row keeps its text), each row's code into it (the smallest
+    unsigned dtype that fits) and each row's bool label. ``scores``
+    (float64) and ``labels`` (int64) are built from the rows on each read.
+    Labels must equal 0 or 1 as given, so 0.5 or NaN is rejected, not
+    truncated. Built from ``table`` alone, a group holds no rows:
+    ``scores`` and ``labels`` are None and ``rows()`` and ``samples()``
+    raise, and its counts must be whole, non-negative and total below
+    2**45. One routine, ``_fill``, checks and counts every form. Every
+    array is frozen, so instances are safe to share.
     """
 
     group_id: str
@@ -102,12 +102,11 @@ class GroupData:
             scores, labels = np.asarray(scores, dtype=float), np.array(labels)
             if scores.ndim != 1 or labels.shape != scores.shape:
                 raise ValueError("scores and labels must be 1-d arrays of equal length")
-            table, codes = _bit_codes(scores)
-            self._fill(group_id, table, len(codes), rows=(codes, labels))
+            self._fill(group_id, *_bit_codes(scores), labels)
             return
         if scores is not None or labels is not None:
             raise ValueError("give a group samples or an atom table, not both")
-        table = values, negatives, positives = tuple(np.array(a, dtype=float) for a in table)
+        values, negatives, positives = (np.asarray(a, dtype=float) for a in table)
         if values.ndim != 1 or negatives.shape != values.shape or positives.shape != values.shape:
             raise ValueError("atom table columns must be 1-d arrays of equal length")
         if np.any(values[1:] <= values[:-1]):
@@ -115,37 +114,34 @@ class GroupData:
         counts = np.concatenate([negatives, positives])
         if not (np.all((counts >= 0) & (counts == np.floor(counts))) and counts.sum() < 2**45):  # NaN fails too
             raise ValueError(f"group {group_id!r} needs whole, non-negative counts that total below 2**45")
-        self._fill(group_id, values, int(counts.sum()), atoms=table)
+        codes = np.tile(np.arange(len(values)), 2)  # two per value, its negatives' and its positives', weighted
+        self._fill(group_id, values, codes, np.arange(len(codes)) >= len(values), counts, keep=False)
 
     @classmethod
-    def _coded(cls, group_id: str, table: np.ndarray, codes: np.ndarray, labels: np.ndarray) -> GroupData:
-        """A group of rows given as codes into ``table``, whose values may repeat, and their labels."""
+    def _coded(cls, group_id: str, *rows, keep: bool = True) -> GroupData:
+        """A new group, built by ``_fill`` from ``(table, codes, labels[, weights])``."""
         g = cls.__new__(cls)
-        g._fill(group_id, table, len(codes), rows=(codes, labels))
+        g._fill(group_id, *rows, keep=keep)
         return g
 
-    def _fill(self, group_id: str, values: np.ndarray, size: int, atoms=None, rows=None) -> None:
-        """Check ``size`` samples scored at ``values``; set the fields, counting ``rows`` into atoms."""
-        object.__setattr__(self, "group_id", group_id)
+    def _fill(self, group_id: str, table: np.ndarray, codes: np.ndarray, labels: np.ndarray, weights=None,
+              keep: bool = True) -> None:
+        """Check rows (codes into ``table``, whose values may repeat, and labels), each standing for its weight
+        if given; count them into atoms and set the fields, keeping the rows with ``keep``. Arrays are frozen."""
+        size = len(codes) if weights is None else int(weights.sum())
         if size == 0:
             raise ValueError(f"group {group_id!r} has no samples")
-        if not np.all((values >= 0.0) & (values <= 1.0)):  # NaN fails too
+        if not np.all((table >= 0.0) & (table <= 1.0)):  # NaN fails too
             raise ValueError(f"group {group_id!r} has scores outside [0, 1]")
-        if rows is not None:
-            codes, labels = rows
-            if labels.dtype != bool:
-                if not _binary(labels):
-                    raise ValueError(f"group {group_id!r} has non-binary labels")
-                labels = labels == 1
-            rows, atoms = (values, codes, labels), _count(values, codes, labels)
-            for a in rows:
-                a.setflags(write=False)
-        for a in atoms:
-            a.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "base_rate", _base_rate(group_id, atoms[2].sum(), size))
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_size", size)
+        if labels.dtype != bool:
+            if not _binary(labels):
+                raise ValueError(f"group {group_id!r} has non-binary labels")
+            labels = labels == 1
+        atoms = tuple(map(_frozen, _count(table, codes, labels, weights)))
+        rows = tuple(map(_frozen, (table, codes, labels))) if keep else None
+        base_rate = _base_rate(group_id, atoms[2].sum(), size)
+        for name, value in dict(group_id=group_id, atoms=atoms, base_rate=base_rate, _rows=rows, _size=size).items():
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return self._size
@@ -222,8 +218,9 @@ class _Coded:
     codes fold into one per distinct bit pattern and label present,
     counting its rows, so memory follows the distinct scores. Folds and
     ``group`` renumber the codes by one sort of the table and one gather,
-    and count them with ``_pair_counts``. Buffers grow in place: a list of
-    pieces left freed holes, ~6 MB on 1e6 rows.
+    and ``group`` passes them, uncopied, to ``GroupData._coded`` to count.
+    Buffers grow in place: a list of pieces left freed holes, ~6 MB on 1e6
+    rows.
     """
 
     def __init__(self, keep: bool) -> None:
@@ -266,10 +263,7 @@ class _Coded:
         return table, codes, labels, weights
 
     def group(self, group_id: str) -> GroupData:
-        table, codes, labels, weights = self._rows()
-        if self.keep:
-            return GroupData._coded(group_id, table, codes, labels)
-        return GroupData(group_id, table=_count(table, codes, labels, weights))
+        return GroupData._coded(group_id, *self._rows(), keep=self.keep)
 
 
 def load_csv(path: str | Path, samples: bool = True) -> list[GroupData]:
@@ -288,7 +282,8 @@ def load_csv(path: str | Path, samples: bool = True) -> list[GroupData]:
     memory follows one block and the groups' tables. Kept rows are codes
     into their group's bit table, never floats. Without ``samples`` each
     code stands for an entry's rows, and one accumulator, ``_Coded``, folds
-    a group's codes into counts per distinct pattern as they come.
+    a group's codes into counts per distinct pattern as they come. Either
+    way its codes are counted by the one build of every ``GroupData``.
     """
     ids, accs = _Codes(), []  # each group id's code, in first-seen order, and its codes
     with open(path, "rb") as fh:
@@ -361,7 +356,7 @@ def _entries(chunks: Iterator[str], ids: _Codes) -> Iterator[list]:
                     raise _Unclean
                 dtype, lineno = _ROW if width == 4 else np.dtype(_ROW.descr[:3]), 2
             if not block.strip("\r\n"):  # numpy skips empty lines, and warns if that is all
-                lineno += block.count("\n")
+                lineno += block.count("\n") + block.count("\r") - block.count("\r\n")  # each end as csv reads it
                 continue
             if _repetitive(block):
                 lines, *entries = _parse_distinct(block, dtype, ids)

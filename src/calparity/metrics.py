@@ -136,7 +136,8 @@ def calibration_gap(g: GroupData, binning: str = "exact-unique", bins: int = 10)
     """Empirical calibration gap under the requested binning.
 
     ``exact-unique`` treats each distinct score value as its own atom, which
-    makes the gap definition exact for discrete score distributions.
+    makes the gap definition exact for discrete score distributions; the
+    atoms are distinct already, so they are summed as they are.
     ``fixed-width`` pools scores into ``bins`` equal-width bins over [0, 1]
     (last bin right-closed) and compares each bin's mean score with its
     positive fraction; only occupied bins are reported. Both work on the
@@ -156,7 +157,10 @@ def calibration_gap(g: GroupData, binning: str = "exact-unique", bins: int = 10)
         )
         values = score_sums / counts
     weights = counts / len(g)
-    gap = _pooled_gap(values, weights, positives / len(g))
+    if binning == "fixed-width":  # two bins' means can round to one value
+        gap = _pooled_gap(values, weights, positives / len(g))
+    else:
+        gap = float(np.abs(positives / len(g) - values * weights).sum())
     per_bin = np.rec.fromarrays([values, positives / counts, weights], names="mean_score,positive_fraction,weight")
     per_bin.setflags(write=False)
     return CalibrationReport(gap, per_bin)

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calparity import dataset
@@ -287,6 +287,32 @@ def _stats(g: GroupData):
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
+        st.tuples(st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0.0, 1.0)), *[st.integers(0, 3)] * 2),
+        min_size=1,
+        max_size=8,
+        unique_by=lambda atom: atom[0],  # -0.0 == 0.0, so at most one of them
+    ).filter(lambda atoms: sum(n for _, n, _ in atoms) and sum(p for _, _, p in atoms)),
+)
+@example([(-0.0, 1, 0), (0.5, 0, 0), (1.0, 0, 2)])
+def test_table_form_matches_samples_form(atoms):
+    """``GroupData(table=...)`` gives what its rows give: no atom without samples, ``-0.0`` counted at ``0.0``.
+
+    Counts are small whole numbers, zero included, and both forms are
+    compared by ``_stats`` (atoms as bytes, both binnings) with every
+    warning an error, so a kept empty atom's 0/0 fails too.
+    """
+    atoms.sort(key=lambda atom: atom[0])
+    values, negatives, positives = (list(column) for column in zip(*atoms))
+    scores = np.repeat(values, np.add(negatives, positives))
+    labels = np.array([label for _, n, p in atoms for label in [0] * n + [1] * p])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _stats(GroupData("g", table=(values, negatives, positives))) == _stats(GroupData("g", scores, labels))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
         st.tuples(st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 0.1]), st.floats(0.0, 1.0)), st.booleans()),
         min_size=2,
         max_size=80,
@@ -458,6 +484,39 @@ def test_distinct_line_parse_memory(tmp_path):
             assert [len(g) for g in loaded] == [100_000, 100_000]
     for samples in (True, False):
         assert peaks[True, samples] <= 1.05 * peaks[False, samples], peaks
+
+
+def test_samples_free_load_memory_with_distinct_scores(tmp_path):
+    """A row-free load of nearly distinct scores peaks within 5% of the load that keeps the rows.
+
+    Two 100k-row ``beta_grid`` groups of 1e6 bins hold ~92k distinct
+    scores each, so folds shrink little and the group build sets the peak:
+    counting a group's codes must hold no more than counting its kept
+    rows. The file is read as written, parsed column-wise, and with its
+    first id quoted, so that ``csv`` hands on an entry a row. The chunk
+    sizes are the defaults, as a real load uses.
+    """
+    import tracemalloc
+
+    groups = [
+        synth(SynthSpec(100_000, "beta_grid", (2, 4, 1e6), seed=1, group_id="A")),
+        synth(SynthSpec(100_000, "beta_grid", (3, 3, 1e6), seed=2, group_id="B")),
+    ]
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    write_csv(groups, plain)
+    quoted.write_bytes(plain.read_bytes().replace(b"\nA,", b'\n"A",', 1))
+    load_csv(plain, samples=False)  # imports what a load first needs, untraced
+    for path in (plain, quoted):
+        peaks = {}
+        for samples in (False, True):
+            tracemalloc.start()
+            try:
+                loaded = load_csv(path, samples=samples)
+                peaks[samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert [len(g) for g in loaded] == [100_000, 100_000]
+        assert peaks[False] <= 1.05 * peaks[True], (path.name, peaks)
 
 
 class TestSynthCalibrated:

@@ -231,6 +231,7 @@ def test_fast_path_matches_reference(csv_path, data):
 @example(b"group,score,label\nA,-0,1\nA,0,0\nA,0,1\nA,-0,0\nA,-0,1\nA,0.5,1\n", 2, False, 1)
 @example(b'group,score,label\r\nA,0.5,1\r\n"a\r\nb",0.5,1\r\n"a\r\nb",0.2,0\r\nA,0.2,0\r\n', 1, True, 1)
 @example(b'group,score,label\nA,0.5,1\nA,0.2,0\nA,0.5,1\n"x,""y""",0.5,1\n"x,""y""",0.2,0\n', 2, False, 1)
+@example(b"group,score,label\n\r\r\nA,0,10\nA,0,1\nB,0,0\nB,0,1\nA,0,0\n", 1, False, 1)
 def test_chunked_loader_matches_reference(csv_path, data, rows, samples, atom_chunk):
     """Blocks of about 1, 2 or 3 rows, codes folded and ``csv`` rows added every few rows, each probe: same outcome."""
     csv_path.write_bytes(data)
