@@ -16,7 +16,7 @@ _SUBMODULE = {
     name: module
     for module, names in {
         "cost": "CostPair CostSpec Segment calibrated_line cost level_curve trivial_cost weighted_cost_spec",
-        "dataset": "CsvFormatError GroupData SynthSpec load_csv synth write_csv",
+        "dataset": "CsvFormatError GroupData load_csv",
         "eo": "EOSolution GroupFlip derived_rates eo_calibration_damage solve_eo",
         "impossibility": "ConstraintMatrix ExactCheck ImpossibilityBound approximate_bound build_matrix "
         "exact_impossibility_check",
@@ -25,6 +25,8 @@ _SUBMODULE = {
         "parity": "AlreadyTrivialError FeasibilityVerdict InfeasibleError InterpolationPlan MixtureGroup "
         "compute_alpha feasibility mixture_calibration_gap mixture_cost mixture_rate_point realize_mixture",
         "scene": "PlaneScene ScenePoint build_scene",
+        "synthetic": "SynthSpec synth",
+        "writer": "write_csv",
     }.items()
     for name in names.split()
 }

@@ -9,7 +9,10 @@ infeasible instance.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
+import functools
+import gc
 import json
 import math
 import sys
@@ -20,8 +23,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 # Every command but synth reads a CSV and reports its metrics. The other
-# modules are imported by the commands that run them.
-from .dataset import GroupData, SynthGroup, SynthSpec, _bit_codes, _whole, load_csv, row_chunks, write_rows
+# modules, the row writer and synth among them, are imported by the commands that run them.
+from .dataset import GroupData, _bit_codes, load_csv
 from .metrics import analytic_rates, calibration_gap, linearity_residual, rate_point
 
 if TYPE_CHECKING:
@@ -318,6 +321,8 @@ def cmd_postprocess_calibrated(args) -> int:
                 "withheld_fraction": int(np.count_nonzero(drawn.withheld)) / len(g2),
             }
     if args.output:
+        from .writer import row_chunks, write_rows
+
         rows = {g.group_id: row_chunks(*g.rows()) for g in groups}  # checked before the file is opened
         if drawn is not None:
             rows[g2.group_id] = row_chunks(*drawn.realized.rows(), drawn.withheld)
@@ -348,6 +353,8 @@ def cmd_postprocess_eo(args) -> int:
         },
     }
     if args.output:
+        from .writer import row_chunks, write_rows
+
         # Checked before the file is opened; each group's bit table is flipped once, and its codes are kept.
         rows = [(g.group_id, plan[g.group_id], g.rows()) for g in groups]
         write_rows(args.output, (
@@ -404,34 +411,10 @@ def cmd_plot_data(args) -> int:
     return EXIT_OK
 
 
-def _spec_field(entry: dict, i: int, key: str, convert, default=None):
-    """``convert(entry[key])``, or ``default``; errors name the spec field."""
-    where = f"synth spec groups[{i}].{key}"
-    if key not in entry:
-        if default is None:
-            raise ValueError(f"{where} is missing")
-        return default
-    try:
-        return convert(entry[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where} has invalid value {entry[key]!r}") from None
-
-
-def _real(value) -> float:
-    """A JSON number as a float; a bool or a string is not a number here."""
-    if isinstance(value, (bool, str)):
-        raise ValueError(f"not a number: {value!r}")
-    return float(value)
-
-
-def _string(value) -> str:
-    """A JSON string as it is; ``str()`` would turn ``null`` or ``5`` into an id."""
-    if not isinstance(value, str):
-        raise ValueError(f"not a string: {value!r}")
-    return value
-
-
 def cmd_synth(args) -> int:
+    from .synthetic import SynthGroup, _specs
+    from .writer import write_rows
+
     text = args.spec
     if text.startswith("@"):
         try:
@@ -445,36 +428,8 @@ def cmd_synth(args) -> int:
         raise ValueError(f"--spec is not valid JSON: {exc}") from None
     except RecursionError:
         raise ValueError("--spec is nested too deeply to parse") from None
-    entries = doc.get("groups") if isinstance(doc, dict) else None
-    if not isinstance(entries, list):
-        raise ValueError("--spec must be an object with a 'groups' list")
-    if not entries:
-        raise ValueError("--spec needs at least one group entry")
-    derived = np.random.SeedSequence(args.seed).generate_state(len(entries), dtype=np.uint64)
-    specs, first_index = [], {}
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"synth spec groups[{i}] must be an object, got {entry!r}")
-        # load_csv strips ids and merges equal ones, so those would not read back.
-        gid = _spec_field(entry, i, "id", _string)
-        if gid != gid.strip():
-            raise ValueError(f"synth spec groups[{i}].id {gid!r} has surrounding whitespace")
-        if gid in first_index:
-            raise ValueError(f"synth spec groups[{i}].id {gid!r} repeats groups[{first_index[gid]}].id")
-        first_index[gid] = i
-        fields = dict(
-            n=_spec_field(entry, i, "n", _whole),
-            family=_spec_field(entry, i, "family", str),
-            params=_spec_field(entry, i, "params", lambda v: tuple(_real(x) for x in v)),
-            miscalibration_shift=_spec_field(entry, i, "shift", _real, 0.0),
-            seed=_spec_field(entry, i, "seed", _whole, int(derived[i])),
-        )
-        try:
-            specs.append(SynthSpec(group_id=gid, **fields))
-        except ValueError as exc:
-            raise ValueError(f"synth spec groups[{i}]: {exc}") from None
     # Every group is drawn and checked before the file is opened.
-    groups = [SynthGroup(spec) for spec in specs]
+    groups = [SynthGroup(spec) for spec in _specs(doc, args.seed)]
     write_rows(args.output, ((g.spec.group_id, g.chunks()) for g in groups))
     _emit(
         {
@@ -532,7 +487,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _freeze_at_exit() -> None:
+    """Freeze every object at interpreter exit, once per process, so the final collections skip numpy's import."""
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _freeze_at_exit()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,4 +1,4 @@
-"""Grouped score/label data: CSV ingestion and a seeded synthetic generator.
+"""Grouped score/label data and its CSV ingestion.
 
 A group's scores are probabilistic classifier outputs in [0, 1] and its
 labels the observed binary outcomes. Both classes must be present in every
@@ -11,13 +11,12 @@ value. ``load_csv`` reads any input, a pipe too, into those tables a block
 at a time. Without the rows, each code stands for a count of rows, and a
 group's codes fold into one count per distinct pattern as they come. A
 Monte Carlo draw or an equalized-odds flip maps the bit table, and
-``write_rows`` formats rows from a table and codes.
+``writer.write_rows`` formats rows from a table and codes.
 """
 
 from __future__ import annotations
 
 import codecs
-import copy
 import csv
 import io
 import warnings
@@ -25,20 +24,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 CSV_HEADER = ("group", "score", "label")
 # The fourth column a Monte Carlo output carries; it is read, checked and dropped.
 WITHHELD = "withheld"
-
-FAMILIES = ("point_mass", "grid", "beta_grid")
-
-# Caps on a synthetic group's rows and on the ``grid`` family's k, far above
-# any real use and small enough to reject a spec before it allocates.
-_MAX_SYNTH_N = 10**8
-_MAX_GRID_K = 10**8
 
 
 class CsvFormatError(ValueError):
@@ -343,6 +335,8 @@ def _entries(chunks: Iterator[str], ids: _Codes) -> Iterator[list]:
     a row is not plain ``id,float,0|1`` (``,0|1`` more under ``withheld``)
     scored in [0, 1], or a new id has surrounding whitespace. Its new ids
     are dropped; ``_read_rows`` reads it, from its first line, and the rest.
+    Only a block numpy refuses is searched for blank lines of bare ``\\r``s:
+    it is parsed again without them, its lines counted as ``csv`` counts them.
     """
     lineno, dtype, tail = 1, None, ""  # the number of the line ``tail`` starts
     for chunk in chain(chunks, [None]):  # None reads the last line
@@ -358,10 +352,14 @@ def _entries(chunks: Iterator[str], ids: _Codes) -> Iterator[list]:
             if not block.strip("\r\n"):  # numpy skips empty lines, and warns if that is all
                 lineno += block.count("\n") + block.count("\r") - block.count("\r\n")  # each end as csv reads it
                 continue
-            if _repetitive(block):
-                lines, *entries = _parse_distinct(block, dtype, ids)
-            else:
-                lines, entries = block.count("\n"), [*_parse_block(block, dtype, ids), None]
+            try:
+                lines, entries = _parse(block, dtype, ids)
+            except ValueError:  # numpy refuses a blank line of bare \r's; csv reads one empty line a \r
+                if "\r\r" not in block:
+                    raise
+                kept = (line for line in block.split("\n") if not line or line.strip("\r"))
+                lines, entries = _parse("\n".join(kept), dtype, ids)  # its ids are coded in the same order again
+                lines = block.count("\n") + block.count("\r") - block.count("\r\n")
             if any(gid != gid.strip() for gid in islice(ids, known, None)):
                 raise _Unclean
         except (_Unclean, ValueError, Warning):
@@ -394,6 +392,14 @@ def _cut(text: str, final: bool) -> tuple[str, str]:
         if not start:
             raise _Unclean
     return (text, "") if final else (text[:cut], text[cut:])
+
+
+def _parse(block: str, dtype: np.dtype, codes: _Codes) -> tuple[int, list]:
+    """The block's count of ``\\n`` and its entries, from its distinct lines if it is ``_repetitive``."""
+    if _repetitive(block):
+        lines, *entries = _parse_distinct(block, dtype, codes)
+        return lines, entries
+    return block.count("\n"), [*_parse_block(block, dtype, codes), None]
 
 
 # Lines of a block the probe reads; a parse of many thousand lines costs far more.
@@ -534,282 +540,3 @@ def _split_lines(text: Iterable[str]) -> Iterator[io.StringIO]:
         yield io.StringIO(piece[:cut], newline="")
     yield io.StringIO(rest, newline="")
 
-
-# Rows per chunk: large enough that numpy calls dominate the per-chunk
-# overhead, small enough that the chunk's strings never set the peak memory.
-_WRITE_CHUNK = 1 << 16
-
-# One piece of a group's rows: a float table, each row's code into it, the
-# labels and, with a ``withheld`` column, the mask (None reads 0).
-Chunk = tuple[np.ndarray, np.ndarray, np.ndarray, "np.ndarray | None"]
-
-
-def row_chunks(table: np.ndarray, codes: np.ndarray, labels: np.ndarray, mask=None) -> Iterator[Chunk]:
-    """A group's rows in pieces of ``_WRITE_CHUNK``, for ``write_rows``; each piece holds the whole table."""
-    for lo in range(0, len(codes), _WRITE_CHUNK):
-        chunk = slice(lo, lo + _WRITE_CHUNK)
-        yield table, codes[chunk], labels[chunk], None if mask is None else mask[chunk]
-
-
-def write_rows(
-    path: str | Path, groups: Iterable[tuple[str, Iterable[Chunk]]], withheld: bool = False
-) -> None:
-    """Write each ``(group_id, chunks)`` pair's rows as CSV, chunk by chunk.
-
-    This is the one row writer, and it holds one chunk's text at a time.
-    A chunk is ``(table, codes, labels, mask)``: row i scores
-    ``table[codes[i]]``; labels are bool or 0/1, and with ``withheld`` the
-    mask is written as a fourth 0/1 column. Nothing is checked here:
-    callers check first, so a bad input leaves no file behind. The bytes
-    are those ``csv.writer`` writes with one ``repr`` per row; the id field
-    comes from ``csv.writer`` itself, so ids are quoted as it quotes them.
-    """
-    suffixes = (",0", ",1") if withheld else ("",)
-    ends = np.array([f",{label}{w}\r\n" for w in suffixes for label in "01"], dtype=object)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(CSV_HEADER + (WITHHELD,) if withheld else CSV_HEADER)
-        for group_id, chunks in groups:
-            prefix = _row_prefix(group_id)
-            for chunk in chunks:
-                fh.write(prefix)
-                fh.write(prefix.join(_lines(ends, *chunk)))
-
-
-def _lines(ends: np.ndarray, table: np.ndarray, codes: np.ndarray, labels: np.ndarray, mask) -> list[str]:
-    """Each row's text after the id field; each (table entry, line ending) pair used is formatted once.
-
-    Used pairs are marked in an array over the table when it is no longer
-    than the chunk, else found by ``_bit_codes``, so a chunk costs its own
-    rows. ``repr`` is the shortest text that parses back to the same
-    float, and keeps ``-0.0`` apart from ``0.0``.
-    """
-    pair = codes.astype(np.int64)  # each row's (entry, label, mask) pair, flattened
-    pair *= len(ends)
-    pair += labels
-    if mask is not None:
-        pair += 2 * mask
-    if len(table) <= len(pair):
-        used = np.zeros(len(table) * len(ends), bool)
-        used[pair] = True
-        slots, pair = np.flatnonzero(used), (np.cumsum(used) - 1)[pair]
-    else:
-        slots, pair = _bit_codes(pair)
-    lines = np.array(list(map(repr, table[slots // len(ends)].tolist())), dtype=object) + ends[slots % len(ends)]
-    lines = lines[pair]
-    del pair
-    return lines.tolist()
-
-
-def write_csv(
-    groups: Sequence[GroupData], path: str | Path, withheld: Mapping[str, np.ndarray] | None = None
-) -> None:
-    """Write groups back to the CSV schema, round-tripping values exactly.
-
-    Each group's rows go through ``write_rows`` in chunks of
-    ``_WRITE_CHUNK`` rows. With ``withheld`` a fourth column holds each
-    group's Monte Carlo withholding mask as 0/1; groups missing from the
-    mapping were not post-processed and read 0. A mask whose length
-    differs from its group's, or that holds a value other than 0 or 1
-    (such as 0.5 or NaN), raises ValueError before the file is opened, as
-    does a group that holds only its atom table.
-    """
-    rows = [g.rows() for g in groups]
-    masks = [None if withheld is None else _withheld_mask(g, withheld) for g in groups]
-    parts = ((g.group_id, row_chunks(*r, mask)) for g, r, mask in zip(groups, rows, masks))
-    write_rows(path, parts, withheld is not None)
-
-
-def _withheld_mask(g: GroupData, withheld: Mapping[str, np.ndarray]) -> np.ndarray | None:
-    """The group's mask as bool, after checking its values as given."""
-    mask = withheld.get(g.group_id)
-    if mask is None:
-        return None
-    mask = np.asarray(mask)
-    if mask.shape != (len(g),) or not _binary(mask):
-        raise ValueError(
-            f"withheld mask for group {g.group_id!r} must hold {len(g)} values of 0 or 1"
-        )
-    return mask == 1
-
-
-def _row_prefix(group_id: str) -> str:
-    """The id field and its comma, quoted exactly as ``csv.writer`` quotes it."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow((group_id, ""))
-    return buf.getvalue()[: -len("\r\n")]
-
-
-def _whole(value, name: str = "value") -> int:
-    """``value`` as an int: an integer, or a float that holds one such as ``1e6``; a bool is not a number here."""
-    if isinstance(value, bool) or int(value) != value:
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    """Recipe for one seeded synthetic group.
-
-    Families:
-      * ``point_mass``: params ``(p,)``, every score equals p.
-      * ``grid``: params ``(lo, hi, k)``, scores drawn uniformly from k
-        evenly spaced values in [lo, hi]; k may be at most 10**8.
-      * ``beta_grid``: params ``(a, b, bins)``, Beta(a, b) draws snapped to
-        the midpoints of ``bins`` equal-width bins, keeping the support
-        finite. ``a`` and ``b`` must be finite, and ``bins`` may be at most
-        2**53, the largest count whose bin indices are exact in float.
-
-    ``n`` may be at most 10**8 and ``seed`` must be non-negative. ``k``
-    and ``bins`` must be whole numbers; a float such as ``1e6`` counts as
-    the integer it holds.
-    ``miscalibration_shift`` offsets the label probability at each score
-    and must be finite; the emitted score itself is never shifted.
-    """
-
-    n: int
-    family: str
-    params: tuple[float, ...]
-    miscalibration_shift: float = 0.0
-    seed: int = 0
-    group_id: str = "synth"
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= _MAX_SYNTH_N:
-            raise ValueError(f"n must lie in [1, {_MAX_SYNTH_N}], got {self.n}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not np.isfinite(self.miscalibration_shift):
-            raise ValueError(f"miscalibration_shift must be finite, got {self.miscalibration_shift}")
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        p = self.params
-        if self.family == "point_mass":
-            if len(p) != 1 or not 0.0 <= p[0] <= 1.0:
-                raise ValueError("point_mass takes a single value in [0, 1]")
-        elif self.family == "grid":
-            if len(p) != 3 or not (0.0 <= p[0] <= p[1] <= 1.0 and 1 <= p[2] <= _MAX_GRID_K):
-                raise ValueError(f"grid takes (lo, hi, k) with 0 <= lo <= hi <= 1, 1 <= k <= {_MAX_GRID_K}")
-            _whole(p[2], "grid k")
-        else:
-            if len(p) != 3 or not (p[0] > 0.0 and p[1] > 0.0 and 1 <= p[2] <= 2**53):
-                raise ValueError("beta_grid takes (a, b, bins) with a, b > 0, 1 <= bins <= 2**53")
-            if not np.isfinite(p[:2]).all():
-                raise ValueError(f"beta_grid takes finite a and b, got {p}")
-            _whole(p[2], "beta_grid bins")
-
-
-def _draw_scores(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
-    """The group's scores, drawn ``_WRITE_CHUNK`` at a time into one array.
-
-    Each draw takes its values from the stream in order, so the pieces
-    hold the values one whole-array draw gives, and the draw temporaries
-    are one chunk's.
-    """
-    if spec.family == "point_mass":
-        return np.full(spec.n, float(spec.params[0]))
-    if spec.family == "grid":
-        lo, hi, k = spec.params
-        k = int(k)
-
-        def draw(m: int) -> np.ndarray:  # as rng.choice(np.linspace(lo, hi, k), size=m) draws
-            return _linspace_at(lo, hi, k, rng.integers(0, k, size=m))
-
-    else:
-        a, b, bins = spec.params
-        bins = int(bins)
-
-        def draw(m: int) -> np.ndarray:
-            return (np.minimum((rng.beta(a, b, size=m) * bins).astype(int), bins - 1) + 0.5) / bins
-
-    scores = np.empty(spec.n)
-    for start in range(0, spec.n, _WRITE_CHUNK):
-        out = scores[start : start + _WRITE_CHUNK]
-        out[:] = draw(len(out))
-    return scores
-
-
-def _linspace_at(lo: float, hi: float, k: int, index: np.ndarray) -> np.ndarray:
-    """``np.linspace(lo, hi, k)[index]`` without the table: each value from the same float operations."""
-    delta = np.float64(hi) - np.float64(lo)
-    values = index.astype(np.float64)
-    if k == 1:
-        values *= delta
-    elif delta / (k - 1) == 0:  # a step that underflows: linspace divides first
-        values /= k - 1
-        values *= delta
-    else:
-        values *= delta / (k - 1)
-    values += lo
-    if k > 1:
-        values[index == k - 1] = hi
-    return values
-
-
-def _label_probs(scores: np.ndarray, shift: float) -> np.ndarray:
-    """Each label's chance of being 1: clamp(score + shift) to [0, 1]."""
-    if shift == 0.0:
-        return scores  # scores lie in [0, 1] already
-    probs = scores + shift
-    return np.clip(probs, 0.0, 1.0, out=probs)
-
-
-@dataclass(frozen=True, eq=False)
-class SynthGroup:
-    """A synthetic group, drawn from its spec and checked, ready for ``write_rows``.
-
-    Draws the scores ``_WRITE_CHUNK`` at a time into one array, the 8
-    bytes a row it holds. Raises ValueError if the mean label probability
-    is 0 or 1 (a degenerate spec) or if the labels hold a single class,
-    worded as ``GroupData`` words it. The mean is numpy's pairwise sum
-    over the whole probability array, so the check does not depend on
-    the chunk size; with a shift that array costs 8 bytes a row more
-    while the check runs. The labels are counted for ``base_rate`` and
-    dropped: the generator state after the score draws is kept, and
-    ``chunks`` draws the same labels again, a chunk at a time.
-    """
-
-    spec: SynthSpec
-    scores: np.ndarray = field(init=False)
-    base_rate: float = field(init=False)
-    _label_rng: np.random.Generator = field(init=False, repr=False)  # where the label draws start
-
-    def __post_init__(self) -> None:
-        spec = self.spec
-        rng = np.random.default_rng(spec.seed)
-        scores = _draw_scores(spec, rng)
-        mean_prob = float(_label_probs(scores, spec.miscalibration_shift).mean())
-        if mean_prob <= 0.0 or mean_prob >= 1.0:
-            raise ValueError(
-                "degenerate synthetic spec: labels would be single-class in expectation"
-            )
-        scores.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "_label_rng", rng)
-        positives = sum(int(np.count_nonzero(labels)) for _, labels in self._draws())
-        object.__setattr__(self, "base_rate", _base_rate(spec.group_id, positives, spec.n))
-
-    def _draws(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """``(scores, labels)`` in pieces of ``_WRITE_CHUNK`` rows, the labels drawn again from the kept state."""
-        rng = copy.deepcopy(self._label_rng)
-        for lo in range(0, self.spec.n, _WRITE_CHUNK):
-            scores = self.scores[lo : lo + _WRITE_CHUNK]
-            yield scores, rng.random(len(scores)) < _label_probs(scores, self.spec.miscalibration_shift)
-
-    def chunks(self) -> Iterator[Chunk]:
-        """``write_rows`` chunks of ``_WRITE_CHUNK`` rows, each coded against its own distinct score bits."""
-        for scores, labels in self._draws():
-            yield *_bit_codes(scores), labels, None
-
-
-def synth(spec: SynthSpec) -> GroupData:
-    """Generate a group with labels drawn at clamp(score + shift).
-
-    With shift 0 the labels are Bernoulli draws at the score itself, so the
-    population calibration gap is zero; otherwise it equals |shift|
-    wherever no clamping occurs. Deterministic for a fixed spec (numpy
-    PCG64 under the given seed). The draws are those of ``SynthGroup``,
-    which ``calparity synth`` writes without building a GroupData.
-    """
-    drawn = SynthGroup(spec)
-    labels = np.concatenate([labels for _, labels in drawn._draws()])
-    return GroupData(spec.group_id, drawn.scores, labels)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostSpec, _require_base_rate, cost
-from .dataset import GroupData, _code_dtype, row_chunks
+from .dataset import GroupData, _code_dtype
 from .metrics import RatePoint, _pooled_gap, rate_point
 
 REASON_OK = "ok"
@@ -131,6 +131,8 @@ def realize_mixture(g: GroupData, plan: InterpolationPlan) -> MixtureGroup:
     in bit order, so its atoms need no sort unless the trivial output
     repeats a score.
     """
+    from .writer import row_chunks
+
     if plan.mode != MODE_MONTE_CARLO:
         raise ValueError("a Monte Carlo draw requires a monte_carlo plan")
     table, codes, labels = g.rows()

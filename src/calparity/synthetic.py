@@ -1,0 +1,258 @@
+"""Seeded synthetic groups, drawn and written a chunk at a time, and the ``synth`` command's spec.
+
+Of the commands only ``synth`` imports it, so no other command compiles it.
+"""
+
+from __future__ import annotations
+
+import copy
+from dataclasses import dataclass, field
+from typing import Iterator
+
+import numpy as np
+
+from . import writer
+from .dataset import GroupData, _base_rate, _bit_codes
+
+FAMILIES = ("point_mass", "grid", "beta_grid")
+
+# Caps on a synthetic group's rows and on the ``grid`` family's k, far above
+# any real use and small enough to reject a spec before it allocates.
+_MAX_SYNTH_N = 10**8
+_MAX_GRID_K = 10**8
+
+
+def _whole(value, name: str = "value") -> int:
+    """``value`` as an int: an integer, or a float that holds one such as ``1e6``; a bool is not a number here."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+@dataclass(frozen=True)
+class SynthSpec:
+    """Recipe for one seeded synthetic group.
+
+    Families:
+      * ``point_mass``: params ``(p,)``, every score equals p.
+      * ``grid``: params ``(lo, hi, k)``, scores drawn uniformly from k
+        evenly spaced values in [lo, hi]; k may be at most 10**8.
+      * ``beta_grid``: params ``(a, b, bins)``, Beta(a, b) draws snapped to
+        the midpoints of ``bins`` equal-width bins, keeping the support
+        finite. ``a`` and ``b`` must be finite, and ``bins`` may be at most
+        2**53, the largest count whose bin indices are exact in float.
+
+    ``n`` may be at most 10**8 and ``seed`` must be non-negative. ``k``
+    and ``bins`` must be whole numbers; a float such as ``1e6`` counts as
+    the integer it holds.
+    ``miscalibration_shift`` offsets the label probability at each score
+    and must be finite; the emitted score itself is never shifted.
+    """
+
+    n: int
+    family: str
+    params: tuple[float, ...]
+    miscalibration_shift: float = 0.0
+    seed: int = 0
+    group_id: str = "synth"
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.n <= _MAX_SYNTH_N:
+            raise ValueError(f"n must lie in [1, {_MAX_SYNTH_N}], got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not np.isfinite(self.miscalibration_shift):
+            raise ValueError(f"miscalibration_shift must be finite, got {self.miscalibration_shift}")
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        p = self.params
+        if self.family == "point_mass":
+            if len(p) != 1 or not 0.0 <= p[0] <= 1.0:
+                raise ValueError("point_mass takes a single value in [0, 1]")
+        elif self.family == "grid":
+            if len(p) != 3 or not (0.0 <= p[0] <= p[1] <= 1.0 and 1 <= p[2] <= _MAX_GRID_K):
+                raise ValueError(f"grid takes (lo, hi, k) with 0 <= lo <= hi <= 1, 1 <= k <= {_MAX_GRID_K}")
+            _whole(p[2], "grid k")
+        else:
+            if len(p) != 3 or not (p[0] > 0.0 and p[1] > 0.0 and 1 <= p[2] <= 2**53):
+                raise ValueError("beta_grid takes (a, b, bins) with a, b > 0, 1 <= bins <= 2**53")
+            if not np.isfinite(p[:2]).all():
+                raise ValueError(f"beta_grid takes finite a and b, got {p}")
+            _whole(p[2], "beta_grid bins")
+
+
+def _draw_scores(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
+    """The group's scores, drawn ``_WRITE_CHUNK`` at a time into one array.
+
+    Each draw takes its values from the stream in order, so the pieces
+    hold the values one whole-array draw gives, and the draw temporaries
+    are one chunk's.
+    """
+    if spec.family == "point_mass":
+        return np.full(spec.n, float(spec.params[0]))
+    if spec.family == "grid":
+        lo, hi, k = spec.params
+        k = int(k)
+
+        def draw(m: int) -> np.ndarray:  # as rng.choice(np.linspace(lo, hi, k), size=m) draws
+            return _linspace_at(lo, hi, k, rng.integers(0, k, size=m))
+
+    else:
+        a, b, bins = spec.params
+        bins = int(bins)
+
+        def draw(m: int) -> np.ndarray:
+            return (np.minimum((rng.beta(a, b, size=m) * bins).astype(int), bins - 1) + 0.5) / bins
+
+    scores = np.empty(spec.n)
+    for start in range(0, spec.n, writer._WRITE_CHUNK):
+        out = scores[start : start + writer._WRITE_CHUNK]
+        out[:] = draw(len(out))
+    return scores
+
+
+def _linspace_at(lo: float, hi: float, k: int, index: np.ndarray) -> np.ndarray:
+    """``np.linspace(lo, hi, k)[index]`` without the table: each value from the same float operations."""
+    delta = np.float64(hi) - np.float64(lo)
+    values = index.astype(np.float64)
+    if k == 1:
+        values *= delta
+    elif delta / (k - 1) == 0:  # a step that underflows: linspace divides first
+        values /= k - 1
+        values *= delta
+    else:
+        values *= delta / (k - 1)
+    values += lo
+    if k > 1:
+        values[index == k - 1] = hi
+    return values
+
+
+def _label_probs(scores: np.ndarray, shift: float) -> np.ndarray:
+    """Each label's chance of being 1: clamp(score + shift) to [0, 1]."""
+    if shift == 0.0:
+        return scores  # scores lie in [0, 1] already
+    probs = scores + shift
+    return np.clip(probs, 0.0, 1.0, out=probs)
+
+
+@dataclass(frozen=True, eq=False)
+class SynthGroup:
+    """A synthetic group, drawn from its spec and checked, ready for ``write_rows``.
+
+    Draws the scores ``_WRITE_CHUNK`` at a time into one array, the 8
+    bytes a row it holds. Raises ValueError if the mean label probability
+    is 0 or 1 (a degenerate spec) or if the labels hold a single class,
+    worded as ``GroupData`` words it. The mean is numpy's pairwise sum
+    over the whole probability array, so the check does not depend on
+    the chunk size; with a shift that array costs 8 bytes a row more
+    while the check runs. The labels are counted for ``base_rate`` and
+    dropped: the generator state after the score draws is kept, and
+    ``chunks`` draws the same labels again, a chunk at a time.
+    """
+
+    spec: SynthSpec
+    scores: np.ndarray = field(init=False)
+    base_rate: float = field(init=False)
+    _label_rng: np.random.Generator = field(init=False, repr=False)  # where the label draws start
+
+    def __post_init__(self) -> None:
+        spec = self.spec
+        rng = np.random.default_rng(spec.seed)
+        scores = _draw_scores(spec, rng)
+        mean_prob = float(_label_probs(scores, spec.miscalibration_shift).mean())
+        if mean_prob <= 0.0 or mean_prob >= 1.0:
+            raise ValueError(
+                "degenerate synthetic spec: labels would be single-class in expectation"
+            )
+        scores.setflags(write=False)
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "_label_rng", rng)
+        positives = sum(int(np.count_nonzero(labels)) for _, labels in self._draws())
+        object.__setattr__(self, "base_rate", _base_rate(spec.group_id, positives, spec.n))
+
+    def _draws(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``(scores, labels)`` in pieces of ``_WRITE_CHUNK`` rows, the labels drawn again from the kept state."""
+        rng = copy.deepcopy(self._label_rng)
+        for lo in range(0, self.spec.n, writer._WRITE_CHUNK):
+            scores = self.scores[lo : lo + writer._WRITE_CHUNK]
+            yield scores, rng.random(len(scores)) < _label_probs(scores, self.spec.miscalibration_shift)
+
+    def chunks(self) -> Iterator[writer.Chunk]:
+        """``write_rows`` chunks of ``_WRITE_CHUNK`` rows, each coded against its own distinct score bits."""
+        for scores, labels in self._draws():
+            yield *_bit_codes(scores), labels, None
+
+
+def synth(spec: SynthSpec) -> GroupData:
+    """Generate a group with labels drawn at clamp(score + shift).
+
+    With shift 0 the labels are Bernoulli draws at the score itself, so the
+    population calibration gap is zero; otherwise it equals |shift|
+    wherever no clamping occurs. Deterministic for a fixed spec (numpy
+    PCG64 under the given seed). The draws are those of ``SynthGroup``,
+    which ``calparity synth`` writes without building a GroupData.
+    """
+    drawn = SynthGroup(spec)
+    labels = np.concatenate([labels for _, labels in drawn._draws()])
+    return GroupData(spec.group_id, drawn.scores, labels)
+
+
+def _spec_field(entry: dict, i: int, key: str, convert, default=None):
+    """``convert(entry[key])``, or ``default``; errors name the spec field."""
+    where = f"synth spec groups[{i}].{key}"
+    if key not in entry:
+        if default is None:
+            raise ValueError(f"{where} is missing")
+        return default
+    try:
+        return convert(entry[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where} has invalid value {entry[key]!r}") from None
+
+
+def _real(value) -> float:
+    """A JSON number as a float; a bool or a string is not a number here."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
+
+
+def _string(value) -> str:
+    """A JSON string as it is; ``str()`` would turn ``null`` or ``5`` into an id."""
+    if not isinstance(value, str):
+        raise ValueError(f"not a string: {value!r}")
+    return value
+
+
+def _specs(doc, seed: int) -> list[SynthSpec]:
+    """The groups of a parsed ``synth --spec`` document; a group without a ``seed`` takes one derived from ``seed``."""
+    entries = doc.get("groups") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError("--spec must be an object with a 'groups' list")
+    if not entries:
+        raise ValueError("--spec needs at least one group entry")
+    derived = np.random.SeedSequence(seed).generate_state(len(entries), dtype=np.uint64)
+    specs, first_index = [], {}
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"synth spec groups[{i}] must be an object, got {entry!r}")
+        # load_csv strips ids and merges equal ones, so those would not read back.
+        gid = _spec_field(entry, i, "id", _string)
+        if gid != gid.strip():
+            raise ValueError(f"synth spec groups[{i}].id {gid!r} has surrounding whitespace")
+        if gid in first_index:
+            raise ValueError(f"synth spec groups[{i}].id {gid!r} repeats groups[{first_index[gid]}].id")
+        first_index[gid] = i
+        fields = dict(
+            n=_spec_field(entry, i, "n", _whole),
+            family=_spec_field(entry, i, "family", str),
+            params=_spec_field(entry, i, "params", lambda v: tuple(_real(x) for x in v)),
+            miscalibration_shift=_spec_field(entry, i, "shift", _real, 0.0),
+            seed=_spec_field(entry, i, "seed", _whole, int(derived[i])),
+        )
+        try:
+            specs.append(SynthSpec(group_id=gid, **fields))
+        except ValueError as exc:
+            raise ValueError(f"synth spec groups[{i}]: {exc}") from None
+    return specs

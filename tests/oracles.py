@@ -7,10 +7,10 @@ rate/loss evaluations at corner points. ``load_reference`` is the
 whole-file row-by-row ``csv`` reader whose groups or error
 ``dataset.load_csv`` must give for any bytes, ``derived_rates`` is the
 per-sample rate computation that ``eo.derived_rates`` must match bit for
-bit, ``write_csv_rows`` is the row-by-row writer that ``dataset.write_csv``
+bit, ``write_csv_rows`` is the row-by-row writer that ``writer.write_csv``
 must match byte for byte, ``dump_json`` is the dict-per-bin JSON writer
 that the CLI's ``_emit`` must match byte for byte, ``synth_whole`` is
-the whole-array generator whose groups the chunked ``dataset.SynthGroup``
+the whole-array generator whose groups the chunked ``synthetic.SynthGroup``
 must draw value for value, ``mixture_whole`` is the whole-array
 Monte Carlo draw that ``parity.realize_mixture`` must give bit for bit,
 ``read_rows`` and ``rewrite_rows`` are the row-by-row reader and writer
@@ -33,7 +33,8 @@ from itertools import combinations, product, repeat
 
 import numpy as np
 
-from calparity.dataset import CSV_HEADER, CsvFormatError, GroupData, SynthSpec
+from calparity.dataset import CSV_HEADER, CsvFormatError, GroupData
+from calparity.synthetic import SynthSpec
 from calparity.eo import flipped_scores
 from calparity.metrics import RatePoint
 

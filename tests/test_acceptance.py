@@ -16,7 +16,7 @@ import numpy as np
 
 from calparity.cli import main
 from calparity.cost import CostPair, CostSpec, cost, trivial_cost
-from calparity.dataset import GroupData, SynthSpec, synth, write_csv
+from calparity.dataset import GroupData
 from calparity.eo import solve_eo
 from calparity.impossibility import approximate_bound, build_matrix
 from calparity.metrics import (
@@ -35,6 +35,8 @@ from calparity.parity import (
     optimality_audit,
     realize_mixture,
 )
+from calparity.synthetic import SynthSpec, synth
+from calparity.writer import write_csv
 from conftest import make_group, random_group
 from oracles import eo_grid_oracle
 

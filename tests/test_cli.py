@@ -1,6 +1,7 @@
 import argparse
 import copy
 import csv
+import gc
 import io
 import json
 import os
@@ -15,9 +16,10 @@ import pytest
 from calparity import cli, eo, metrics
 from calparity.cli import _emit, build_parser, main
 from calparity.cost import CostSpec, cost, trivial_cost
-from calparity.dataset import GroupData, load_csv, write_csv
+from calparity.dataset import GroupData, load_csv
 from calparity.metrics import calibration_gap, rate_point
 from calparity.parity import MODE_MONTE_CARLO, InterpolationPlan, compute_alpha
+from calparity.writer import write_csv
 from conftest import make_group
 from oracles import mixture_whole, write_csv_rows
 
@@ -526,7 +528,7 @@ class TestSynth:
         assert first.read_bytes() == second.read_bytes()
 
     def test_explicit_seed_matches_library(self, tmp_path, capsys):
-        from calparity.dataset import SynthSpec, synth
+        from calparity.synthetic import SynthSpec, synth
 
         out_csv = tmp_path / "synth.csv"
         run(capsys, "synth", "--spec", self.SPEC, "--seed", "3", "--output", str(out_csv))
@@ -892,15 +894,21 @@ def test_every_declared_flag_is_read(tmp_path, command):
 
 
 # A command on a golden input (or a usage error), its exit code, and the modules it loads beyond these.
+# Only commands that write or draw rows load the row writer; plot-data's --output is JSON.
 BASE_MODULES = {"calparity", "calparity.cli", "calparity.dataset", "calparity.metrics"}
+CALIBRATED = ["postprocess-calibrated", "--input", str(GOLDEN_MIXED), "--weighted-cost", "1,3"]
+PLOT = ["plot-data", "--input", str(GOLDEN_MIXED), "--weighted-cost", "1,3"]
 LOADED = {
     "stats": (["stats", "--input", str(GOLDEN_MIXED)], 0, set()),
-    "synth": (["synth", "--spec", FLAG_VALUES["--spec"], "--output", "OUT"], 0, set()),
-    "calibrated": (["postprocess-calibrated", "--input", str(GOLDEN_MIXED), "--weighted-cost", "1,3"], 0,
-                   {"cost", "parity"}),
+    "synth": (["synth", "--spec", FLAG_VALUES["--spec"], "--output", "OUT"], 0, {"synthetic", "writer"}),
+    "calibrated": (CALIBRATED, 0, {"cost", "parity"}),
+    "calibrated-output": ([*CALIBRATED, "--output", "OUT"], 0, {"cost", "parity", "writer"}),
+    "calibrated-mc": ([*CALIBRATED, "--mode", "mc", "--seed", "4"], 0, {"cost", "parity", "writer"}),
     "eo": (["postprocess-eo", "--input", str(GOLDEN_MIXED)], 0, {"eo"}),
+    "eo-output": (["postprocess-eo", "--input", str(GOLDEN_MIXED), "--output", "OUT"], 0, {"eo", "writer"}),
     "diagnose": (["diagnose", "--input", str(GOLDEN_MIXED), *DIAGNOSE_ARGS], 0, {"cost", "impossibility"}),
-    "plot-data": (["plot-data", "--input", str(GOLDEN_MIXED), "--weighted-cost", "1,3"], 0, {"cost", "scene"}),
+    "plot-data": (PLOT, 0, {"cost", "scene"}),
+    "plot-data-output": ([*PLOT, "--output", "OUT"], 0, {"cost", "scene"}),
     "usage-error": (["postprocess-calibrated", "--weighted-cost", "1,3"], 1, set()),  # no --input
 }  # fmt: skip
 
@@ -918,6 +926,34 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, exit_code, extra):
     rc, *modules = r.stderr.splitlines()[-1].split()
     assert int(rc) == exit_code
     assert set(modules) == BASE_MODULES | {f"calparity.{m}" for m in extra}
+
+
+def test_exit_freeze_is_registered_once_and_left_to_the_exit(capsys):
+    """``main`` freezes the collector only when the interpreter exits, and only once.
+
+    In-process, repeated calls leave the collector unfrozen and enabled or
+    disabled as it was. A child counts its calls of ``gc.freeze`` and
+    registers its own probe first, so the probe runs after ``main``'s hook:
+    two calls of ``main`` freeze once, at exit, and print what in-process
+    calls print.
+    """
+    enabled = gc.isenabled()
+    for _ in range(2):
+        code, report, _ = run(capsys, "stats", "--input", str(GOLDEN_MIXED))
+        assert (code, gc.get_freeze_count(), gc.isenabled()) == (0, 0, enabled)
+    probe = (
+        "import atexit, gc, sys\n"
+        "freeze, calls = gc.freeze, []\n"
+        "gc.freeze = lambda: calls.append(gc.get_freeze_count()) or freeze()\n"
+        "atexit.register(lambda: print(calls, gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "from calparity.cli import main\n"
+        "main(sys.argv[1:])\n"
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    argv = [sys.executable, "-c", probe, "stats", "--input", str(GOLDEN_MIXED)]
+    r = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert (r.returncode, r.stdout, r.stderr) == (code, 2 * report, "[0] True\n")
 
 
 def test_quoted_input_through_a_pipe(tmp_path):

@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calparity import dataset
-from calparity.dataset import CsvFormatError, GroupData, SynthSpec, load_csv, synth, write_csv
+from calparity.dataset import CsvFormatError, GroupData, load_csv
 from calparity.metrics import analytic_rates, calibration_gap, linearity_residual, rate_point
 from calparity.parity import MODE_MONTE_CARLO, InterpolationPlan, realize_mixture
+from calparity.synthetic import SynthSpec, synth
+from calparity.writer import write_csv
 
 
 def _write(tmp_path, text):

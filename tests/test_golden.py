@@ -215,3 +215,90 @@ def test_changed_input_prints_the_corpus(change, repetitive, tmp_path, monkeypat
         code, stdout, stderr = run_case(CASES[name][0])
         assert (code, stderr) == (exits[name]["exit"], exits[name]["stderr"]), name
         assert stdout == (EXPECTED / f"{name}.stdout").read_text(encoding="utf-8"), name
+
+
+def _repeated(data: bytes, k: int = 3) -> bytes:
+    """Every row ``k`` times over, each copy next to its row."""
+    header, *rows = data.splitlines(keepends=True)
+    return b"".join([header, *(row * k for row in rows)])
+
+
+def _groups_swapped(data: bytes) -> bytes:
+    """A two-group file with the second group's rows first; each group's rows keep their order."""
+    header, *rows = data.splitlines(keepends=True)
+    first = rows[0].split(b",")[0]
+    later = [row for row in rows if row.split(b",")[0] != first]
+    return b"".join([header, *later, *(row for row in rows if row.split(b",")[0] == first)])
+
+
+def _reports(tmp_path, names: list[str], data: bytes, group1: str | None = None) -> dict:
+    """Each case's exit code and parsed report, run on ``data`` as mixed.csv, with ``--group1`` added if given."""
+    (tmp_path / "mixed.csv").write_bytes(data)
+    reports = {}
+    for name in names:
+        argv = CASES[name][0]
+        assert "--input" in argv and argv[argv.index("--input") + 1] == "mixed.csv", name
+        if group1 is not None and not name.startswith("stats") and "--group1" not in argv:
+            argv = [*argv, "--group1", group1]
+        code, stdout, stderr = run_case(argv)
+        assert stderr == "", name
+        reports[name] = code, json.loads(stdout)
+    return reports
+
+
+def _near(got, want) -> None:
+    """Equal within 1e-12 relative, for floats computed through products of counts."""
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            _near(got[key], want[key])
+    else:
+        assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+
+
+REPEATED = ["stats_exact", "stats_fixed", "calibrated_ok", "calibrated_fixed", "calibrated_swapped", "eo_mixed",
+            "diagnose", "plot_stdout"]  # fmt: skip
+
+
+def test_repeated_rows_change_only_n(tmp_path, monkeypatch):
+    """Every row of mixed.csv three times over: each group's ``n`` triples and nothing else moves.
+
+    Rates, base rates, calibration gaps and bins, alpha and the EO plan and
+    rates depend on the counts only through exact ratios, so their text
+    stays the same. ``analytic_rates``, ``linearity_residual`` and the EO
+    ``calibration_damage`` go through float products of the counts and are
+    compared within 1e-12 relative.
+    """
+    monkeypatch.chdir(tmp_path)
+    data = (INPUTS / "mixed.csv").read_bytes()
+    original = _reports(tmp_path, REPEATED, data)
+    repeated = _reports(tmp_path, REPEATED, _repeated(data))
+    for name in REPEATED:
+        (code, got), (want_code, want) = repeated[name], original[name]
+        assert code == want_code, name
+        for g, w in zip(got.get("groups", []), want.get("groups", [])):
+            assert g.pop("n") == 3 * w.pop("n")
+            for key in ("analytic_rates", "linearity_residual"):
+                _near(g.pop(key), w.pop(key))
+        if "calibration_damage" in want:
+            _near(got.pop("calibration_damage"), want.pop("calibration_damage"))
+        assert got == want, name
+
+
+SWAPPED = ["stats_exact", "calibrated_ok", "calibrated_fixed", "calibrated_swapped", "calibrated_mc", "eo_mixed",
+           "diagnose", "plot_stdout"]  # fmt: skip
+
+
+def test_swapped_group_order_changes_no_report(tmp_path, monkeypatch):
+    """mixed.csv with its second group's rows first and ``--group1`` fixed: the same reports, MC draws included.
+
+    ``stats`` takes no ``--group1`` and lists the groups in file order, so
+    its groups come in the other order.
+    """
+    monkeypatch.chdir(tmp_path)
+    data = (INPUTS / "mixed.csv").read_bytes()
+    assert _groups_swapped(data) != data
+    original = _reports(tmp_path, SWAPPED, data, group1="A")
+    swapped = _reports(tmp_path, SWAPPED, _groups_swapped(data), group1="A")
+    swapped["stats_exact"][1]["groups"].reverse()
+    assert swapped == original

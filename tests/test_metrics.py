@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from calparity.dataset import GroupData, SynthSpec, synth
+from calparity.dataset import GroupData
 from calparity.metrics import (
     MomentRates,
     RatePoint,
@@ -17,6 +17,7 @@ from calparity.metrics import (
     linearity_residual,
     rate_point,
 )
+from calparity.synthetic import SynthSpec, synth
 from conftest import make_group, random_group
 from oracles import exact_mean
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from calparity import dataset
+from calparity import writer
 from calparity.dataset import GroupData
 from calparity.metrics import RatePoint, calibration_gap, rate_point
 from calparity.cost import CostSpec, cost, trivial_cost
@@ -144,7 +144,7 @@ class TestMonteCarloApplication:
     )
     def test_matches_whole_array_draw(self, monkeypatch, n, chunk, alpha):
         if chunk is not None:
-            monkeypatch.setattr(dataset, "_WRITE_CHUNK", chunk)
+            monkeypatch.setattr(writer, "_WRITE_CHUNK", chunk)
         g = GroupData("g", np.linspace(0.0, 1.0, n), np.arange(n) % 2)
         plan = InterpolationPlan(alpha, 0.4, MODE_MONTE_CARLO, seed=n)
         mixture = realize_mixture(g, plan)

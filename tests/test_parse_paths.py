@@ -27,7 +27,9 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from calparity import dataset
-from calparity.dataset import CsvFormatError, GroupData, SynthSpec, load_csv, synth, write_csv
+from calparity.dataset import CsvFormatError, GroupData, load_csv
+from calparity.synthetic import SynthSpec, synth
+from calparity.writer import write_csv
 from oracles import load_reference
 
 GOLDEN_MIXED = "tests/golden/inputs/mixed.csv"
@@ -232,6 +234,7 @@ def test_fast_path_matches_reference(csv_path, data):
 @example(b'group,score,label\r\nA,0.5,1\r\n"a\r\nb",0.5,1\r\n"a\r\nb",0.2,0\r\nA,0.2,0\r\n', 1, True, 1)
 @example(b'group,score,label\nA,0.5,1\nA,0.2,0\nA,0.5,1\n"x,""y""",0.5,1\n"x,""y""",0.2,0\n', 2, False, 1)
 @example(b"group,score,label\n\r\r\nA,0,10\nA,0,1\nB,0,0\nB,0,1\nA,0,0\n", 1, False, 1)
+@example(b"group,score,label\r\nA,0.1,0\r\n\r\r\nA,0.9,1\r\nB,0.2,0\r\nB,0.8,1\r\nB,x,1\r\n", 2, True, 1)
 def test_chunked_loader_matches_reference(csv_path, data, rows, samples, atom_chunk):
     """Blocks of about 1, 2 or 3 rows, codes folded and ``csv`` rows added every few rows, each probe: same outcome."""
     csv_path.write_bytes(data)
@@ -339,7 +342,10 @@ def _refuse(text, lineno, *rest):
 
 
 def test_fast_path_serves_clean_input(tmp_path, monkeypatch):
-    """Clean files, CRLF and bare CR among them, never reach the ``csv`` hand-off; a silent one would lose the gain."""
+    """Clean files, CRLF and bare CR among them, never reach the ``csv`` hand-off; a silent one would lose the gain.
+
+    Nor does a blank line of bare ``\\r``s, in a block of repeated lines or in one parsed whole.
+    """
     a = synth(SynthSpec(300, "beta_grid", (2, 4, 20), seed=5, group_id="A"))
     b = synth(SynthSpec(200, "grid", (0.1, 0.9, 9), seed=6, group_id="B"))
     written = tmp_path / "synth.csv"
@@ -364,7 +370,17 @@ def test_fast_path_serves_clean_input(tmp_path, monkeypatch):
         ],
         repeated,
     )
-    paths = (GOLDEN_MIXED, written, bom, cr, mc, repeated)
+    # A blank line of bare \r's after the second row, which csv reads as two empty lines and numpy refuses,
+    # in a block of repeated lines and in one of distinct lines, parsed whole.
+    spread = tmp_path / "spread.csv"
+    write_csv([synth(SynthSpec(3000, "beta_grid", (2, 4, 10**6), seed=10, group_id="F")), b], spread)
+    assert dataset._repetitive(repeated.read_text()) and not dataset._repetitive(spread.read_text())
+    blank_cr = []
+    for source in (repeated, spread):
+        lines = source.read_bytes().split(b"\r\n")
+        blank_cr.append(tmp_path / f"blank-cr-{source.name}")
+        blank_cr[-1].write_bytes(b"\r\n".join([*lines[:3], b"\r", *lines[3:]]))
+    paths = (GOLDEN_MIXED, written, bom, cr, mc, repeated, *blank_cr)
     expected = {path: load_reference(path) for path in paths}
     monkeypatch.setattr(dataset, "_read_rows", _refuse)
     distinct = []

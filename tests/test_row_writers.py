@@ -23,7 +23,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calparity import cli, dataset, eo
+from calparity import cli, dataset, eo, writer
 from calparity.cost import CostSpec, cost, trivial_cost
 from calparity.dataset import CSV_HEADER, GroupData
 from calparity.metrics import rate_point
@@ -95,7 +95,7 @@ def test_row_writers_match_oracle(tmp_path_factory, text, seed, write_chunk, rea
             out = tmp / f"{name}-{repetitive}.csv"
             with (
                 mock.patch.object(dataset, "_repetitive", lambda block: repetitive),
-                mock.patch.object(dataset, "_WRITE_CHUNK", write_chunk),
+                mock.patch.object(writer, "_WRITE_CHUNK", write_chunk),
                 mock.patch.object(dataset, "_CHUNK", read_chunk),
                 contextlib.redirect_stdout(io.StringIO()),
             ):

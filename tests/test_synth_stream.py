@@ -21,12 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calparity import dataset
+from calparity import synthetic, writer
 from calparity.cli import main
-from calparity.dataset import SynthSpec, synth
+from calparity.synthetic import SynthSpec, synth
 from oracles import dump_json, synth_whole, write_csv_rows
 
-CHUNK = dataset._WRITE_CHUNK
+CHUNK = writer._WRITE_CHUNK
 SHIFTS = [0.0, 0.3, -0.3, 0.95, -0.95, 1.5]  # all but 0.0 clamp some score
 
 
@@ -75,7 +75,7 @@ def synth_specs(draw):
     ids = draw(st.lists(st.sampled_from(["A", "B", "c, d", "1"]), min_size=1, max_size=3, unique=True))
     specs = []
     for gid in ids:
-        family = draw(st.sampled_from(dataset.FAMILIES))
+        family = draw(st.sampled_from(synthetic.FAMILIES))
         if family == "point_mass":
             params = (draw(st.sampled_from([0.0, 0.05, 0.5, 0.9, 1.0])),)
         elif family == "grid":
@@ -92,7 +92,7 @@ def synth_specs(draw):
 @settings(max_examples=300, deadline=None)
 @given(synth_specs(), st.sampled_from([1, 2, 3, 7]))
 def test_small_chunks_match_whole_draws(tmp_path_factory, specs, chunk):
-    with mock.patch.object(dataset, "_WRITE_CHUNK", chunk):
+    with mock.patch.object(writer, "_WRITE_CHUNK", chunk):
         _assert_matches_oracle(tmp_path_factory.mktemp("synth"), specs)
 
 
@@ -154,7 +154,7 @@ def test_synth_memory(tmp_path):
         }
     )
     argv = ["synth", "--spec", spec, "--output", str(tmp_path / "synth.csv")]
-    with mock.patch.object(dataset, "_WRITE_CHUNK", 1 << 12), contextlib.redirect_stdout(io.StringIO()):
+    with mock.patch.object(writer, "_WRITE_CHUNK", 1 << 12), contextlib.redirect_stdout(io.StringIO()):
         main(argv)  # imports what synth first needs, numpy.random among them, untraced
         tracemalloc.start()
         try:
@@ -174,7 +174,7 @@ def test_synth_memory(tmp_path):
 def test_grid_draws_match_linspace_choice(params):
     """``grid`` draws index the grid, not a table of it, yet give ``rng.choice(np.linspace(...))``'s values."""
     spec = SynthSpec(3 * 64 + 5, "grid", params, seed=11, group_id="A")
-    with mock.patch.object(dataset, "_WRITE_CHUNK", 64):
+    with mock.patch.object(writer, "_WRITE_CHUNK", 64):
         ours = synth(spec)
     oracle = synth_whole(spec)
     assert ours.scores.tobytes() == oracle.scores.tobytes()
@@ -190,18 +190,18 @@ def test_linspace_at_matches_the_table(bounds, k):
     """Every entry, signed zeros and steps that underflow included, has the bits ``np.linspace`` gives it."""
     lo, hi = sorted(bounds)
     table = np.linspace(lo, hi, k)
-    assert dataset._linspace_at(lo, hi, k, np.arange(k)).tobytes() == table.tobytes()
+    assert synthetic._linspace_at(lo, hi, k, np.arange(k)).tobytes() == table.tobytes()
     picks = np.array([k - 1, 0, k // 2, k - 1])
-    assert dataset._linspace_at(lo, hi, k, picks).tobytes() == table[picks].tobytes()
+    assert synthetic._linspace_at(lo, hi, k, picks).tobytes() == table[picks].tobytes()
 
 
 def test_grid_draw_memory():
     """A ``grid`` draw's memory follows the rows drawn, not ``k``; a table of 10**7 values is 80 MB."""
     spec = SynthSpec(100, "grid", (0.1, 0.9, 10**7), seed=3)
-    dataset._draw_scores(spec, np.random.default_rng(spec.seed))  # untraced, so lazy imports are not counted
+    synthetic._draw_scores(spec, np.random.default_rng(spec.seed))  # untraced, so lazy imports are not counted
     tracemalloc.start()
     try:
-        scores = dataset._draw_scores(spec, np.random.default_rng(spec.seed))
+        scores = synthetic._draw_scores(spec, np.random.default_rng(spec.seed))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -19,11 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calparity import dataset
-from calparity.dataset import GroupData, load_csv, write_csv
+from calparity import writer
+from calparity.dataset import GroupData, load_csv
+from calparity.writer import write_csv
 from oracles import write_csv_rows
 
-CHUNK = dataset._WRITE_CHUNK
+CHUNK = writer._WRITE_CHUNK
 SPECIAL = [-0.0, 0.0, 5e-324, 1e-05, 0.1, 1.0]
 IDS = ["A", "B, west", 'say "hi"', " spaced ", "", "x\ny", "1"]
 
@@ -67,7 +68,7 @@ def groups_and_masks(draw):
 def test_small_chunks_match_oracle(tmp_path_factory, case, chunk):
     groups, withheld = case
     tmp_path = tmp_path_factory.mktemp("write")
-    with mock.patch.object(dataset, "_WRITE_CHUNK", chunk):
+    with mock.patch.object(writer, "_WRITE_CHUNK", chunk):
         ours, oracle, path = _written(tmp_path, groups, withheld)
     assert ours == oracle
     if withheld is None:
