@@ -10,7 +10,11 @@ rates and atom tables. A block whose lines mostly repeat parses only its
 distinct lines; the differential tests patch that choice (``PROBES``) so
 that every block takes one branch, or the two alternate, and check each
 input under each, with blocks of one to three rows, and every cut into
-chunks of a few small files.
+chunks of a few small files. A large regular file is split in two: a
+forked child parses the tail, and its groups are merged only where both
+halves parse column-wise. The split is checked at every line start against
+the same reference, and so are the child's lifecycle and the conditions
+under which no fork happens.
 """
 
 from __future__ import annotations
@@ -19,6 +23,10 @@ import codecs
 import contextlib
 import csv
 import itertools
+import os
+import signal
+import subprocess
+import threading
 from unittest import mock
 
 import numpy as np
@@ -235,6 +243,7 @@ def test_fast_path_matches_reference(csv_path, data):
 @example(b'group,score,label\nA,0.5,1\nA,0.2,0\nA,0.5,1\n"x,""y""",0.5,1\n"x,""y""",0.2,0\n', 2, False, 1)
 @example(b"group,score,label\n\r\r\nA,0,10\nA,0,1\nB,0,0\nB,0,1\nA,0,0\n", 1, False, 1)
 @example(b"group,score,label\r\nA,0.1,0\r\n\r\r\nA,0.9,1\r\nB,0.2,0\r\nB,0.8,1\r\nB,x,1\r\n", 2, True, 1)
+@example(b"group,score,label\nA,0,1\r\r\nA,0,0\nB,0,0\nB,0,7\n", 2, False, 1)  # csv names row 6
 def test_chunked_loader_matches_reference(csv_path, data, rows, samples, atom_chunk):
     """Blocks of about 1, 2 or 3 rows, codes folded and ``csv`` rows added every few rows, each probe: same outcome."""
     csv_path.write_bytes(data)
@@ -344,7 +353,8 @@ def _refuse(text, lineno, *rest):
 def test_fast_path_serves_clean_input(tmp_path, monkeypatch):
     """Clean files, CRLF and bare CR among them, never reach the ``csv`` hand-off; a silent one would lose the gain.
 
-    Nor does a blank line of bare ``\\r``s, in a block of repeated lines or in one parsed whole.
+    Nor does a blank line of bare ``\\r``s, or a row ended by a bare ``\\r`` before its ``\\r\\n``, in a block of
+    repeated lines or in one parsed whole.
     """
     a = synth(SynthSpec(300, "beta_grid", (2, 4, 20), seed=5, group_id="A"))
     b = synth(SynthSpec(200, "grid", (0.1, 0.9, 9), seed=6, group_id="B"))
@@ -371,16 +381,19 @@ def test_fast_path_serves_clean_input(tmp_path, monkeypatch):
         repeated,
     )
     # A blank line of bare \r's after the second row, which csv reads as two empty lines and numpy refuses,
-    # in a block of repeated lines and in one of distinct lines, parsed whole.
+    # and the second row ended by a bare \r before its \r\n, which csv reads as the row and an empty line,
+    # each in a block of repeated lines and in one of distinct lines, parsed whole.
     spread = tmp_path / "spread.csv"
     write_csv([synth(SynthSpec(3000, "beta_grid", (2, 4, 10**6), seed=10, group_id="F")), b], spread)
     assert dataset._repetitive(repeated.read_text()) and not dataset._repetitive(spread.read_text())
-    blank_cr = []
+    bare_cr = []
     for source in (repeated, spread):
         lines = source.read_bytes().split(b"\r\n")
-        blank_cr.append(tmp_path / f"blank-cr-{source.name}")
-        blank_cr[-1].write_bytes(b"\r\n".join([*lines[:3], b"\r", *lines[3:]]))
-    paths = (GOLDEN_MIXED, written, bom, cr, mc, repeated, *blank_cr)
+        bare_cr.append(tmp_path / f"blank-cr-{source.name}")
+        bare_cr[-1].write_bytes(b"\r\n".join([*lines[:3], b"\r", *lines[3:]]))
+        bare_cr.append(tmp_path / f"row-cr-{source.name}")
+        bare_cr[-1].write_bytes(b"\r\n".join([*lines[:2], lines[2] + b"\r", *lines[3:]]))
+    paths = (GOLDEN_MIXED, written, bom, cr, mc, repeated, *bare_cr)
     expected = {path: load_reference(path) for path in paths}
     monkeypatch.setattr(dataset, "_read_rows", _refuse)
     distinct = []
@@ -403,3 +416,182 @@ def test_fast_path_serves_clean_input(tmp_path, monkeypatch):
     load_csv(repeated), load_csv(repeated, samples=False)
     blocks = -(-repeated.stat().st_size // dataset._CHUNK)
     assert blocks > 1 and len(distinct) == 2 * blocks
+
+
+def _line_starts(data: bytes) -> list[int]:
+    """Each offset after a ``\\n``: where a split may start the tail."""
+    return [at + 1 for at, byte in enumerate(data) if byte == ord("\n")]
+
+
+@contextlib.contextmanager
+def _merges():
+    """The result of each merge of a child's groups while the block runs: True where they were taken."""
+    merges = []
+    merge = dataset._Groups.merge
+
+    def watched(groups, pipe):
+        merges.append(merge(groups, pipe))
+        return merges[-1]
+
+    with mock.patch.object(dataset._Groups, "merge", watched):
+        yield merges
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_bytes(), st.integers(0, 10**6), st.sampled_from([1, 2, 3]))
+@example(b"group,score,label\nA,0.5,1\nA,0.2,0\nB,0.5,1\nB,0.2,0\n", 2, 1)  # B first seen in the tail
+@example(b'group,score,label\nA,0.5,1\n"x\ny",0.5,1\n"x\ny",0.2,0\nA,0.2,0\n', 2, 1)  # a quoted field spans mid
+@example(b'group,score,label\n"A",0.5,1\nA,0.2,0\nB,0.5,1\nB,0.2,0\n', 2, 1)  # a csv hand-off in the head
+@example(b'group,score,label\nA,0.5,1\nA,0.2,0\nB,0.5,1\n"B",0.2,0\nB,0.7,1\n', 2, 1)  # an unclean tail block
+@example(b"group,score,label\nA,0.5,2\nA,0.2,0\nB,0.5,7\nB,0.2,0\n", 2, 1)  # row 2's error, not row 4's
+@example(b"group,score,label\rA,0.5,1\rA,0.2,0\rB,0.5,1\rB,0.2,0\r", 0, 1)  # no \n: no split
+@example(b"group,score,label\nA,0.5,1\nA,0.2,0\nB,0.5,1\nB,0.2,0\n", 0, 2)  # a header-only head
+@example(b"group,score,label\nA,0.5,1\nA,0.2,0\n" + codecs.BOM_UTF8 + b"B,0.5,1\nB,0.2,0\n", 2, 1)  # an id's BOM at mid
+def test_split_matches_reference(csv_path, data, at, rows):
+    """Split at any line start, blocks of 1-3 rows, each probe, with and without samples: the reference's outcome.
+
+    A forked child parses the tail; the head is parsed here, and the
+    child's groups are taken only where both halves parse column-wise.
+    """
+    csv_path.write_bytes(data)
+    starts = _line_starts(data)
+    mid = starts[at % len(starts)] if starts else None
+    for samples in (True, False):
+        reference = _reference(csv_path, samples)
+        for probe in PROBES:
+            with mock.patch.object(dataset, "_CHUNK", rows * _line_chars(data)), mock.patch.object(
+                dataset, "_repetitive", probe
+            ), mock.patch.object(dataset, "_SPLIT", 0), mock.patch.object(
+                dataset, "_line_start", lambda fh, at: mid
+            ), _merges() as merges:
+                assert _loaded(csv_path, samples) == reference
+            event("tail taken" if merges == [True] else "tail read here" if merges else "csv in the head or no split")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls of ``os.fork`` in this process."""
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+@pytest.fixture
+def large(tmp_path, monkeypatch):
+    """A file of two groups above the split threshold, with 1 KiB chunks."""
+    monkeypatch.setattr(dataset, "_CHUNK", 1 << 10)
+    path = tmp_path / "large.csv"
+    write_csv(
+        [
+            synth(SynthSpec(1500, "beta_grid", (2, 4, 20), seed=1, group_id="A")),
+            synth(SynthSpec(1000, "grid", (0.1, 0.9, 9), seed=2, group_id="B")),
+        ],
+        path,
+    )
+    assert path.stat().st_size > 2 * dataset._SPLIT * dataset._CHUNK
+    return path
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_reaps_its_child(large, forks):
+    """A load that splits leaves no child behind, whether it returns or raises."""
+    for samples in (True, False):
+        assert _loaded(large, samples) == _reference(large, samples)
+        _no_child_left()
+    data = large.read_bytes()
+    head_bad = data.replace(b"\r\nA,", b"\r\nA,2,", 1)
+    tail_bad = data[: len(data) * 3 // 4] + data[len(data) * 3 // 4 :].replace(b",1\r\n", b",7\r\n", 1)
+    for bad in (head_bad, tail_bad):
+        large.write_bytes(bad)
+        for samples in (True, False):
+            outcome = _loaded(large, samples)
+            assert outcome[0] is CsvFormatError and outcome == _reference(large, samples)
+            _no_child_left()
+    assert len(forks) == 6
+
+
+def test_split_where_sigchld_is_ignored(large, forks):
+    """Where SIGCHLD is ignored the kernel reaps the child itself, and the load still returns the groups."""
+    ignored = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        for samples in (True, False):
+            assert _loaded(large, samples) == _reference(large, samples)
+    finally:
+        signal.signal(signal.SIGCHLD, ignored)
+    assert len(forks) == 2
+
+
+def test_child_killed_before_it_writes(large, forks, monkeypatch):
+    """A child killed before it sends anything leaves the tail to this process."""
+    monkeypatch.setattr(dataset._Groups, "send", lambda groups, fd: os.kill(os.getpid(), signal.SIGKILL))
+    for samples in (True, False):
+        with _handoffs() as seen:
+            assert _loaded(large, samples) == _reference(large, samples)
+        assert seen == []
+    assert len(forks) == 2
+    _no_child_left()
+
+
+@pytest.mark.parametrize("keep", [1, 0.5], ids=["last-byte", "half"])
+def test_torn_message_is_undone(large, forks, monkeypatch, keep):
+    """A child that dies while it writes: what was merged of its groups is undone, and the tail read here."""
+    send = dataset._Groups.send
+
+    def torn(groups, fd):
+        read, write = os.pipe()
+        send(groups, write)  # a small file's message fits in the pipe's buffer
+        message = os.read(read, 1 << 20)
+        os.write(fd, message[: int(len(message) * keep) - (keep == 1)])
+
+    monkeypatch.setattr(dataset._Groups, "send", torn)
+    for samples in (True, False):
+        with _merges() as merges:
+            assert _loaded(large, samples) == _reference(large, samples)
+        assert merges == [False]
+    _no_child_left()
+
+
+def test_no_split_where_a_fork_is_unsafe_or_useless(large, forks, tmp_path, monkeypatch):
+    """No fork while a second thread runs, for a FIFO, below the threshold, or without a ``\\n`` past the middle.
+
+    Where a fork fails, one process reads the file.
+    """
+    assert _loaded(large, True) == _reference(large, True) and len(forks) == 1
+    forks.clear()
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert _loaded(large, True) == _reference(large, True)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = subprocess.Popen(["cp", str(large), str(fifo)])
+    try:
+        assert _loaded(fifo, True) == _reference(large, True)
+    finally:
+        assert writer.wait(timeout=10) == 0
+    small = tmp_path / "small.csv"
+    small.write_bytes(large.read_bytes()[: dataset._SPLIT * dataset._CHUNK - 1].rpartition(b"\r\n")[0])
+    cr = tmp_path / "cr.csv"
+    cr.write_bytes(large.read_bytes().replace(b"\r\n", b"\r"))
+    for path in (small, cr):
+        assert _loaded(path, True) == _reference(path, True)
+    assert forks == []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or _raise(BlockingIOError(11, "no process to be had")))
+    assert _loaded(large, True) == _reference(large, True) and forks == [1]
+    _no_child_left()
+
+
+def _raise(exc):
+    raise exc
