@@ -81,16 +81,21 @@ class SynthSpec:
             _whole(p[2], "beta_grid bins")
 
 
-def _draw_scores(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
-    """The group's scores, drawn ``_WRITE_CHUNK`` at a time into one array.
+def _draw_chunks(spec: SynthSpec, rng: np.random.Generator) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The group's scores in chunks of ``_WRITE_CHUNK`` rows, each as ``_bit_codes`` gives it.
 
-    Each draw takes its values from the stream in order, so the pieces
-    hold the values one whole-array draw gives, and the draw temporaries
-    are one chunk's.
+    A chunk is its distinct score bit patterns as a float table and each
+    row's code into it, so it holds a byte a row while it has at most 256
+    distinct scores. Each draw takes its values from the stream in order,
+    so the chunks hold the values one whole-array draw gives, and the draw
+    temporaries are one chunk's.
     """
     if spec.family == "point_mass":
-        return np.full(spec.n, float(spec.params[0]))
-    if spec.family == "grid":
+
+        def draw(m: int) -> np.ndarray:
+            return np.full(m, float(spec.params[0]))
+
+    elif spec.family == "grid":
         lo, hi, k = spec.params
         k = int(k)
 
@@ -104,11 +109,8 @@ def _draw_scores(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
         def draw(m: int) -> np.ndarray:
             return (np.minimum((rng.beta(a, b, size=m) * bins).astype(int), bins - 1) + 0.5) / bins
 
-    scores = np.empty(spec.n)
     for start in range(0, spec.n, writer._WRITE_CHUNK):
-        out = scores[start : start + writer._WRITE_CHUNK]
-        out[:] = draw(len(out))
-    return scores
+        yield _bit_codes(draw(min(writer._WRITE_CHUNK, spec.n - start)))
 
 
 def _linspace_at(lo: float, hi: float, k: int, index: np.ndarray) -> np.ndarray:
@@ -136,52 +138,69 @@ def _label_probs(scores: np.ndarray, shift: float) -> np.ndarray:
     return np.clip(probs, 0.0, 1.0, out=probs)
 
 
+# A spec is degenerate when numpy's mean of its rows' label probabilities p is
+# 0 or 1. The check first sums p over each chunk, as counts times table
+# entries. That sum, and numpy's pairwise sum, add non-negative terms, so for
+# n <= 10**8 rows each errs by less than 2n * 2**-53 relative, at most 2.2e-8,
+# far below the margins here. So 1e-300·n < Σp means that numpy's mean lies
+# above 0 (its quotient does not underflow), and Σp < (1 - 1e-6)·n that it
+# lies below 1. Only a group whose sum lies within one of these margins of 0
+# or of n builds its probabilities, 8 bytes a row, for numpy's mean itself.
+_MIN_MEAN_PROB = 1e-300
+_MAX_MEAN_PROB = 1 - 1e-6
+
+
+def _degenerate(chunks: list[tuple[np.ndarray, np.ndarray]], shift: float) -> bool:
+    """Whether numpy's mean of the labels' probabilities over every row is 0 or 1."""
+    n = sum(len(codes) for _, codes in chunks)
+    total = sum(float(np.bincount(codes, minlength=len(t)) @ _label_probs(t, shift)) for t, codes in chunks)
+    if _MIN_MEAN_PROB * n < total < _MAX_MEAN_PROB * n:
+        return False
+    mean = float(np.concatenate([_label_probs(t, shift)[codes] for t, codes in chunks]).mean())
+    return mean <= 0.0 or mean >= 1.0
+
+
 @dataclass(frozen=True, eq=False)
 class SynthGroup:
     """A synthetic group, drawn from its spec and checked, ready for ``write_rows``.
 
-    Draws the scores ``_WRITE_CHUNK`` at a time into one array, the 8
-    bytes a row it holds. Raises ValueError if the mean label probability
-    is 0 or 1 (a degenerate spec) or if the labels hold a single class,
-    worded as ``GroupData`` words it. The mean is numpy's pairwise sum
-    over the whole probability array, so the check does not depend on
-    the chunk size; with a shift that array costs 8 bytes a row more
-    while the check runs. The labels are counted for ``base_rate`` and
-    dropped: the generator state after the score draws is kept, and
-    ``chunks`` draws the same labels again, a chunk at a time.
+    Holds its scores as ``_draw_chunks`` gives them: per chunk of
+    ``_WRITE_CHUNK`` rows a table of distinct scores and a code a row, one
+    byte a row where a chunk has at most 256 distinct scores. Raises
+    ValueError if the mean label probability is 0 or 1 (a degenerate spec)
+    or if the labels hold a single class, worded as ``GroupData`` words it.
+    The mean is numpy's pairwise mean over the whole probability array, so
+    the check does not depend on the chunk size; ``_degenerate`` builds
+    that array only for a group whose chunk sums lie near 0 or its size. The
+    labels are counted for ``base_rate`` and dropped: the generator state
+    after the score draws is kept, and ``chunks`` draws the same labels
+    again, a chunk at a time.
     """
 
     spec: SynthSpec
-    scores: np.ndarray = field(init=False)
     base_rate: float = field(init=False)
+    _scores: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)  # (table, codes) per chunk
     _label_rng: np.random.Generator = field(init=False, repr=False)  # where the label draws start
 
     def __post_init__(self) -> None:
         spec = self.spec
         rng = np.random.default_rng(spec.seed)
-        scores = _draw_scores(spec, rng)
-        mean_prob = float(_label_probs(scores, spec.miscalibration_shift).mean())
-        if mean_prob <= 0.0 or mean_prob >= 1.0:
+        scores = list(_draw_chunks(spec, rng))
+        if _degenerate(scores, spec.miscalibration_shift):
             raise ValueError(
                 "degenerate synthetic spec: labels would be single-class in expectation"
             )
-        scores.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "_scores", scores)
         object.__setattr__(self, "_label_rng", rng)
-        positives = sum(int(np.count_nonzero(labels)) for _, labels in self._draws())
+        positives = sum(int(np.count_nonzero(labels)) for _, _, labels, _ in self.chunks())
         object.__setattr__(self, "base_rate", _base_rate(spec.group_id, positives, spec.n))
 
-    def _draws(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """``(scores, labels)`` in pieces of ``_WRITE_CHUNK`` rows, the labels drawn again from the kept state."""
-        rng = copy.deepcopy(self._label_rng)
-        for lo in range(0, self.spec.n, writer._WRITE_CHUNK):
-            scores = self.scores[lo : lo + writer._WRITE_CHUNK]
-            yield scores, rng.random(len(scores)) < _label_probs(scores, self.spec.miscalibration_shift)
-
     def chunks(self) -> Iterator[writer.Chunk]:
-        """``write_rows`` chunks of ``_WRITE_CHUNK`` rows, each coded against its own distinct score bits."""
-        for scores, labels in self._draws():
-            yield *_bit_codes(scores), labels, None
+        """``write_rows`` chunks of ``_WRITE_CHUNK`` rows, the labels drawn again from the kept state."""
+        rng = copy.deepcopy(self._label_rng)
+        shift = self.spec.miscalibration_shift
+        for table, codes in self._scores:
+            yield table, codes, rng.random(len(codes)) < _label_probs(table, shift)[codes], None
 
 
 def synth(spec: SynthSpec) -> GroupData:
@@ -190,12 +209,14 @@ def synth(spec: SynthSpec) -> GroupData:
     With shift 0 the labels are Bernoulli draws at the score itself, so the
     population calibration gap is zero; otherwise it equals |shift|
     wherever no clamping occurs. Deterministic for a fixed spec (numpy
-    PCG64 under the given seed). The draws are those of ``SynthGroup``,
-    which ``calparity synth`` writes without building a GroupData.
+    PCG64 under the given seed). The rows are the chunks of
+    ``SynthGroup``, which ``calparity synth`` writes without building a
+    GroupData.
     """
-    drawn = SynthGroup(spec)
-    labels = np.concatenate([labels for _, labels in drawn._draws()])
-    return GroupData(spec.group_id, drawn.scores, labels)
+    chunks = list(SynthGroup(spec).chunks())
+    scores = np.concatenate([table[codes] for table, codes, _, _ in chunks])
+    labels = np.concatenate([labels for _, _, labels, _ in chunks])
+    return GroupData(spec.group_id, scores, labels)
 
 
 def _spec_field(entry: dict, i: int, key: str, convert, default=None):

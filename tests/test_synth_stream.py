@@ -1,10 +1,11 @@
 """Differential tests: the streamed ``calparity synth`` against whole-array draws.
 
 ``SynthGroup`` draws each group's scores ``_WRITE_CHUNK`` at a time, keeps
-them, and draws the labels again chunk by chunk as ``write_rows`` writes
-them. ``oracles.synth_whole`` makes every draw in one call and builds a
-GroupData; written by ``oracles.write_csv_rows``, its groups must give the
-CLI's CSV byte for byte, and its checks the CLI's exit code and message.
+each chunk as a table and a code a row, and draws the labels again chunk
+by chunk as ``write_rows`` writes them. ``oracles.synth_whole`` makes
+every draw in one call and builds a GroupData; written by
+``oracles.write_csv_rows``, its groups must give the CLI's CSV byte for
+byte, and its checks the CLI's exit code and message.
 """
 
 from __future__ import annotations
@@ -136,13 +137,45 @@ def test_failing_second_group_writes_nothing(tmp_path, second, message, existing
         assert path.read_bytes() == existing
 
 
-def test_synth_memory(tmp_path):
-    """``synth`` holds each group's scores, 8 bytes a row, and one chunk's draws and text.
+DEGENERATE = "degenerate synthetic spec: labels would be single-class in expectation"
+SINGLE_CLASS = "group 'B' contains a single class (base rate 1.0)"
 
-    The first group is shifted, so its check holds a probability array
-    beside the scores; the second is not. The chunk size is fixed here so
-    that the bound tests the structure: drawing whole arrays, or keeping
-    int64 labels or a GroupData copy beside the scores, goes well above it.
+
+@pytest.mark.parametrize("chunk", [CHUNK, 7])
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        (SynthSpec(1000, "grid", (0.0, 5e-324, 2), seed=1, group_id="B"), DEGENERATE),
+        (SynthSpec(1000, "grid", (1 - 2**-53, 1.0, 2), seed=1, group_id="B"), DEGENERATE),
+        (SynthSpec(16, "grid", (1 - 2**-52, 1.0, 2), seed=1, group_id="B"), SINGLE_CLASS),
+        (SynthSpec(1000, "grid", (1 - 2**-52, 1.0, 2), seed=1, group_id="B"), DEGENERATE),
+    ],
+    ids=["underflow", "1-2**-53", "1-2**-52-n16", "1-2**-52-n1000"],
+)
+def test_degenerate_decision_at_rounding_edges(tmp_path, second, message, chunk):
+    """The degenerate-spec check is decided by numpy's mean over the whole group, to the last bit.
+
+    Each group's probabilities sum to more than 0 and less than its size,
+    yet numpy's mean rounds to 0 or 1 in all but the third, whose mean
+    lies below 1 while every label is 1. Their chunk sums lie within the
+    margins of 0 or of the size, so numpy's mean decides; a decision from
+    the sums alone gets some of them wrong.
+    """
+    with pytest.raises(ValueError, match=re.escape(message)):
+        synth_whole(second)
+    with mock.patch.object(writer, "_WRITE_CHUNK", chunk):
+        _assert_matches_oracle(tmp_path, [SynthSpec(100, "grid", (0.1, 0.9, 9), seed=1, group_id="A"), second])
+
+
+def test_synth_memory(tmp_path):
+    """``synth`` holds a byte a row of score codes per group, and one chunk's draws and text.
+
+    Each chunk here has at most 20 distinct scores, so its codes are uint8.
+    The first group is shifted, and its degenerate-spec check sums each
+    chunk's probabilities from the chunk's table, building no array a row.
+    The chunk size is fixed here so that the bound tests the structure:
+    drawing whole arrays, keeping scores as floats, a probability array a
+    row, or int64 labels or a GroupData copy beside the codes, goes well above it.
     """
     rows = 200_000
     spec = json.dumps(
@@ -163,7 +196,7 @@ def test_synth_memory(tmp_path):
         finally:
             tracemalloc.stop()
     assert code == 0
-    assert peak < 12 * rows, peak / rows
+    assert peak < 4 * rows, peak / rows
 
 
 @pytest.mark.parametrize(
@@ -198,12 +231,13 @@ def test_linspace_at_matches_the_table(bounds, k):
 def test_grid_draw_memory():
     """A ``grid`` draw's memory follows the rows drawn, not ``k``; a table of 10**7 values is 80 MB."""
     spec = SynthSpec(100, "grid", (0.1, 0.9, 10**7), seed=3)
-    synthetic._draw_scores(spec, np.random.default_rng(spec.seed))  # untraced, so lazy imports are not counted
+    list(synthetic._draw_chunks(spec, np.random.default_rng(spec.seed)))  # untraced, so lazy imports are not counted
     tracemalloc.start()
     try:
-        scores = synthetic._draw_scores(spec, np.random.default_rng(spec.seed))
+        chunks = list(synthetic._draw_chunks(spec, np.random.default_rng(spec.seed)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    scores = np.concatenate([table[codes] for table, codes in chunks])
     assert scores.tobytes() == synth_whole(spec).scores.tobytes()
     assert peak < 64 << 10, peak
