@@ -25,7 +25,7 @@ import numpy as np
 # Every command but synth reads a CSV and reports its metrics. The other
 # modules, the row writer and synth among them, are imported by the commands that run them.
 from .dataset import GroupData, _bit_codes, load_csv
-from .metrics import analytic_rates, calibration_gap, linearity_residual, rate_point
+from .metrics import DIAGNOSE_TOL, analytic_rates, calibration_gap, linearity_residual, rate_point
 
 if TYPE_CHECKING:
     from .cost import CostSpec
@@ -471,7 +471,7 @@ def build_parser() -> _Parser:
     p = add("diagnose", cmd_diagnose, "multi-constraint impossibility diagnostics", "--input", "--group1")
     p.add_argument("--cost", required=True, help="a1,b1,a2,b2 first cost constraint")
     p.add_argument("--cost2", required=True, help="a1,b1,a2,b2 second cost constraint")
-    p.add_argument("--tol", type=_finite_float, default=1e-9)
+    p.add_argument("--tol", type=_finite_float, default=DIAGNOSE_TOL)
     p.add_argument("--delta-cal", type=_finite_float, required=True)
     p.add_argument("--delta-cost", type=_finite_float, required=True)
     p.add_argument("--matrix-max", type=_finite_float, required=True, help="asserted max entry magnitude M")

@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .metrics import RatePoint
-
-_EPS = 1e-12
+from .metrics import SAME_ENDPOINT_TOL, RatePoint, _snap
 
 
 @dataclass(frozen=True)
@@ -85,25 +83,15 @@ def weighted_cost_spec(r_fp: float, r_fn: float, mu: float) -> CostSpec:
     return CostSpec(r_fp * (1.0 - mu), r_fn * mu)
 
 
-def _snap(v: float) -> float:
-    """Pull float noise just outside [0, 1] onto the boundary.
-
-    Values inside stay put: moving them would take the endpoint off its
-    level set by up to the cost weight times _EPS.
-    """
-    if -_EPS < v < 0.0:
-        return 0.0
-    if 1.0 < v < 1.0 + _EPS:
-        return 1.0
-    return v
-
-
 def level_curve(spec: CostSpec, c: float) -> tuple[tuple[float, float], ...]:
     """Intersection of {a*fp + b*fn = c} with the unit square.
 
     Returns zero, one, or two endpoints: an empty tuple when the level set
     misses the square, a single point when it only touches a corner, and
-    the segment endpoints otherwise.
+    the segment endpoints otherwise. A coordinate within ``COORD_SLACK``
+    outside [0, 1] is snapped onto it, as a ``RatePoint``'s is. Values
+    inside stay put, so beyond rounding only a snapped endpoint lies off
+    the level set, by at most the cost weight times ``COORD_SLACK``.
     """
     if c < 0.0:
         raise ValueError("cost level must be non-negative")
@@ -124,10 +112,10 @@ def level_curve(spec: CostSpec, c: float) -> tuple[tuple[float, float], ...]:
     for x, y in candidates:
         x, y = _snap(x), _snap(y)
         if 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0:
-            if all(abs(x - px) > _EPS or abs(y - py) > _EPS for px, py in points):
+            if all(abs(x - px) > SAME_ENDPOINT_TOL or abs(y - py) > SAME_ENDPOINT_TOL for px, py in points):
                 points.append((x, y))
-    points.sort()
-    return tuple(points[:2])
+    points.sort()  # a snapped corner beside its edge's own endpoint makes three points: the outermost two span the rest
+    return (points[0], points[-1]) if len(points) > 1 else tuple(points)
 
 
 def calibrated_line(mu: float) -> Segment:

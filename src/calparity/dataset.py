@@ -42,8 +42,14 @@ class CsvFormatError(ValueError):
 
 
 def pool_atoms(values: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Merge equal non-negative values: the distinct ones, ascending (``-0.0`` as ``0.0``), and each weight summed."""
-    merged, codes = _bit_codes(values + 0.0)
+    """Merge equal non-negative values: the distinct ones, ascending (``-0.0`` as ``0.0``), and each weight summed.
+
+    Values already distinct and ascending come back as they are, with their weights.
+    """
+    values = values + 0.0
+    if np.all(values[1:] > values[:-1]):
+        return (values, *weights)
+    merged, codes = _bit_codes(values)
     return (merged, *(np.bincount(codes, weights=w, minlength=merged.size) for w in weights))
 
 
@@ -178,10 +184,10 @@ def _pair_counts(size: int, codes: np.ndarray, labels: np.ndarray, weights=None)
 def _count(table: np.ndarray, codes: np.ndarray, labels: np.ndarray, weights=None) -> tuple[np.ndarray, ...]:
     """The atom table of coded rows, each standing for its weight if given: ``_pair_counts`` pooled by value."""
     counts = _pair_counts(len(table), codes, labels, weights).reshape(-1, 2).T.astype(float, order="C")
-    values, seen = table + 0.0, counts.any(axis=0)
-    if seen.all() and np.all(values[1:] > values[:-1]):
-        return values, *counts
-    return pool_atoms(values[seen], *counts[:, seen])  # a zero of each sign, an unused or a repeated entry
+    seen = counts.any(axis=0)
+    if not seen.all():  # an unused entry holds no atom
+        table, counts = table[seen], counts[:, seen]
+    return pool_atoms(table, *counts)  # pools a zero of each sign and a repeated entry
 
 
 def _binary(a: np.ndarray) -> bool:

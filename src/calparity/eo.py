@@ -8,8 +8,9 @@ rates across two groups while minimizing the summed thresholded 0/1 loss
 is a small linear program. It is solved exactly by enumerating the
 vertices of the feasible polytope (box facets intersected with the two
 equality constraints), which is trivially auditable against a grid search.
-Vertices whose objectives agree within ``RATE_MATCH_TOL`` tie, and the
-tie goes to the lexicographically smallest flip vector.
+Vertices whose objectives agree within ``OBJECTIVE_TIE_TOL`` tie, and the
+tie goes to the lexicographically smallest flip vector. Each tolerance is
+named, with what it decides, in ``metrics``.
 """
 
 from __future__ import annotations
@@ -21,11 +22,8 @@ from typing import Mapping
 import numpy as np
 
 from .dataset import GroupData
-from .metrics import RatePoint, _exact_mean, _pooled_gap
-
-RATE_MATCH_TOL = 1e-9
-
-_PIVOT_TOL = 1e-12
+from .metrics import OBJECTIVE_TIE_TOL, RATE_MATCH_TOL, TIE_KEY_DECIMALS, VERTEX_TOL
+from .metrics import RatePoint, _exact_mean, _pooled_gap, _rank
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -55,11 +53,9 @@ class EOSolution:
 
     def __post_init__(self) -> None:
         if self.status == STATUS_OPTIMAL:
-            points = list(self.rates.values())
-            if abs(points[0].c_fp - points[1].c_fp) > RATE_MATCH_TOL:
-                raise ValueError("optimal solution does not match FP rates")
-            if abs(points[0].c_fn - points[1].c_fn) > RATE_MATCH_TOL:
-                raise ValueError("optimal solution does not match FN rates")
+            p, q = self.rates.values()
+            if max(abs(p.c_fp - q.c_fp), abs(p.c_fn - q.c_fn)) > RATE_MATCH_TOL:
+                raise ValueError("optimal solution does not match FP and FN rates")
 
 
 def flipped_scores(scores: np.ndarray, q_n2p: float, q_p2n: float) -> np.ndarray:
@@ -135,7 +131,7 @@ def _affine(g: GroupData) -> tuple[np.ndarray, np.ndarray]:
     return constant, coef
 
 
-def _enumerate_vertices(A: np.ndarray, b: np.ndarray, feas_tol: float = RATE_MATCH_TOL) -> list[np.ndarray]:
+def _enumerate_vertices(A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
     """Vertices of {q in [0,1]^n : A q = b}.
 
     A feasible q is a vertex exactly when the columns of A at its
@@ -143,26 +139,26 @@ def _enumerate_vertices(A: np.ndarray, b: np.ndarray, feas_tol: float = RATE_MAT
     rank(A), each vertex is found from r independent columns, solved by
     least squares, with every other coordinate at 0 or 1; an inconsistent
     system leaves a residual and is rejected. A coordinate within
-    ``feas_tol`` of 0 or 1 is snapped onto that bound, so no ``-0.0`` or
+    ``VERTEX_TOL`` of 0 or 1 is snapped onto that bound, so no ``-0.0`` or
     rounding noise is returned.
     """
     n = A.shape[1]
-    r = int(np.linalg.matrix_rank(A, tol=_PIVOT_TOL))
+    r = _rank(A)
     vertices: list[np.ndarray] = []
     for free in map(list, combinations(range(n), r)):
         fixed = [j for j in range(n) if j not in free]
         # r = 0 gets no linalg call on a zero-column matrix, which numpy versions treat differently.
-        if r > 0 and np.linalg.matrix_rank(A[:, free], tol=_PIVOT_TOL) < r:
+        if r > 0 and _rank(A[:, free]) < r:
             continue
         for values in product((0.0, 1.0), repeat=n - r):
             q = np.empty(n)
             q[fixed] = values
             if r > 0:
                 q[free] = np.linalg.lstsq(A[:, free], b - A[:, fixed] @ np.array(values), rcond=None)[0]
-            if np.all(q >= -feas_tol) and np.all(q <= 1.0 + feas_tol):
-                q[q <= feas_tol] = 0.0  # this snap also clips onto the box
-                q[q >= 1.0 - feas_tol] = 1.0
-                if np.max(np.abs(A @ q - b)) <= feas_tol:
+            if np.all(q >= -VERTEX_TOL) and np.all(q <= 1.0 + VERTEX_TOL):
+                q[q <= VERTEX_TOL] = 0.0  # this snap also clips onto the box
+                q[q >= 1.0 - VERTEX_TOL] = 1.0
+                if np.max(np.abs(A @ q - b)) <= VERTEX_TOL:
                     vertices.append(q)
     return vertices
 
@@ -172,11 +168,11 @@ def solve_eo(g1: GroupData, g2: GroupData) -> EOSolution:
 
     Constraints equalize the generalized FP and FN rates across the two
     groups; the objective is the sum of the groups' thresholded losses.
-    Every vertex whose objective is within ``RATE_MATCH_TOL`` of the
+    Every vertex whose objective is within ``OBJECTIVE_TIE_TOL`` of the
     least ties with it, and the tie goes to the lexicographically smallest
     flip vector (q_n2p, q_p2n of the first group, then of the second),
-    compared after rounding to 9 decimals, so float noise in the objective
-    never decides the plan.
+    compared after rounding to ``TIE_KEY_DECIMALS`` decimals, so float
+    noise in the objective never decides the plan.
     """
     if g1.group_id == g2.group_id:
         raise ValueError("the two groups must have distinct ids")
@@ -193,8 +189,8 @@ def solve_eo(g1: GroupData, g2: GroupData) -> EOSolution:
         return EOSolution(STATUS_INFEASIBLE, None, None, None)
     objectives = [float(c @ q) for q in vertices]
     least = min(objectives)
-    tied = [q for q, o in zip(vertices, objectives) if o <= least + RATE_MATCH_TOL]
-    best = min(tied, key=lambda q: tuple(np.round(q, 9)))
+    tied = [q for q, o in zip(vertices, objectives) if o <= least + OBJECTIVE_TIE_TOL]
+    best = min(tied, key=lambda q: tuple(np.round(q, TIE_KEY_DECIMALS)))
     objective = c0 + float(c @ best)
     plan = {g.group_id: GroupFlip(float(best[2 * i]), float(best[2 * i + 1])) for i, g in enumerate((g1, g2))}
     rates = {g.group_id: derived_rates(g, f.q_n2p, f.q_p2n) for g, f in zip((g1, g2), plan.values())}

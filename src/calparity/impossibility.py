@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostPair, _require_base_rate
-
-_PIVOT_TOL = 1e-12
+from .metrics import _rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +68,7 @@ def build_matrix(mu1: float, mu2: float, pair: CostPair, pair_prime: CostPair) -
     """Assemble the constraint matrix and decide constraint distinctness.
 
     The two cost constraints are distinct when their coefficient rows are
-    linearly independent, judged at pivot tolerance 1e-12.
+    linearly independent, as ``metrics._rank`` judges at ``PIVOT_TOL``.
     """
     for mu in (mu1, mu2):
         _require_base_rate(mu)
@@ -81,9 +80,7 @@ def build_matrix(mu1: float, mu2: float, pair: CostPair, pair_prime: CostPair) -
             [pair_prime.spec_1.a, pair_prime.spec_1.b, -pair_prime.spec_2.a, -pair_prime.spec_2.b],
         ]
     )
-    cost_block = rows[2:]
-    distinct = bool(np.linalg.matrix_rank(cost_block, tol=_PIVOT_TOL) == 2)
-    return ConstraintMatrix(rows, mu1, mu2, distinct)
+    return ConstraintMatrix(rows, mu1, mu2, _rank(rows[2:]) == 2)
 
 
 def exact_impossibility_check(matrix: ConstraintMatrix, p1, p2, tol: float) -> ExactCheck:

@@ -17,7 +17,79 @@ from .dataset import GroupData, pool_atoms
 
 BINNING_MODES = ("exact-unique", "fixed-width")
 
-_COORD_SLACK = 1e-9
+# Tolerances. The paper's results are exact equalities: equal group costs,
+# calibrated lines, a 4x4 constraint system whose only solution is the perfect
+# pair, and the flip LP's equal rates. In floats each equality is judged within
+# one of the values below, and no other module writes a tolerance (a test in
+# tests/test_tolerances.py parses every module to hold that). Each value makes
+# one decision; its docstring says what float noise it absorbs and which test
+# pins it.
+
+COORD_SLACK = 1e-9
+"""Rate-coordinate slack: a rate, or a level-curve coordinate, this close outside [0, 1] is float noise.
+
+``RatePoint`` and ``_snap`` move such a value onto [0, 1], and a
+``RatePoint`` farther out is rejected. It absorbs rounding in arithmetic
+on rates, such as a mixture's rates or a cost over a weight (~1e-16 in
+practice). Pinned by ``test_metrics.py::TestRatePoint::test_slack_edges``
+and ``test_cost.py::TestLevelCurve::test_slack_band``.
+"""
+
+SAME_ENDPOINT_TOL = 1e-12
+"""Same endpoint: two level-curve candidates this close in both coordinates are one point.
+
+A level set through a corner of the unit square yields that corner from
+two edges, and their coordinates may differ by rounding. Pinned by
+``test_cost.py::TestLevelCurve::test_corner_is_one_point``.
+"""
+
+PIVOT_TOL = 1e-12
+"""Matrix pivot: ``_rank`` counts a singular value at or below it as zero.
+
+It decides the flip LP's constraint rank and which column sets are bases,
+and whether ``diagnose``'s two cost rows are distinct. It absorbs rounding
+in coefficients built from decimals (``3 * 0.1 != 0.3``). Pinned by
+``test_cli.py::TestDiagnose::test_proportional_cost_rows_are_not_distinct``
+and ``test_eo.py::test_matches_row_reduction_enumeration``.
+"""
+
+RATE_MATCH_TOL = 1e-9
+"""Matched rate: an optimal ``EOSolution``'s two groups may differ by at most this in FP and in FN rate.
+
+It absorbs the least-squares error of the flip LP's vertex solve. Pinned by
+``test_eo.py::TestSolveEO::test_solution_rates_match_within_tolerance``.
+"""
+
+VERTEX_TOL = 1e-9
+"""Feasible vertex: a basic solution within it of the box [0, 1]^4, with residual within it, is a vertex.
+
+Its coordinates within it of 0 or 1 are set onto the bound, so no ``-0.0``
+or rounding noise reaches a plan. It absorbs the least-squares error of
+the basic solve. Pinned by ``test_eo.py::test_matches_row_reduction_enumeration``
+and ``test_eo.py::TestSolveEO::test_rates_match_across_groups``.
+"""
+
+OBJECTIVE_TIE_TOL = 1e-9
+"""Tied objective: flip-LP vertices whose summed loss is within it of the least tie.
+
+It absorbs rounding in the objective ``c @ q``, so noise never decides a
+plan. Pinned by ``test_eo.py::test_matches_row_reduction_enumeration``.
+"""
+
+TIE_KEY_DECIMALS = 9
+"""Tie key: tied flip vectors are compared after rounding to this many decimals, least first.
+
+Rounding at the vertex tolerance's scale keeps noise in a solved
+coordinate from ordering the vertices. Pinned by
+``test_cli.py::TestPostprocessEO::test_ties_go_to_the_fewest_flips``.
+"""
+
+DIAGNOSE_TOL = 1e-9
+"""Default of ``diagnose --tol``: each constraint residual within it counts as satisfied.
+
+It absorbs rounding in rates and in the matrix rows. Pinned by
+``test_cli.py::TestDiagnose::test_default_tol_absorbs_noise``.
+"""
 
 
 @dataclass(frozen=True)
@@ -29,7 +101,7 @@ class RatePoint:
 
     def __post_init__(self) -> None:
         for name, v in (("c_fp", self.c_fp), ("c_fn", self.c_fn)):
-            if not -_COORD_SLACK <= v <= 1.0 + _COORD_SLACK:
+            if not -COORD_SLACK <= v <= 1.0 + COORD_SLACK:
                 raise ValueError(f"{name}={v} outside [0, 1]")
         object.__setattr__(self, "c_fp", _snap(float(self.c_fp)))
         object.__setattr__(self, "c_fn", _snap(float(self.c_fn)))
@@ -43,8 +115,13 @@ class MomentRates(NamedTuple):
 
 
 def _snap(v: float) -> float:
-    """Move float noise within _COORD_SLACK of [0, 1] onto it; leave other values as they are."""
-    return min(max(v, 0.0), 1.0) if -_COORD_SLACK <= v <= 1.0 + _COORD_SLACK else v
+    """Move float noise within COORD_SLACK of [0, 1] onto it; leave other values as they are."""
+    return min(max(v, 0.0), 1.0) if -COORD_SLACK <= v <= 1.0 + COORD_SLACK else v
+
+
+def _rank(a: np.ndarray) -> int:
+    """The rank of ``a``, counting singular values at or below PIVOT_TOL as zero."""
+    return int(np.linalg.matrix_rank(a, tol=PIVOT_TOL))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,11 +213,12 @@ def calibration_gap(g: GroupData, binning: str = "exact-unique", bins: int = 10)
     """Empirical calibration gap under the requested binning.
 
     ``exact-unique`` treats each distinct score value as its own atom, which
-    makes the gap definition exact for discrete score distributions; the
-    atoms are distinct already, so they are summed as they are.
+    makes the gap definition exact for discrete score distributions.
     ``fixed-width`` pools scores into ``bins`` equal-width bins over [0, 1]
     (last bin right-closed) and compares each bin's mean score with its
-    positive fraction; only occupied bins are reported. Both work on the
+    positive fraction; only occupied bins are reported. Either gap is
+    ``_pooled_gap``'s, which pools two bins whose means round to one value.
+    Both work on the
     atom table: a bin holds whole atoms, so the cost grows with the number
     of distinct scores and not with ``bins``. ``bins`` may be at most
     2**53, beyond which float bin indices are no longer exact.
@@ -157,10 +235,6 @@ def calibration_gap(g: GroupData, binning: str = "exact-unique", bins: int = 10)
         )
         values = score_sums / counts
     weights = counts / len(g)
-    if binning == "fixed-width":  # two bins' means can round to one value
-        gap = _pooled_gap(values, weights, positives / len(g))
-    else:
-        gap = float(np.abs(positives / len(g) - values * weights).sum())
     per_bin = np.rec.fromarrays([values, positives / counts, weights], names="mean_score,positive_fraction,weight")
     per_bin.setflags(write=False)
-    return CalibrationReport(gap, per_bin)
+    return CalibrationReport(_pooled_gap(values, weights, positives / len(g)), per_bin)

@@ -5,7 +5,6 @@ Of the commands only ``synth`` imports it, so no other command compiles it.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -171,36 +170,36 @@ class SynthGroup:
     or if the labels hold a single class, worded as ``GroupData`` words it.
     The mean is numpy's pairwise mean over the whole probability array, so
     the check does not depend on the chunk size; ``_degenerate`` builds
-    that array only for a group whose chunk sums lie near 0 or its size. The
-    labels are counted for ``base_rate`` and dropped: the generator state
-    after the score draws is kept, and ``chunks`` draws the same labels
-    again, a chunk at a time.
+    that array only for a group whose chunk sums lie near 0 or its size.
+    Each chunk's labels are drawn once, after every score, and held as
+    ``np.packbits`` gives them, an eighth of a byte a row.
     """
 
     spec: SynthSpec
     base_rate: float = field(init=False)
-    _scores: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)  # (table, codes) per chunk
-    _label_rng: np.random.Generator = field(init=False, repr=False)  # where the label draws start
+    _chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(init=False, repr=False)  # table, codes, bits
 
     def __post_init__(self) -> None:
         spec = self.spec
         rng = np.random.default_rng(spec.seed)
         scores = list(_draw_chunks(spec, rng))
-        if _degenerate(scores, spec.miscalibration_shift):
+        shift = spec.miscalibration_shift
+        if _degenerate(scores, shift):
             raise ValueError(
                 "degenerate synthetic spec: labels would be single-class in expectation"
             )
-        object.__setattr__(self, "_scores", scores)
-        object.__setattr__(self, "_label_rng", rng)
-        positives = sum(int(np.count_nonzero(labels)) for _, _, labels, _ in self.chunks())
+        chunks, positives = [], 0
+        for table, codes in scores:
+            labels = rng.random(len(codes)) < _label_probs(table, shift)[codes]
+            positives += int(np.count_nonzero(labels))
+            chunks.append((table, codes, np.packbits(labels)))
         object.__setattr__(self, "base_rate", _base_rate(spec.group_id, positives, spec.n))
+        object.__setattr__(self, "_chunks", chunks)
 
     def chunks(self) -> Iterator[writer.Chunk]:
-        """``write_rows`` chunks of ``_WRITE_CHUNK`` rows, the labels drawn again from the kept state."""
-        rng = copy.deepcopy(self._label_rng)
-        shift = self.spec.miscalibration_shift
-        for table, codes in self._scores:
-            yield table, codes, rng.random(len(codes)) < _label_probs(table, shift)[codes], None
+        """``write_rows`` chunks of ``_WRITE_CHUNK`` rows, the held labels unpacked."""
+        for table, codes, bits in self._chunks:
+            yield table, codes, np.unpackbits(bits, count=len(codes)).view(bool), None
 
 
 def synth(spec: SynthSpec) -> GroupData:

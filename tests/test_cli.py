@@ -383,6 +383,15 @@ class TestPostprocessEO:
         assert (code, out, err) == (2, '{\n  "status": "infeasible"\n}\n', "")
         assert not out_csv.exists()
 
+    def test_near_zero_scores_plan_no_flips(self, tmp_path, capsys):
+        """B's positive scores 3.09e-121, a hair above A's 0.0: the solved plan stays at zero flips."""
+        groups = [make_group([0.0, 0.0], [0, 1], gid="A"), make_group([0.0, 3.09e-121], [0, 1], gid="B")]
+        code, out, _ = run(capsys, "postprocess-eo", "--input", str(write_fixture(tmp_path, groups)))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["plan"] == {gid: {"q_n2p": 0.0, "q_p2n": 0.0} for gid in ("A", "B")}
+        assert doc["objective"] == 2.0
+
 
 class TestDiagnose:
     def perfect_fixture(self, tmp_path):
@@ -442,6 +451,31 @@ class TestDiagnose:
             "--denominator", "2",
         )
         assert code == 1 and "distinct" in err
+
+    def test_proportional_cost_rows_are_not_distinct(self, capsys):
+        """The second cost row is 3 times the first, but ``3 * 0.1 != 0.3`` in floats: a pivot below PIVOT_TOL."""
+        code, out, err = run(
+            capsys, "diagnose", "--input", str(GOLDEN_MIXED), "--cost", "0.1,0.3,0.1,0.3",
+            "--cost2", "0.3,0.9,0.3,0.9", "--delta-cal", "0.05", "--delta-cost", "0.05",
+            "--matrix-max", "2", "--denominator", "12",
+        )
+        assert (code, out, err) == (1, "", "error: the two cost constraints are not distinct\n")
+
+    def test_default_tol_absorbs_noise(self, tmp_path, capsys):
+        """A's negatives score 5e-10, so two residuals are 5e-10: satisfied at the default tol, not at 2.5e-10."""
+        g1 = make_group([1.0, 5e-10, 5e-10], [1, 0, 0], gid="A")
+        g2 = make_group([1.0, 0.0], [1, 0], gid="B")
+        args = [
+            "diagnose", "--input", str(write_fixture(tmp_path, [g1, g2])), "--cost", "1,0,1,0",
+            "--cost2", "0,1,0,1", "--delta-cal", "0", "--delta-cost", "0", "--matrix-max", "1",
+            "--denominator", "2",
+        ]
+        for extra, satisfied, tol in (([], True, 1e-9), (["--tol", "2.5e-10"], False, 2.5e-10)):
+            code, out, _ = run(capsys, *args, *extra)
+            assert code == 0
+            assert json.loads(out)["exact"] == {
+                "satisfied": satisfied, "residuals": [5e-10, 0.0, 5e-10, 0.0], "tol": tol
+            }
 
     def test_sums_each_group_once(self, capsys, monkeypatch):
         # Count rate_point calls at every module that imported it by name.

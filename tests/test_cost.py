@@ -117,6 +117,27 @@ class TestLevelCurve:
         with pytest.raises(ValueError):
             level_curve(CostSpec(1.0, 1.0), -0.1)
 
+    def test_corner_is_one_point(self):
+        # Its candidates on two edges are (1.0, 1.0) and (0.9999999999999998, 1.0).
+        assert level_curve(CostSpec(0.1, 0.9), 1.0) == ((1.0, 1.0),)
+
+    @pytest.mark.parametrize(
+        "a, b, c, want",
+        [
+            (0.0, 1.0, 1.0 + 5e-10, ((0.0, 1.0), (1.0, 1.0))),  # just above the top edge: snapped onto it
+            (1.0, 0.0, 1.0 + 5e-10, ((1.0, 0.0), (1.0, 1.0))),
+            (1.0, 1.0, 2.0 + 5e-10, ((1.0, 1.0),)),  # just past the far corner: that corner
+            # The top edge holds the snapped corner (0, 1) and the level set's own endpoint (5e-9, 1): the
+            # segment runs from the outermost point on the left to the one on the right.
+            (1.0, 10.0, 10.0 + 5e-9, ((0.0, 1.0), (1.0, (10.0 + 5e-9 - 1.0) / 10.0))),
+            (0.0, 1.0, 1.0 + 2e-9, ()),  # beyond the slack the level set misses the square
+            (1.0, 1.0, 2.0 + 2e-9, ()),
+        ],
+    )
+    def test_slack_band(self, a, b, c, want):
+        """Candidates up to ``COORD_SLACK`` outside the square are snapped onto it, as a ``RatePoint``'s rates are."""
+        assert level_curve(CostSpec(a, b), c) == want
+
     @given(specs, st.floats(0.0, 20.0, allow_nan=False))
     @example(CostSpec(1e-12, 1.0), 1.0)  # once snapped 1 - 1e-12 to 1, off the level set
     def test_endpoints_lie_on_the_level_set(self, spec, c):

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from calparity.dataset import GroupData
 from calparity.eo import (
     STATUS_OPTIMAL,
+    EOSolution,
+    GroupFlip,
     _affine,
     _enumerate_vertices,
     derived_rates,
@@ -13,7 +15,7 @@ from calparity.eo import (
     flipped_scores,
     solve_eo,
 )
-from calparity.metrics import calibration_gap, rate_point
+from calparity.metrics import RatePoint, calibration_gap, rate_point
 from conftest import make_group, random_group
 from oracles import eo_grid_oracle, expected_loss, vertices_by_row_reduction
 
@@ -145,6 +147,14 @@ class TestSolveEO:
         g = random_group(rng, gid="A")
         with pytest.raises(ValueError, match="distinct"):
             solve_eo(g, g)
+
+    def test_solution_rates_match_within_tolerance(self):
+        """An optimal solution's groups may differ by ``RATE_MATCH_TOL`` in each rate, not by twice it."""
+        plan = {"A": GroupFlip(0.0, 0.0), "B": GroupFlip(0.0, 0.0)}
+        EOSolution(STATUS_OPTIMAL, plan, {"A": RatePoint(0.0, 0.5), "B": RatePoint(1e-9, 0.5)}, 1.0)
+        for other in (RatePoint(2e-9, 0.5), RatePoint(0.0, 0.5 + 2e-9)):
+            with pytest.raises(ValueError, match="does not match"):
+                EOSolution(STATUS_OPTIMAL, plan, {"A": RatePoint(0.0, 0.5), "B": other}, 1.0)
 
 
 class TestVertexEnumeration:

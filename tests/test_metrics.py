@@ -155,6 +155,13 @@ class TestRatePoint:
         assert p.c_fp == 1.0
         assert p.c_fn == 0.0
 
+    def test_slack_edges(self):
+        """Up to ``COORD_SLACK`` outside [0, 1] is snapped onto it; twice that is rejected."""
+        assert RatePoint(1.0 + 1e-9, -1e-9) == RatePoint(1.0, 0.0)
+        for fp, fn in ((1.0 + 2e-9, 0.5), (0.5, -2e-9)):
+            with pytest.raises(ValueError, match="outside"):
+                RatePoint(fp, fn)
+
     @given(
         st.floats(0.0, 1.0, allow_nan=False),
         st.floats(0.0, 1.0, allow_nan=False),
