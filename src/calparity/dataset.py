@@ -21,6 +21,7 @@ import contextlib
 import csv
 import io
 import os
+import pickle
 import stat
 import threading
 import warnings
@@ -266,23 +267,18 @@ class _Coded:
         self.labels = bytearray((pair & 1).astype(bool).tobytes())
         self.counts = bytearray(per_pair[pair].astype(float).tobytes())
 
-    def buffers(self) -> tuple[bytearray, ...]:
-        """The table, codes, labels and counts, as stored."""
-        return self.table, self.codes, self.labels, self.counts
-
-    def take(self, pipe: BinaryIO, sizes: Sequence[int]) -> None:
-        """Append another accumulator's ``buffers``, of ``sizes`` bytes, read from ``pipe`` a piece at a time.
-
-        Its codes move past this table's entries, and its counts follow the
-        counts of this accumulator's codes. EOFError if the pipe ends first.
-        """
-        start = self._start(sizes[0] // 8)
-        if sizes[3]:
+    def take(self, other: _Coded) -> None:
+        """Append another accumulator's entries and codes; its codes, renumbered in place, follow this table's
+        entries, and its counts follow the counts of this accumulator's codes."""
+        start = self._start(len(other.table) // 8)
+        codes = np.frombuffer(other.codes, np.uint32)
+        codes += np.uint32(start)
+        if other.counts:
             self._count_ones()
-        for buf, size in zip(self.buffers(), sizes):
-            for piece_size in [_PIECE] * (size // _PIECE) + [size % _PIECE]:
-                piece = _read_exactly(pipe, piece_size)
-                buf += (np.frombuffer(piece, np.uint32) + np.uint32(start)).tobytes() if buf is self.codes else piece
+        self.table += other.table
+        self.codes += other.codes
+        self.labels += other.labels
+        self.counts += other.counts
 
     def _rows(self) -> tuple[np.ndarray, ...]:
         """Distinct patterns as floats, codes renumbered into them, labels, and each code's rows (None: one each)."""
@@ -322,12 +318,13 @@ def load_csv(path: str | Path, samples: bool = True) -> list[GroupData]:
     when this one may run on two CPUs and runs no other thread, since a
     fork of a threaded process is unsafe (``_Tail``). A forked child parses
     the lines from the first ``\\n`` at or after the middle byte to the end
-    column-wise, while this process parses the head. The child's groups are
-    added after the head's only if the head and the tail both parsed
-    column-wise to their ends. Otherwise this process reads on past the
-    middle alone, as it reads any other input, so every group, message and
-    row number is the one reader's. The child is reaped before this returns
-    or raises.
+    column-wise, while this process parses the head. The child sends its
+    groups as one pickled message, which this process takes whole or not at
+    all: they are added after the head's only if the head and the tail both
+    parsed column-wise to their ends and the message came whole. Otherwise
+    this process reads on past the middle alone, as it reads any other
+    input, so every group, message and row number is the one reader's. The
+    child is reaped before this returns or raises.
     """
     groups = _Groups(samples)
     with open(path, "rb") as fh, _Tail(fh, path, samples) as tail:
@@ -353,39 +350,27 @@ class _Groups:
             acc.add(*pieces)
 
     def send(self, fd: int) -> None:
-        """Write the groups to ``fd``, row-free ones folded: the count of ids and their length, the ids, each
-        buffer's length and the buffers. Columnar ids are ASCII and hold no ``\\n``."""
+        """Write the ids and accumulators to ``fd`` as one pickle, row-free ones folded first."""
         if not self.keep:
             for acc in self.accs:
                 acc.fold()
-        names = "\n".join(self.ids).encode()
-        buffers = [buf for acc in self.accs for buf in acc.buffers()]
         with open(fd, "wb") as pipe:
-            pipe.write(np.array([len(self.ids), len(names)], np.int64).tobytes() + names)
-            pipe.write(np.array([len(buf) for buf in buffers], np.int64).tobytes())
-            for buf in buffers:
-                pipe.write(buf)
+            pickle.dump((list(self.ids), self.accs), pipe, protocol=5)
 
     def merge(self, pipe: BinaryIO) -> bool:
         """Append the groups ``send`` wrote to ``pipe``, ids new here coded after these; False, adding none, if the
-        pipe ends before they do."""
-        known, marks = len(self.ids), [[len(buf) for buf in acc.buffers()] for acc in self.accs]
+        message is not whole.
+
+        The only writer of ``pipe`` is this process's own forked child, so no outside input is unpickled.
+        """
         try:
-            count, size = np.frombuffer(_read_exactly(pipe, 16), np.int64).tolist()
-            names = _read_exactly(pipe, size).decode().split("\n")
-            sizes = np.frombuffer(_read_exactly(pipe, 32 * count), np.int64).reshape(-1, 4).tolist()
-            for gid, acc_sizes in zip(names, sizes):
-                code = self.ids[gid]
-                self.accs.extend(_Coded(self.keep) for _ in range(len(self.ids) - len(self.accs)))
-                self.accs[code].take(pipe, acc_sizes)
-        except EOFError:
-            while len(self.ids) > known:
-                self.ids.popitem()
-            del self.accs[known:]
-            for acc, mark in zip(self.accs, marks):
-                for buf, size in zip(acc.buffers(), mark):
-                    del buf[size:]
+            ids, accs = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
             return False
+        for gid, acc in zip(ids, accs):
+            code = self.ids[gid]
+            self.accs.extend(_Coded(self.keep) for _ in range(len(self.ids) - len(self.accs)))
+            self.accs[code].take(acc)
         return True
 
     def build(self) -> list[GroupData]:
@@ -398,20 +383,12 @@ class _Groups:
             raise CsvFormatError(str(exc)) from None
 
 
-def _read_exactly(pipe: BinaryIO, size: int) -> bytes:
-    """``size`` bytes of ``pipe``; EOFError if it ends first."""
-    data = pipe.read(size)
-    if len(data) < size:
-        raise EOFError
-    return data
-
-
 # A regular file of at least this many chunks (2 MiB) is parsed by two
 # processes. On a 2-vCPU VM a split costs ~8 ms (fork, merge and reaping):
 # ``stats`` broke even on a 2.9 MB file of 29 distinct scores and on a
 # 1.5 MB file of distinct scores, which parses ~2.5x slower a byte.
 _SPLIT = 8
-_PIECE = 1 << 16  # bytes a merge reads from the pipe at a time; a multiple of 8
+_PIECE = 1 << 16  # bytes ``_line_start`` reads at a time
 
 
 class _Tail:
@@ -421,11 +398,11 @@ class _Tail:
     opens the file itself, since a forked child shares this process's file
     offset, learns the width from the header and parses from ``mid`` with
     ``_entries``, which raises at the first block that is not columnar.
-    Only a whole, clean tail is sent, through a pipe (``_Groups.send``);
-    then the child leaves by ``os._exit``, so no exit hook or buffer flush
-    of this process runs twice. On leaving the ``with`` block, the child is
-    killed if it still runs, and reaped (by the kernel, where SIGCHLD is
-    ignored).
+    Only a whole, clean tail is sent, as one pickle through a pipe that
+    only the child writes (``_Groups.send``); then the child leaves by
+    ``os._exit``, so no exit hook or buffer flush of this process runs
+    twice. On leaving the ``with`` block, the child is killed if it still
+    runs, and reaped (by the kernel, where SIGCHLD is ignored).
     """
 
     def __init__(self, fh: BinaryIO, path: str | Path, keep: bool) -> None:
@@ -560,9 +537,10 @@ def _entries(chunks: Iterator[str], ids: _Codes, dtype: np.dtype | None = None) 
     scored in [0, 1], or a new id has surrounding whitespace. Its new ids
     are dropped; ``_read_rows`` reads it, from its first line, and the rest.
     Given ``dtype``, the text starts after the header, at a line whose
-    number is unknown, so a refused block raises _Unclean instead. Only a
-    block numpy refuses that holds ``\\r\\r`` is parsed again with every bare
-    ``\\r`` read as a line end, as ``csv`` reads it, and its lines counted so.
+    number is unknown, so a refused block raises _Unclean instead. A block
+    numpy refuses is parsed once more with every bare ``\\r`` read as a line
+    end, as ``csv`` reads it, and its lines counted so (``_csv_lines``); one
+    refused for another reason is refused again.
     An empty chunk, which ``_decoded`` gives only at its ``mid``, yields
     None while no block was refused: every line before it is parsed.
     """
@@ -578,16 +556,14 @@ def _entries(chunks: Iterator[str], ids: _Codes, dtype: np.dtype | None = None) 
                 header, _, block = block.partition("\n")
                 dtype, lineno = _dtype(header), 2
             if not block.strip("\r\n"):  # numpy skips empty lines, and warns if that is all
-                lineno += block.count("\n") + block.count("\r") - block.count("\r\n")  # each end as csv reads it
+                lineno += _csv_lines(block)
                 continue
             try:
                 lines, entries = _parse(block, dtype, ids)
             except ValueError:  # numpy refuses a bare \r, which csv reads as a line end
-                if "\r\r" not in block:
-                    raise
                 # its ids are coded in the same order again
                 _, entries = _parse(block.replace("\r\n", "\n").replace("\r", "\n"), dtype, ids)
-                lines = block.count("\n") + block.count("\r") - block.count("\r\n")
+                lines = _csv_lines(block)
             if any(gid != gid.strip() for gid in islice(ids, known, None)):
                 raise _Unclean
         except (_Unclean, ValueError, Warning):
@@ -599,6 +575,11 @@ def _entries(chunks: Iterator[str], ids: _Codes, dtype: np.dtype | None = None) 
             return
         yield entries
         lineno += lines
+
+
+def _csv_lines(block: str) -> int:
+    """The line ends of ``block`` as ``csv`` reads them: each ``\\n``, ``\\r`` and ``\\r\\n`` once."""
+    return block.count("\n") + block.count("\r") - block.count("\r\n")
 
 
 def _cut(text: str, final: bool) -> tuple[str, str]:

@@ -12,7 +12,7 @@ from calparity.cost import (
     trivial_cost,
     weighted_cost_spec,
 )
-from calparity.metrics import RatePoint
+from calparity.metrics import COORD_SLACK, RatePoint
 from conftest import calibrated_distribution, distribution_rates
 
 EXACT = 1e-12
@@ -140,10 +140,17 @@ class TestLevelCurve:
 
     @given(specs, st.floats(0.0, 20.0, allow_nan=False))
     @example(CostSpec(1e-12, 1.0), 1.0)  # once snapped 1 - 1e-12 to 1, off the level set
+    @example(CostSpec(0.0, 1.0), 1.0 + 5e-10)  # y = c / b in the slack band: snapped onto the top edge
     def test_endpoints_lie_on_the_level_set(self, spec, c):
+        """An endpoint lies on its level set, or, if ``_snap`` moved it, within the moved coordinate's weight times
+        ``COORD_SLACK``, as ``level_curve`` states."""
+        a, b = spec.a, spec.b
         for x, y in level_curve(spec, c):
             assert 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
-            assert abs(spec.a * x + spec.b * y - c) <= EXACT
+            # A moved coordinate sits on an edge, where the level set's value for it lies outside [0, 1].
+            moved_x = a > 0.0 and x in (0.0, 1.0) and not 0.0 <= (c - b * y) / a <= 1.0
+            moved_y = b > 0.0 and y in (0.0, 1.0) and not 0.0 <= (c - a * x) / b <= 1.0
+            assert abs(a * x + b * y - c) <= EXACT + (a * moved_x + b * moved_y) * COORD_SLACK
 
     def test_intersects_calibrated_line_at_most_once(self, rng):
         # Cost strictly increases along the calibrated line, so each level

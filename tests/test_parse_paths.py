@@ -353,8 +353,8 @@ def _refuse(text, lineno, *rest):
 def test_fast_path_serves_clean_input(tmp_path, monkeypatch):
     """Clean files, CRLF and bare CR among them, never reach the ``csv`` hand-off; a silent one would lose the gain.
 
-    Nor does a blank line of bare ``\\r``s, or a row ended by a bare ``\\r`` before its ``\\r\\n``, in a block of
-    repeated lines or in one parsed whole.
+    Nor does a blank line of bare ``\\r``s, a row ended by a bare ``\\r`` before its ``\\r\\n``, or a row ended by a
+    bare ``\\r`` alone, in a block of repeated lines or in one parsed whole.
     """
     a = synth(SynthSpec(300, "beta_grid", (2, 4, 20), seed=5, group_id="A"))
     b = synth(SynthSpec(200, "grid", (0.1, 0.9, 9), seed=6, group_id="B"))
@@ -381,7 +381,8 @@ def test_fast_path_serves_clean_input(tmp_path, monkeypatch):
         repeated,
     )
     # A blank line of bare \r's after the second row, which csv reads as two empty lines and numpy refuses,
-    # and the second row ended by a bare \r before its \r\n, which csv reads as the row and an empty line,
+    # the second row ended by a bare \r before its \r\n, which csv reads as the row and an empty line,
+    # and the \r\n after the second row made a bare \r, which csv reads as a line end and numpy refuses,
     # each in a block of repeated lines and in one of distinct lines, parsed whole.
     spread = tmp_path / "spread.csv"
     write_csv([synth(SynthSpec(3000, "beta_grid", (2, 4, 10**6), seed=10, group_id="F")), b], spread)
@@ -393,6 +394,8 @@ def test_fast_path_serves_clean_input(tmp_path, monkeypatch):
         bare_cr[-1].write_bytes(b"\r\n".join([*lines[:3], b"\r", *lines[3:]]))
         bare_cr.append(tmp_path / f"row-cr-{source.name}")
         bare_cr[-1].write_bytes(b"\r\n".join([*lines[:2], lines[2] + b"\r", *lines[3:]]))
+        bare_cr.append(tmp_path / f"joined-cr-{source.name}")
+        bare_cr[-1].write_bytes(b"\r\n".join(lines[:3]) + b"\r" + b"\r\n".join(lines[3:]))
     paths = (GOLDEN_MIXED, written, bom, cr, mc, repeated, *bare_cr)
     expected = {path: load_reference(path) for path in paths}
     monkeypatch.setattr(dataset, "_read_rows", _refuse)
@@ -556,6 +559,55 @@ def test_torn_message_is_undone(large, forks, monkeypatch, keep):
             assert _loaded(large, samples) == _reference(large, samples)
         assert merges == [False]
     _no_child_left()
+
+
+@pytest.mark.parametrize("samples", [True, False], ids=["rows", "row-free"])
+def test_message_torn_at_every_byte(tmp_path, forks, samples):
+    """``merge`` takes the message ``send`` wrote whole or not at all.
+
+    In this process, with no fork: the head of a two-group file is parsed
+    here and the tail's groups sent into a pipe, as a child would send
+    them. Every proper prefix of that message leaves the head's ids and
+    accumulators as they were; the whole message gives the one-process load.
+    """
+    path = tmp_path / "two.csv"
+    write_csv(
+        [
+            synth(SynthSpec(60, "beta_grid", (2, 4, 20), seed=1, group_id="A")),
+            synth(SynthSpec(40, "grid", (0.1, 0.9, 9), seed=2, group_id="B")),
+        ],
+        path,
+    )
+    mid = _line_starts(path.read_bytes())[30]  # among A's rows, so B is first seen in the tail
+    head = dataset._Groups(samples)
+    with open(path, "rb") as fh:
+        for entries in dataset._entries(dataset._decoded(fh, mid), head.ids):
+            if entries is None:
+                break
+            head.add(entries)
+    read, write = os.pipe()
+    dataset._parse_tail(path, mid, samples, write)  # it closes ``write`` once sent; the message fits the pipe
+    with open(read, "rb") as pipe:
+        message = pipe.read()
+
+    def state():
+        return list(head.ids), [bytes(b) for acc in head.accs for b in (acc.table, acc.codes, acc.labels, acc.counts)]
+
+    def merged(data):
+        read, write = os.pipe()
+        os.write(write, data)
+        os.close(write)
+        with open(read, "rb") as pipe:
+            return head.merge(pipe)
+
+    before = state()
+    assert before[0] == ["A"]
+    for size in range(len(message)):
+        assert not merged(message[:size])
+        assert state() == before, f"a message torn after {size} of {len(message)} bytes changed the groups"
+    assert merged(message)
+    assert _outcome(lambda p: head.build(), path, samples) == _loaded(path, samples)
+    assert forks == []
 
 
 def test_no_split_where_a_fork_is_unsafe_or_useless(large, forks, tmp_path, monkeypatch):
