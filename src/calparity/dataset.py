@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -316,7 +316,7 @@ def load_csv(path: str | Path, samples: bool = True) -> list[GroupData]:
 
     A regular file of at least ``_SPLIT`` chunks is read by two processes
     when this one may run on two CPUs and runs no other thread, since a
-    fork of a threaded process is unsafe (``_Tail``). A forked child parses
+    fork of a threaded process is unsafe (``_Forked``). A forked child parses
     the lines from the first ``\\n`` at or after the middle byte to the end
     column-wise, while this process parses the head. The child sends its
     groups as one pickled message, which this process takes whole or not at
@@ -327,13 +327,15 @@ def load_csv(path: str | Path, samples: bool = True) -> list[GroupData]:
     child is reaped before this returns or raises.
     """
     groups = _Groups(samples)
-    with open(path, "rb") as fh, _Tail(fh, path, samples) as tail:
-        for entries in _entries(_decoded(fh, tail.mid), groups.ids):
-            if entries is None:  # at ``tail.mid``, every line before it parsed column-wise
-                if groups.merge(tail.pipe):  # False if the child sent no whole, clean tail
-                    break
-            else:
-                groups.add(entries)
+    with open(path, "rb") as fh:
+        mid = _middle(fh)
+        with _Forked(None if mid is None else partial(_parse_tail, path, mid, samples)) as tail:
+            for entries in _entries(_decoded(fh, tail.pid and mid), groups.ids):  # no ``mid`` without a child
+                if entries is None:  # at ``mid``, every line before it parsed column-wise
+                    if tail.receive(groups.merge):  # False if the child sent no whole, clean tail
+                        break
+                else:
+                    groups.add(entries)
     return groups.build()
 
 
@@ -391,64 +393,71 @@ _SPLIT = 8
 _PIECE = 1 << 16  # bytes ``_line_start`` reads at a time
 
 
-class _Tail:
-    """The child that parses a large file from ``mid`` to its end, if one was forked; ``mid`` is None if not.
+class _Forked:
+    """A child forked to run ``task(fd)``, ``fd`` the write end of a pipe whose read end here is ``pipe``.
 
-    ``mid`` follows the first ``\\n`` at or after the middle byte. The child
-    opens the file itself, since a forked child shares this process's file
-    offset, learns the width from the header and parses from ``mid`` with
-    ``_entries``, which raises at the first block that is not columnar.
-    Only a whole, clean tail is sent, as one pickle through a pipe that
-    only the child writes (``_Groups.send``); then the child leaves by
-    ``os._exit``, so no exit hook or buffer flush of this process runs
-    twice. On leaving the ``with`` block, the child is killed if it still
-    runs, and reaped (by the kernel, where SIGCHLD is ignored).
+    ``pid`` is None where no child was forked: ``task`` is None, this
+    process may not run on two CPUs or runs another thread (a fork of a
+    threaded process is unsafe), or ``os.fork`` fails. The child leaves by
+    ``os._exit`` once ``task`` returns or raises, so no exit hook or buffer
+    flush of this process runs twice, and only what ``task`` writes to
+    ``fd`` reaches this process. ``receive`` reads that message. On leaving
+    the ``with`` block the child is waited for if its message was taken,
+    else killed if it still runs, and reaped (by the kernel, where SIGCHLD
+    is ignored).
     """
 
-    def __init__(self, fh: BinaryIO, path: str | Path, keep: bool) -> None:
-        self.mid, self.pid = _middle(fh), None
-        if self.mid is None:
+    def __init__(self, task: Callable[[int], object] | None) -> None:
+        self.pid, self.taken = None, False
+        if task is None or not (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+                                and threading.active_count() == 1):
             return
         read, write = os.pipe()
         try:
             self.pid = os.fork()
-        except OSError:  # no process to be had, as under a process limit: one reader
+        except OSError:  # no process to be had, as under a process limit
             os.close(read), os.close(write)
-            self.mid = None
             return
         if self.pid == 0:
             try:
                 os.close(read)
-                _parse_tail(path, self.mid, keep, write)
+                task(write)
             finally:
                 os._exit(0)
         os.close(write)
         self.pipe = open(read, "rb")
 
-    def __enter__(self) -> _Tail:
+    def receive(self, take: Callable[[BinaryIO], object]) -> object:
+        """``take(pipe)``; a true result means the child's whole message was taken, so the child is leaving."""
+        result = take(self.pipe)
+        self.taken = bool(result)
+        return result
+
+    def __enter__(self) -> _Forked:
         return self
 
     def __exit__(self, *exc) -> None:
-        if self.pid:
-            from signal import SIGKILL
+        if not self.pid:
+            return
+        self.pipe.close()
+        with contextlib.suppress(ChildProcessError, ProcessLookupError):  # reaped already: SIGCHLD is ignored
+            if not self.taken:
+                if os.waitpid(self.pid, os.WNOHANG) != (0, 0):  # it has exited, and is reaped now
+                    return
+                from signal import SIGKILL  # only a child still at work is killed
 
-            self.pipe.close()
-            with contextlib.suppress(ChildProcessError, ProcessLookupError):  # reaped already: SIGCHLD is ignored
-                if os.waitpid(self.pid, os.WNOHANG) == (0, 0):  # still running
-                    os.kill(self.pid, SIGKILL)
-                    os.waitpid(self.pid, 0)
+                os.kill(self.pid, SIGKILL)
+            os.waitpid(self.pid, 0)
 
 
 def _middle(fh: BinaryIO) -> int | None:
     """Where the tail of a file ``fh`` to be split starts: the ``_line_start`` at its middle byte.
 
-    None unless it is a regular file of at least ``_SPLIT`` chunks, this
-    process may run on two CPUs and runs one thread, and a ``\\n`` follows
-    the middle byte.
+    None unless it is a regular file of at least ``_SPLIT`` chunks and a
+    ``\\n`` follows the middle byte.
     """
     size = os.fstat(fh.fileno())
-    if not (stat.S_ISREG(size.st_mode) and size.st_size >= _SPLIT * _CHUNK and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1):
+    if not (stat.S_ISREG(size.st_mode) and size.st_size >= _SPLIT * _CHUNK):
         return None
     try:
         return _line_start(fh, size.st_size // 2)
@@ -467,7 +476,13 @@ def _line_start(fh: BinaryIO, at: int) -> int | None:
 
 
 def _parse_tail(path: str | Path, mid: int, keep: bool, fd: int) -> None:
-    """The child's work: parse ``path`` from ``mid`` column-wise and ``send`` its groups to ``fd``."""
+    """The child's work: parse ``path`` from ``mid`` column-wise and ``send`` its groups to ``fd``.
+
+    It opens the file itself, since a forked child shares this process's
+    file offset, and learns the width from the header. ``_entries`` raises
+    at the first block that is not columnar, so only a whole, clean tail is
+    sent.
+    """
     groups = _Groups(keep)
     with open(path, "rb") as fh:
         dtype = _dtype(fh.readline().decode("utf-8-sig", "surrogateescape").removesuffix("\n"))

@@ -197,9 +197,20 @@ class SynthGroup:
         object.__setattr__(self, "_chunks", chunks)
 
     def chunks(self) -> Iterator[writer.Chunk]:
-        """``write_rows`` chunks of ``_WRITE_CHUNK`` rows, the held labels unpacked."""
+        """``write_rows`` chunks of ``_WRITE_CHUNK`` rows, each chunk's labels unpacked only where they are used."""
         for table, codes, bits in self._chunks:
-            yield table, codes, np.unpackbits(bits, count=len(codes)).view(bool), None
+            yield table, codes, _Packed(bits, len(codes)), None
+
+
+class _Packed:
+    """A chunk's labels as ``np.packbits`` holds them, which numpy unpacks to bool wherever it takes them as an array."""
+
+    def __init__(self, bits: np.ndarray, count: int) -> None:
+        self.bits, self.count = bits, count
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        labels = np.unpackbits(self.bits, count=self.count).view(bool)
+        return labels if dtype is None else labels.astype(dtype)
 
 
 def synth(spec: SynthSpec) -> GroupData:

@@ -6,14 +6,18 @@ Carlo draws and ``synth``), so a read-only command never compiles it.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import os
+import stat
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .dataset import CSV_HEADER, WITHHELD, GroupData, _binary, _bit_codes
+from .dataset import CSV_HEADER, WITHHELD, GroupData, _binary, _bit_codes, _Forked
 
 # Rows per chunk: large enough that numpy calls dominate the per-chunk
 # overhead, small enough that the chunk's strings never set the peak memory.
@@ -31,6 +35,15 @@ def row_chunks(table: np.ndarray, codes: np.ndarray, labels: np.ndarray, mask=No
         yield table, codes[chunk], labels[chunk], None if mask is None else mask[chunk]
 
 
+# A forked child writes the rows after the middle chunk boundary when the
+# chunks there may use this many table entries, each formatted once a
+# chunk. On a 2-vCPU VM a fork paid from 2-4k entries: ``synth`` of two
+# 100k-row groups of k grid scores, the second group written by the child,
+# won 6 of 20 pairs at k = 256, 10 of 20 at k = 1024 and 16 of 20 at
+# k = 2048 (~30 ms). This is twice the larger figure.
+_FORK_ENTRIES = 1 << 13
+
+
 def write_rows(
     path: str | Path, groups: Iterable[tuple[str, Iterable[Chunk]]], withheld: bool = False
 ) -> None:
@@ -38,21 +51,99 @@ def write_rows(
 
     This is the one row writer, and it holds one chunk's text at a time.
     A chunk is ``(table, codes, labels, mask)``: row i scores
-    ``table[codes[i]]``; labels are bool or 0/1, and with ``withheld`` the
-    mask is written as a fourth 0/1 column. Nothing is checked here:
-    callers check first, so a bad input leaves no file behind. The bytes
-    are those ``csv.writer`` writes with one ``repr`` per row; the id field
-    comes from ``csv.writer`` itself, so ids are quoted as it quotes them.
+    ``table[codes[i]]``; labels are bool or 0/1, as an array or as an
+    object numpy turns into one where they are used (``SynthGroup`` holds
+    them packed), and with ``withheld`` the mask is written as a fourth 0/1
+    column. Every chunk is taken before a row is written. Nothing is
+    checked here: callers check first, so a bad input leaves no file
+    behind. The bytes are those ``csv.writer`` writes with one ``repr`` per
+    row; the id field comes from ``csv.writer`` itself, so ids are quoted
+    as it quotes them.
+
+    Two processes write where the chunks after the chunk boundary nearest
+    the middle row may use ``_FORK_ENTRIES`` table entries or more
+    (``_cut``), the output is a regular file whose directory opens an
+    unlinked ``O_TMPFILE`` file, and ``_Forked`` forks: this process may run
+    on two CPUs and runs one thread. The child writes those rows into that
+    file while this process writes the header and the rows before them;
+    then this process appends the child's bytes with ``os.sendfile``. If the
+    child sent no whole message (its file's size), this process writes
+    those rows itself, so the bytes are the same either way.
     """
     suffixes = (",0", ",1") if withheld else ("",)
     ends = np.array([f",{label}{w}\r\n" for w in suffixes for label in "01"], dtype=object)
+    rows = []  # each chunk with its group's id field
+    for group_id, chunks in groups:
+        prefix = _row_prefix(group_id)
+        rows += [(prefix, chunk) for chunk in chunks]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(CSV_HEADER + (WITHHELD,) if withheld else CSV_HEADER)
-        for group_id, chunks in groups:
-            prefix = _row_prefix(group_id)
-            for chunk in chunks:
-                fh.write(prefix)
-                fh.write(prefix.join(_lines(ends, *chunk)))
+        cut = _cut(rows)
+        with _scratch(fh, path, cut < len(rows)) as tmp:
+            with _Forked(None if tmp is None else partial(_write_tail, tmp, ends, rows[cut:])) as tail:
+                _write(fh, ends, rows[:cut])
+                if not (tail.pid and tail.receive(partial(_append, fh, tmp))):
+                    _write(fh, ends, rows[cut:])
+
+
+def _write(fh: TextIO, ends: np.ndarray, rows: list[tuple[str, Chunk]]) -> None:
+    """Write each chunk's rows, its group's id field first on each."""
+    for prefix, chunk in rows:
+        fh.write(prefix)
+        fh.write(prefix.join(_lines(ends, *chunk)))
+
+
+def _cut(rows: list[tuple[str, Chunk]]) -> int:
+    """The first chunk a child writes: the one after the chunk boundary nearest the middle row, if the chunks from it
+    on may use ``_FORK_ENTRIES`` table entries or more; else ``len(rows)``.
+
+    A chunk may use at most ``min(len(table), len(codes))`` entries: all of
+    its table for a ``synth`` chunk, whose table holds its own scores.
+    """
+    if len(rows) < 2:
+        return len(rows)
+    stops = np.cumsum([len(chunk[1]) for _, chunk in rows])  # the rows up to each chunk's end
+    cut = int(np.argmin(np.abs(2 * stops[:-1] - stops[-1]))) + 1
+    if sum(min(len(table), len(codes)) for _, (table, codes, *_) in rows[cut:]) < _FORK_ENTRIES:
+        return len(rows)
+    return cut
+
+
+@contextlib.contextmanager
+def _scratch(fh: TextIO, path: str | Path, wanted: bool) -> Iterator[TextIO | None]:
+    """If ``wanted``, an unlinked file beside ``path``, which ``fh`` writes, for a child to write into; None where it is
+    not wanted, ``fh`` is not a regular file, or the directory opens no ``O_TMPFILE`` file."""
+    if not (wanted and hasattr(os, "O_TMPFILE") and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)):
+        yield None
+        return
+    try:
+        fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_TMPFILE | os.O_RDWR, 0o600)
+    except OSError:  # as on a file system without O_TMPFILE
+        yield None
+        return
+    with open(fd, "w", newline="", encoding="utf-8") as tmp:
+        yield tmp
+
+
+def _write_tail(tmp: TextIO, ends: np.ndarray, rows: list[tuple[str, Chunk]], fd: int) -> None:
+    """The child's work: write ``rows`` into ``tmp``, then send the file's size to ``fd`` as its message."""
+    _write(tmp, ends, rows)
+    tmp.flush()
+    with open(fd, "wb") as pipe:
+        pipe.write(b"%d" % os.fstat(tmp.fileno()).st_size)
+
+
+def _append(fh: TextIO, tmp: TextIO, pipe: BinaryIO) -> bool:
+    """Append the child's file ``tmp`` to ``fh`` if the child sent its size whole to ``pipe``; else False."""
+    message = pipe.read()
+    size = os.fstat(tmp.fileno()).st_size
+    if message != b"%d" % size:
+        return False
+    fh.flush()
+    offset = 0
+    while offset < size:
+        offset += os.sendfile(fh.fileno(), tmp.fileno(), offset, size - offset)
+    return True
 
 
 def _lines(ends: np.ndarray, table: np.ndarray, codes: np.ndarray, labels: np.ndarray, mask) -> list[str]:

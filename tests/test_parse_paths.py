@@ -26,7 +26,9 @@ import itertools
 import os
 import signal
 import subprocess
+import sys
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -540,6 +542,24 @@ def test_child_killed_before_it_writes(large, forks, monkeypatch):
         assert seen == []
     assert len(forks) == 2
     _no_child_left()
+
+
+def test_split_leaves_signal_unimported(large):
+    """In a fresh interpreter, ``stats`` on a file it splits never imports ``signal``: the child that sent its groups
+    is waited for, and only one still at work is killed."""
+    code = (
+        "import os, sys\n"
+        "from calparity import dataset\n"
+        "from calparity.cli import main\n"
+        "dataset._CHUNK, fork, forks = 1 << 10, os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(rc, len(forks), 'signal' in sys.modules, file=sys.stderr)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dataset.__file__).parent.parent)}
+    r = subprocess.run([sys.executable, "-c", code, "stats", "--input", str(large)], capture_output=True, text=True,
+                       env=env, timeout=60)
+    assert r.stderr.split() == ["0", "1", "False"], r.stderr
 
 
 @pytest.mark.parametrize("keep", [1, 0.5], ids=["last-byte", "half"])

@@ -8,18 +8,32 @@ back bit for bit.
 
 A group holds both classes, so at least two rows; a one-row chunk comes
 from a group one row longer than a multiple of the chunk size.
+
+Where the chunks after the middle hold enough table entries, a forked
+child writes them into an unlinked file that is then appended. That write
+must give the one-process file byte for byte, also when the child fails,
+and the child must be reaped; the conditions under which no fork happens
+are checked too.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
+import io
+import json
+import os
+import signal
+import threading
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from calparity import writer
+from calparity.cli import main
 from calparity.dataset import GroupData, load_csv
 from calparity.writer import write_csv
 from oracles import write_csv_rows
@@ -46,8 +60,8 @@ def _assert_round_trip(path, groups):
 
 
 @st.composite
-def groups_and_masks(draw):
-    ids = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=3, unique=True))
+def groups_and_masks(draw, max_groups=3):
+    ids = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=max_groups, unique=True))
     groups, masks = [], {}
     for gid in ids:
         n = draw(st.integers(2, 40))
@@ -110,3 +124,166 @@ def test_bad_mask_raises_before_writing(tmp_path, mask):
     with pytest.raises(ValueError, match="group 'A' must hold 3 values of 0 or 1"):
         write_csv([g], path, {"A": mask})
     assert not path.exists()
+
+
+@contextlib.contextmanager
+def _forks():
+    """The calls of ``os.fork`` in this process while the block runs."""
+    calls = []
+    fork = os.fork
+    with mock.patch.object(os, "fork", lambda: calls.append(1) or fork()):
+        yield calls
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=100, deadline=None)
+@given(groups_and_masks(max_groups=4), st.sampled_from([1, 2, 3, 5, 8]))
+def test_two_process_write_matches_one_process(tmp_path_factory, case, chunk):
+    """With every split worth a child, the file is the one-process file, wherever the middle row falls.
+
+    Groups of 2-40 rows in chunks of 1-8 rows put the middle row on a
+    chunk boundary or inside a chunk, and the cut after a group or inside
+    it; ids ``csv`` quotes, signed zeros and the ``withheld`` column are drawn.
+    """
+    groups, withheld = case
+    tmp = tmp_path_factory.mktemp("split")
+    sizes = [len(g) for g in groups]
+    chunks = sum(-(-n // chunk) for n in sizes)
+    ends = np.cumsum([min(chunk, n - lo) for n in sizes for lo in range(0, n, chunk)])
+    event("middle row on a chunk boundary" if ends[-1] in 2 * ends[:-1] else "middle row inside a chunk")
+    with mock.patch.object(writer, "_WRITE_CHUNK", chunk):
+        with mock.patch.object(writer, "_FORK_ENTRIES", float("inf")), _forks() as forks:
+            write_csv(groups, tmp / "one.csv", withheld)
+        assert forks == []
+        with mock.patch.object(writer, "_FORK_ENTRIES", 0), _forks() as forks:
+            write_csv(groups, tmp / "two.csv", withheld)
+    assert len(forks) == (chunks > 1)
+    assert (tmp / "two.csv").read_bytes() == (tmp / "one.csv").read_bytes()
+    _no_child_left()
+
+
+@pytest.fixture
+def wide(tmp_path, monkeypatch):
+    """Two groups of distinct scores in chunks of 16 rows, every split worth a child, and their one-process file."""
+    monkeypatch.setattr(writer, "_WRITE_CHUNK", 16)
+    rng = np.random.default_rng(3)
+    groups = [GroupData(gid, rng.random(100), np.arange(100) % 2) for gid in ("A", "B, west")]
+    one = tmp_path / "one.csv"
+    write_csv(groups, one)
+    monkeypatch.setattr(writer, "_FORK_ENTRIES", 0)
+    return groups, one.read_bytes()
+
+
+def test_two_process_write_reaps_its_child(wide, tmp_path):
+    """The child is forked once a write and reaped, also where SIGCHLD is ignored and the kernel reaps it."""
+    groups, expected = wide
+    out = tmp_path / "out.csv"
+    with _forks() as forks:
+        write_csv(groups, out)
+        assert out.read_bytes() == expected
+        _no_child_left()
+        ignored = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            write_csv(groups, out)
+        finally:
+            signal.signal(signal.SIGCHLD, ignored)
+    assert out.read_bytes() == expected and len(forks) == 2
+    _no_child_left()
+
+
+def _killed(tmp, ends, rows, fd):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _failed(tmp, ends, rows, fd):
+    writer._write(tmp, ends, rows)
+    tmp.flush()
+    os._exit(3)
+
+
+def _raised(tmp, ends, rows, fd):
+    writer._write(tmp, ends, rows[:1])
+    raise OSError(errno.ENOSPC, "no space left on device")
+
+
+def _torn(tmp, ends, rows, fd):
+    writer._write(tmp, ends, rows)
+    tmp.flush()
+    os.write(fd, str(os.fstat(tmp.fileno()).st_size).encode()[:-1])
+
+
+@pytest.mark.parametrize("task", [_killed, _failed, _raised, _torn], ids=["killed", "exit-3", "raised", "torn"])
+def test_failed_child_leaves_its_rows_here(wide, tmp_path, monkeypatch, task):
+    """A child killed before it writes, one that exits non-zero or raises, or one whose message is torn: this
+    process writes the child's rows itself, and the file is the one-process file."""
+    groups, expected = wide
+    monkeypatch.setattr(writer, "_write_tail", task)
+    out = tmp_path / "out.csv"
+    with _forks() as forks:
+        write_csv(groups, out)
+    assert out.read_bytes() == expected and forks == [1]
+    _no_child_left()
+
+
+def _refuse_tmpfile(open_):
+    def refusing(path, flags, *args, **kwargs):
+        if flags & os.O_TMPFILE == os.O_TMPFILE:
+            raise OSError(errno.EOPNOTSUPP, "O_TMPFILE not supported")
+        return open_(path, flags, *args, **kwargs)
+
+    return refusing
+
+
+def test_one_process_where_a_fork_is_unsafe_or_impossible(wide, tmp_path, monkeypatch):
+    """No fork while a second thread runs, on one CPU, or where the directory opens no ``O_TMPFILE`` file; where a
+    fork fails, this process writes every row. Each gives the one-process file."""
+    groups, expected = wide
+    out = tmp_path / "out.csv"
+
+    def written():
+        out.unlink(missing_ok=True)
+        write_csv(groups, out)
+        return out.read_bytes()
+
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        with _forks() as forks:
+            assert written() == expected and forks == []
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    for name, value in [("sched_getaffinity", lambda pid: {0}), ("open", _refuse_tmpfile(os.open))]:
+        with mock.patch.object(os, name, value), _forks() as forks:
+            assert written() == expected and forks == [], name
+    calls = []
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or _raise(BlockingIOError(11, "no process to be had")))
+    assert written() == expected and calls == [1]
+    _no_child_left()
+
+
+def _raise(exc):
+    raise exc
+
+
+# The benchmark's synth specs: report-1m, 1e6 rows of 29 distinct scores (at most 20 a chunk), and atoms-200k,
+# 2e5 rows of ~92k distinct scores a group (~62k a chunk).
+REPORT_1M = [("A", 500_000, "beta_grid", [2, 4, 20]), ("B", 500_000, "grid", [0.1, 0.9, 9])]
+ATOMS_200K = [("A", 100_000, "beta_grid", [2, 4, 1e6]), ("B", 100_000, "beta_grid", [3, 3, 1e6])]
+
+
+@pytest.mark.parametrize("spec, children", [(REPORT_1M, 0), (ATOMS_200K, 1)], ids=["report-1m", "atoms-200k"])
+def test_synth_forks_where_scores_barely_repeat(tmp_path, spec, children):
+    """``synth`` writes the report-1m spec, whose chunks repeat a few scores, in one process, and the atoms-200k
+    spec, whose scores barely repeat, in two."""
+    doc = {"groups": [{"id": gid, "n": n, "family": family, "params": params} for gid, n, family, params in spec]}
+    with _forks() as forks, contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--spec", json.dumps(doc), "--seed", "5", "--output", str(tmp_path / "s.csv")]) == 0
+    assert len(forks) == children
+    _no_child_left()
